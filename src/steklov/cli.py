@@ -150,8 +150,9 @@ def cmd_sweep(args) -> int:
                 entry[f"neck_fraction_{j}"] = frac
         rows.append(entry)
     target = sweep.target.sigma_bar(k)
-    done = [r for r in rows if "failure" not in r]
-    verdict = "pass" if done and abs(done[-1]["sigma_bar_k"] - target) <= 0.05 * target \
+    # a failed row at any rho fails the sweep; the final row carries the limit
+    failed = any("failure" in r for r in rows)
+    verdict = "pass" if not failed and abs(rows[-1]["sigma_bar_k"] - target) <= 0.05 * target \
         else "fail"
     params = {"preset": args.preset, "k": k, "rho": list(rho_list),
               "resolution": args.resolution, "seed": args.seed}

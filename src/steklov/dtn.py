@@ -1,10 +1,20 @@
 """Finite-element discretization of the Steklov problem.
 
-Piecewise-linear cotangent stiffness over the chart triangles (conformally
-invariant in two dimensions, so the factor lambda never enters), lumped
-boundary mass carrying the lambda-weighted edge lengths, Schur-complement
-reduction to a dense discrete Dirichlet-to-Neumann operator on the boundary
-degrees of freedom, then a symmetric generalized eigensolve.
+Piecewise-linear cotangent stiffness K over the chart triangles (conformally
+invariant in two dimensions, so the factor lambda never enters) and a lumped
+boundary mass M_b carrying the lambda-weighted edge lengths.
+
+`steklov_spectrum` solves the sparse pencil K u = sigma M_b u by shift-invert
+Lanczos (ARPACK mode 3): K - s M_b is factored once at s = PENCIL_SHIFT < 0
+and the boundary rows of the eigenvectors are the traces.  M_b is singular on
+interior vertices, which shift-invert tolerates; the pencil has n_boundary
+finite eigenvalues.
+
+The dense discrete Dirichlet-to-Neumann operator (`schur_dtn`, the Schur
+complement of K onto the boundary) is kept where it pays for itself or is
+itself under test: `DtnOperator` reuse across many boundary densities,
+`rayleigh_quotient`, the symmetry and kernel checks, and a `count` too close
+to n_boundary for Lanczos.
 """
 
 from __future__ import annotations
@@ -14,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
                      SolverError)
@@ -22,6 +33,7 @@ from .meshes import SurfaceMesh, boundary_edge_lengths
 from .spectra import CLUSTER_RTOL_FEM, Spectrum, make_spectrum
 
 RESIDUAL_RTOL = 1e-10
+PENCIL_SHIFT = -0.5  # below the spectrum, so K - s M_b is positive definite
 
 
 def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -78,20 +90,26 @@ def assemble_boundary_mass(mesh: SurfaceMesh, conformal=None) -> sp.csr_matrix:
 def _grounding_pins(K: sp.csr_matrix, boundary_index: np.ndarray) -> np.ndarray:
     """One vertex per connected component that never touches the boundary.
 
-    Such components make the pure-Neumann interior block singular; grounding
-    their constant mode is exact because they do not couple to the boundary.
+    Such components make the pure-Neumann interior block (and the pencil
+    K - s M_b) singular; grounding their constant mode is exact because they
+    do not couple to the boundary.
     """
-    from scipy.sparse.csgraph import connected_components
-    n = K.shape[0]
-    on_boundary = np.zeros(n, dtype=bool)
-    on_boundary[boundary_index] = True
-    _, labels = connected_components(K, directed=False)
-    pins = []
-    for comp in np.unique(labels):
-        members = np.where(labels == comp)[0]
-        if not on_boundary[members].any():
-            pins.append(members[0])
-    return np.asarray(pins, dtype=np.int64)
+    n_comp, labels = connected_components(K, directed=False)
+    touches = np.bincount(labels[boundary_index], minlength=n_comp) > 0
+    _, first = np.unique(labels, return_index=True)
+    return first[~touches].astype(np.int64)
+
+
+def _ground(A: sp.spmatrix, pins: np.ndarray) -> sp.csc_matrix:
+    """D A D + (I - D), D the diagonal mask that zeroes the pinned rows and columns."""
+    if len(pins) == 0:
+        return A.tocsc()
+    keep = np.ones(A.shape[0])
+    keep[pins] = 0.0
+    D = sp.diags(keep)
+    grounded = (D @ A @ D + sp.diags(1.0 - keep)).tocsc()
+    grounded.eliminate_zeros()
+    return grounded
 
 
 def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
@@ -106,13 +124,8 @@ def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     else:
         A_bi = K[b][:, interior]
         A_ib = K[interior][:, b]
-        A_ii = K[interior][:, interior].tolil()
         pins = np.searchsorted(interior, _grounding_pins(K, b))
-        for p in pins:
-            A_ii[p, :] = 0.0
-            A_ii[:, p] = 0.0
-            A_ii[p, p] = 1.0
-        A_ii = A_ii.tocsc()
+        A_ii = _ground(K[interior][:, interior], pins)
         try:
             lu = splu(A_ii)
         except RuntimeError as exc:
@@ -171,17 +184,62 @@ class DtnOperator:
 
 
 def build_dtn(mesh: SurfaceMesh) -> DtnOperator:
-    if not mesh.boundary_loops:
-        raise InvalidParameterError("mesh has no boundary")
-    b = np.unique(np.concatenate([np.asarray(loop) for loop in mesh.boundary_loops]))
+    b = _boundary_index(mesh)
     K = assemble_stiffness(mesh)
     return DtnOperator(mesh=mesh, matrix=schur_dtn(K, b), boundary_index=b)
 
 
+def _boundary_index(mesh: SurfaceMesh) -> np.ndarray:
+    if not mesh.boundary_loops:
+        raise InvalidParameterError("mesh has no boundary")
+    return np.unique(np.concatenate([np.asarray(loop) for loop in mesh.boundary_loops]))
+
+
 def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
                      label: str = "") -> Spectrum:
-    """Smallest `count` discrete Steklov eigenvalues with optional boundary traces."""
-    return build_dtn(mesh).spectrum(count, want_vectors=want_vectors, label=label)
+    """Smallest `count` discrete Steklov eigenvalues with optional boundary traces.
+
+    Shift-invert Lanczos on the sparse pencil K u = sigma M_b u.  The pencil
+    has only n_boundary finite eigenvalues, so a `count` too close to that for
+    a Lanczos basis goes through the dense DtN instead.
+    """
+    b = _boundary_index(mesh)
+    if not (1 <= count <= len(b)):
+        raise InvalidParameterError(
+            f"count must lie in [1, {len(b)}] (boundary degrees of freedom)")
+    if 2 * count + 20 > len(b):
+        return build_dtn(mesh).spectrum(count, want_vectors=want_vectors, label=label)
+    mass = boundary_mass_vector(mesh)
+    if np.any(mass[b] <= 0):
+        raise AssemblyError("boundary vertex with nonpositive lumped mass")
+    K = assemble_stiffness(mesh)
+    K = _ground(K, _grounding_pins(K, b))
+    M = sp.diags(mass).tocsc()
+    try:
+        lu = splu(K - PENCIL_SHIFT * M, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise FactorizationError(f"pencil factorization failed: {exc}") from exc
+    n = K.shape[0]
+    op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    # a fixed start vector keeps reruns bit-identical (ARPACK's own seed moves on)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w, u = eigsh(K, k=count, M=M, sigma=PENCIL_SHIFT, OPinv=op_inv, v0=v0)
+    except ArpackError as exc:
+        raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
+    order = np.argsort(w)
+    w, u = w[order], u[:, order]
+    u = u / np.sqrt(np.einsum("ij,i,ij->j", u, mass, u))
+    resid = np.linalg.norm(K @ u - (mass[:, None] * u) * w[None, :], axis=0)
+    rel = resid / np.linalg.norm(mass[:, None] * u, axis=0)
+    if np.any(rel > RESIDUAL_RTOL):
+        raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
+    return make_spectrum(
+        w, float(np.sum(mass[b])), cluster_rtol=CLUSTER_RTOL_FEM,
+        eigenvectors=u[b] if want_vectors else None,
+        boundary_index=b if want_vectors else None,
+        label=label,
+    )
 
 
 def export_eigenvectors(spectrum: Spectrum, mesh: SurfaceMesh, path) -> None:

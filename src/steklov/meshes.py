@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from .errors import AssemblyError, InvalidParameterError
@@ -78,24 +80,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _union_find_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    parent = np.arange(n)
+def _component_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Component label per vertex under the identified pairs.
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
-    uniq, labels = np.unique(roots, return_inverse=True)
-    return labels, len(uniq)
+    connected_components numbers components in order of their lowest index,
+    so logical ids follow the chart order.
+    """
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=False)
+    return labels.astype(np.int64), n_comp
 
 
 def _triangle_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -121,8 +114,12 @@ def _edge_census(tri_logical: np.ndarray, triangles: np.ndarray):
                                 tri_logical[:, [2, 0]]])
     chart_e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                               triangles[:, [2, 0]]])
-    key = np.sort(logical_e, axis=1)
-    uniq, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    lo = logical_e.min(axis=1)
+    hi = logical_e.max(axis=1)
+    n = int(hi.max()) + 1 if len(hi) else 1
+    # a * n + b orders the edges (a, b), a < b, lexicographically
+    key, first, counts = np.unique(lo * n + hi, return_index=True, return_counts=True)
+    uniq = np.stack([key // n, key % n], axis=1)
     return uniq, counts, chart_e[first]
 
 
@@ -177,7 +174,7 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
     if np.any(_degenerate_triangles(vertices, triangles, areas2)):
         raise AssemblyError("degenerate chart triangle")
 
-    labels, n_logical = _union_find_labels(vertices.shape[0], identifications)
+    labels, n_logical = _component_labels(vertices.shape[0], identifications)
     lam = np.zeros(n_logical)
     np.maximum.at(lam, labels, conformal_chart)
     lam_min = np.full(n_logical, np.inf)

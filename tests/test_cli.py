@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import steklov.acceptance
+import steklov.experiments
 from steklov.cli import main
+from steklov.errors import SolverError
 
 
 def run(argv, tmp_path, monkeypatch, subdir="out"):
@@ -102,6 +107,35 @@ class TestSweepAndCompare:
         assert code == 2
 
 
+    def test_failed_row_fails_sweep(self, tmp_path, monkeypatch, capsys):
+        # the smallest-rho row fails; the rows before it are fine
+        built = {}
+        real_build = steklov.experiments.build_glued_mesh
+        real_solve = steklov.experiments.steklov_spectrum
+
+        def build(family, resolution):
+            built["rho"] = family.rho
+            return real_build(family, resolution)
+
+        def solve(mesh, count, **kwargs):
+            if built.get("rho", 1.0) < 0.06:
+                raise SolverError("injected failure")
+            return real_solve(mesh, count, **kwargs)
+
+        monkeypatch.setattr(steklov.experiments, "build_glued_mesh", build)
+        monkeypatch.setattr(steklov.experiments, "steklov_spectrum", solve)
+        code, out = run(["sweep", "--preset", "two-disks", "--k", "2",
+                         "--rho", "0.1,0.05", "--resolution", "0.07"],
+                        tmp_path, monkeypatch)
+        assert code == 1
+        assert "verdict: fail" in capsys.readouterr().out
+        [report] = out.glob("sweep-two-disks-*.json")
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "fail"
+        assert "failure" not in payload["rows"][0]
+        assert "SolverError" in payload["rows"][-1]["failure"]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         argv = ["spectrum", "--surface", "mobius", "--T", "0.65848",
@@ -110,6 +144,23 @@ class TestDeterminism:
         _, out2 = run(argv, tmp_path, monkeypatch, "b")
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+    def test_sweep_bytes_independent_of_blas_threads(self, tmp_path):
+        argv = [sys.executable, "-m", "steklov.cli", "sweep", "--preset", "two-disks",
+                "--k", "2", "--rho", "0.1", "--resolution", "0.1"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(steklov.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env.pop("STEKLOV_OUT", None)
+            done = subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestEnvOverride:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import steklov as sk
+from steklov import dtn
 from steklov.dtn import boundary_mass_vector, build_dtn
 from steklov.meshes import assemble_mesh
 
@@ -173,22 +174,78 @@ class TestRayleigh:
             sk.rayleigh_quotient(coarse_disk_mesh, np.zeros(len(op.boundary_index)))
 
 
+def disk_plus_pillow(disk):
+    """A disk plus a boundaryless pillow: two triangles glued on all edges."""
+    pillow_pts = np.array([[3.0, 0.0], [4.0, 0.0], [3.5, 1.0],
+                           [3.0, 0.0], [4.0, 0.0], [3.5, 1.0]]) + 0.0
+    pillow_pts[3:] += [2.0, 0.0]
+    n0 = disk.n_chart
+    pts = np.vstack([disk.vertices, pillow_pts])
+    tris = np.vstack([disk.triangles, [[n0, n0 + 1, n0 + 2],
+                                       [n0 + 3, n0 + 4, n0 + 5]]])
+    idents = np.array([[n0, n0 + 3], [n0 + 1, n0 + 4], [n0 + 2, n0 + 5]])
+    return assemble_mesh(pts, tris, idents, np.ones(len(pts)))
+
+
 class TestGrounding:
     def test_closed_component_is_grounded(self, coarse_disk_mesh):
-        # a disk plus a boundaryless pillow: two triangles glued on all edges
-        disk = coarse_disk_mesh
-        pillow_pts = np.array([[3.0, 0.0], [4.0, 0.0], [3.5, 1.0],
-                               [3.0, 0.0], [4.0, 0.0], [3.5, 1.0]]) + 0.0
-        pillow_pts[3:] += [2.0, 0.0]
-        n0 = disk.n_chart
-        pts = np.vstack([disk.vertices, pillow_pts])
-        tris = np.vstack([disk.triangles, [[n0, n0 + 1, n0 + 2],
-                                           [n0 + 3, n0 + 4, n0 + 5]]])
-        idents = np.array([[n0, n0 + 3], [n0 + 1, n0 + 4], [n0 + 2, n0 + 5]])
-        union = assemble_mesh(pts, tris, idents, np.ones(len(pts)))
+        union = disk_plus_pillow(coarse_disk_mesh)
         spec = sk.steklov_spectrum(union, 6)
-        reference = sk.steklov_spectrum(disk, 6)
+        reference = sk.steklov_spectrum(coarse_disk_mesh, 6)
         assert np.allclose(spec.eigenvalues, reference.eigenvalues, atol=1e-12)
+
+    def test_closed_component_through_both_paths(self, coarse_disk_mesh, monkeypatch):
+        union = disk_plus_pillow(coarse_disk_mesh)
+        dense = build_dtn(union).spectrum(6, want_vectors=True)
+        monkeypatch.setattr(dtn, "schur_dtn", _forbidden)
+        pencil = sk.steklov_spectrum(union, 6, want_vectors=True)
+        assert np.allclose(pencil.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=1e-12)
+        assert pencil.eigenvectors.shape == dense.eigenvectors.shape
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("dense Schur reduction called")
+
+
+class TestPencil:
+    """The sparse shift-invert pencil against the dense Schur DtN."""
+
+    @pytest.fixture(params=["coarse_disk_mesh", "cylinder_mesh", "mobius_mesh"])
+    def mesh(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_eigenvalues_match_dense(self, mesh):
+        pencil = sk.steklov_spectrum(mesh, 8)
+        dense = build_dtn(mesh).spectrum(8)
+        scale = np.max(dense.eigenvalues)
+        assert np.allclose(pencil.eigenvalues, dense.eigenvalues, rtol=1e-12,
+                           atol=1e-12 * scale)
+        assert pencil.boundary_length == pytest.approx(dense.boundary_length, rel=1e-14)
+
+    def test_simple_traces_agree_up_to_sign(self, mesh):
+        pencil = sk.steklov_spectrum(mesh, 8, want_vectors=True)
+        # one eigenvalue more, so that a pair split at the cut is not taken as simple
+        dense = build_dtn(mesh).spectrum(9, want_vectors=True)
+        assert np.array_equal(pencil.boundary_index, dense.boundary_index)
+        mass = boundary_mass_vector(mesh)[dense.boundary_index]
+        simple = [c[0] for c in dense.clusters if len(c) == 1 and c[0] < 8]
+        assert simple
+        for j in simple:
+            overlap = pencil.eigenvectors[:, j] @ (mass * dense.eigenvectors[:, j])
+            assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
+
+    def test_reruns_bit_identical(self, coarse_disk_mesh):
+        first = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)
+        second = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    def test_full_count_takes_dense_route(self, coarse_disk_mesh, monkeypatch):
+        n_b = len(build_dtn(coarse_disk_mesh).boundary_index)
+        dense = build_dtn(coarse_disk_mesh).spectrum(n_b)
+        monkeypatch.setattr(dtn, "eigsh", _forbidden)
+        spec = sk.steklov_spectrum(coarse_disk_mesh, n_b)
+        assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
 
 
 class TestEigenvectorExport:

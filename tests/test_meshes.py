@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import steklov as sk
+from steklov.experiments import chain_family
 from steklov.meshes import _fill_graded, _parameter_grid, _ArcRequest
 
 TWO_PI = 2 * math.pi
@@ -137,6 +138,34 @@ class TestGrids:
         arcs = [_ArcRequest(1.0, 0.2, 4), _ArcRequest(1.3, 0.2, 4)]
         with pytest.raises(sk.InvalidParameterError):
             _parameter_grid(TWO_PI, 0.3, arcs)
+
+
+class TestAssemblyOrdering:
+    """Logical labels and boundary edges come out in one fixed order."""
+
+    @pytest.fixture(scope="class")
+    def glued(self):
+        family = chain_family([sk.UnitDisk(), sk.UnitDisk()], 0.1)
+        return sk.build_glued_mesh(family, 0.08)
+
+    def test_labels_ordered_by_lowest_chart_index(self, glued):
+        ids = glued.identifications
+        assert len(ids) > 0
+        assert np.array_equal(glued.logical[ids[:, 0]], glued.logical[ids[:, 1]])
+        labels, first = np.unique(glued.logical, return_index=True)
+        assert np.array_equal(labels, np.arange(glued.n_logical))
+        assert np.all(np.diff(first) > 0)
+
+    def test_edges_lexicographic_with_first_chart_representative(self, glued):
+        tri, lab = glued.triangles, glued.logical[glued.triangles]
+        pairs = [(0, 1), (1, 2), (2, 0)]
+        logical_e = np.concatenate([lab[:, list(p)] for p in pairs])
+        chart_e = np.concatenate([tri[:, list(p)] for p in pairs])
+        edges, first, counts = np.unique(np.sort(logical_e, axis=1), axis=0,
+                                         return_index=True, return_counts=True)
+        boundary = counts == 1
+        assert np.array_equal(glued.boundary_edges, edges[boundary])
+        assert np.array_equal(glued.boundary_edge_chart, chart_e[first][boundary])
 
 
 class TestExport:
