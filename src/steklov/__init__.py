@@ -12,8 +12,8 @@ from .closed_form import (Branch, Constant, SupremumResult, all_constants,
                           cylinder_spectrum, disk_spectrum, cylinder_sigma2bar_deficit,
                           invariant_supremum, mobius_spectrum,
                           solve_bracketed_root, spectrum_for)
-from .dtn import (DtnOperator, assemble_boundary_mass, assemble_stiffness,
-                  build_dtn, export_eigenvectors, rayleigh_quotient, schur_dtn,
+from .dtn import (DtnOperator, assemble_stiffness, build_dtn,
+                  export_eigenvectors, rayleigh_quotient, schur_dtn,
                   steklov_spectrum)
 from .errors import (AssemblyError, BracketError, FactorizationError,
                      InvalidGluingError, InvalidParameterError, ResolutionError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -57,6 +58,11 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _require_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{flag} must be a positive finite number")
+
+
 def _surface_spec(args):
     if args.surface == "disk":
         return UnitDisk()
@@ -81,8 +87,9 @@ def _spectrum_pair(args) -> dict[str, Spectrum]:
 def cmd_spectrum(args) -> int:
     if args.surface in ("cylinder", "mobius") and args.T is None:
         raise InvalidParameterError("--T is required for cylinder and mobius surfaces")
-    if args.T is not None and args.T <= 0:
-        raise InvalidParameterError("--T must be positive")
+    if args.T is not None:
+        _require_positive("--T", args.T)
+    _require_positive("--density", args.density)
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
     spectra = _spectrum_pair(args)
@@ -127,11 +134,16 @@ def _preset_components(preset: str, k: int):
 
 
 def cmd_sweep(args) -> int:
-    rho_list = tuple(float(tok) for tok in args.rho.split(","))
-    if not rho_list or any(r <= 0 for r in rho_list):
-        raise InvalidParameterError("--rho must be a comma list of positive numbers")
+    try:
+        rho_list = tuple(float(tok) for tok in args.rho.split(","))
+    except ValueError as exc:
+        raise InvalidParameterError(f"--rho must be a comma list of numbers: {exc}") from exc
+    for rho in rho_list:
+        _require_positive("--rho", rho)
     if any(b >= a for a, b in zip(rho_list, rho_list[1:])):
         raise InvalidParameterError("--rho must be strictly decreasing")
+    if args.k is not None and args.k < 1:
+        raise InvalidParameterError("--k must be >= 1")
     components, k_default = _preset_components(args.preset, args.k or 2)
     k = args.k or k_default
     sweep = ex.glue_sweep(components, k, rho_list, args.resolution)

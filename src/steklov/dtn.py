@@ -5,10 +5,14 @@ invariant in two dimensions, so the factor lambda never enters) and a lumped
 boundary mass M_b carrying the lambda-weighted edge lengths.
 
 `steklov_spectrum` solves the sparse pencil K u = sigma M_b u by shift-invert
-Lanczos (ARPACK mode 3): K - s M_b is factored once at s = PENCIL_SHIFT < 0
-and the boundary rows of the eigenvectors are the traces.  M_b is singular on
-interior vertices, which shift-invert tolerates; the pencil has n_boundary
-finite eigenvalues.
+Lanczos.  K - s M_b is symmetric positive definite at s = PENCIL_SHIFT < 0, so
+it is factored once by SuperLU in symmetric mode (diagonal pivots, one
+symmetric fill-reducing ordering).  Since M_b vanishes on interior vertices,
+the pencil has n_boundary finite eigenvalues, and Lanczos runs on the
+n_boundary x n_boundary operator C = H E_b' (K - s M_b)^{-1} E_b H, with E_b
+the zero extension of boundary values and H = sqrt(M_b) on the boundary.  C is
+symmetric with eigenvalues theta = 1 / (sigma - s); one block solve lifts its
+eigenvectors to the full vertex vectors, whose boundary rows are the traces.
 
 The dense discrete Dirichlet-to-Neumann operator (`schur_dtn`, the Schur
 complement of K onto the boundary) is kept where it pays for itself or is
@@ -81,10 +85,6 @@ def boundary_mass_vector(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
     np.add.at(mass, lu, 0.5 * length)
     np.add.at(mass, lv, 0.5 * length)
     return mass
-
-
-def assemble_boundary_mass(mesh: SurfaceMesh, conformal=None) -> sp.csr_matrix:
-    return sp.diags(boundary_mass_vector(mesh, conformal)).tocsr()
 
 
 def _grounding_pins(K: sp.csr_matrix, boundary_index: np.ndarray) -> np.ndarray:
@@ -199,9 +199,10 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
                      label: str = "") -> Spectrum:
     """Smallest `count` discrete Steklov eigenvalues with optional boundary traces.
 
-    Shift-invert Lanczos on the sparse pencil K u = sigma M_b u.  The pencil
-    has only n_boundary finite eigenvalues, so a `count` too close to that for
-    a Lanczos basis goes through the dense DtN instead.
+    Shift-invert Lanczos on the sparse pencil K u = sigma M_b u, run in
+    boundary space (see the module docstring).  The pencil has only
+    n_boundary finite eigenvalues, so a `count` too close to that for a
+    Lanczos basis goes through the dense DtN instead.
     """
     b = _boundary_index(mesh)
     if not (1 <= count <= len(b)):
@@ -214,21 +215,36 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
         raise AssemblyError("boundary vertex with nonpositive lumped mass")
     K = assemble_stiffness(mesh)
     K = _ground(K, _grounding_pins(K, b))
-    M = sp.diags(mass).tocsc()
     try:
-        lu = splu(K - PENCIL_SHIFT * M, permc_spec="MMD_AT_PLUS_A")
+        # SPD pencil: diagonal pivots are stable and keep the symmetric ordering
+        lu = splu(K - PENCIL_SHIFT * sp.diags(mass),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"pencil factorization failed: {exc}") from exc
-    n = K.shape[0]
-    op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    n, n_b = K.shape[0], len(b)
+    h = np.sqrt(mass[b])
+
+    def lifted(boundary_values: np.ndarray) -> np.ndarray:
+        """E_b: extend boundary rows by zero to every vertex."""
+        x = np.zeros((n,) + boundary_values.shape[1:])
+        x[b] = boundary_values
+        return x
+
+    # C = H E_b' (K - s M_b)^{-1} E_b H with H = sqrt(M_b) on the boundary is
+    # symmetric, and its eigenvalues are theta = 1 / (sigma - s)
+    op = LinearOperator((n_b, n_b), matvec=lambda y: h * lu.solve(lifted(h * y))[b],
+                        dtype=float)
     # a fixed start vector keeps reruns bit-identical (ARPACK's own seed moves on)
-    v0 = np.random.default_rng(0).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(n_b)
     try:
-        w, u = eigsh(K, k=count, M=M, sigma=PENCIL_SHIFT, OPinv=op_inv, v0=v0)
+        theta, y = eigsh(op, k=count, which="LA", v0=v0)
     except ArpackError as exc:
         raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
-    order = np.argsort(w)
-    w, u = w[order], u[:, order]
+    order = np.argsort(-theta)
+    theta, y = theta[order], y[:, order]
+    w = PENCIL_SHIFT + 1.0 / theta
+    u = lu.solve(lifted(h[:, None] * y)) / theta
     u = u / np.sqrt(np.einsum("ij,i,ij->j", u, mass, u))
     resid = np.linalg.norm(K @ u - (mass[:, None] * u) * w[None, :], axis=0)
     rel = resid / np.linalg.norm(mass[:, None] * u, axis=0)
@@ -269,7 +285,7 @@ def rayleigh_quotient(mesh: SurfaceMesh, trace: np.ndarray) -> float:
 
 
 __all__ = [
-    "assemble_stiffness", "assemble_boundary_mass", "boundary_mass_vector",
+    "assemble_stiffness", "boundary_mass_vector",
     "schur_dtn", "DtnOperator", "build_dtn", "steklov_spectrum",
     "rayleigh_quotient", "boundary_edge_lengths", "export_eigenvectors",
 ]

@@ -19,7 +19,8 @@ from .gluing import (BOUNDARY_NECK, INTERIOR_NECK, Attachment, GluedFamily,
                      build_glued_mesh)
 from .meshes import (FlatCylinder, MobiusCylinder, SurfaceMesh, UnitDisk,
                      boundary_edge_lengths, build_disk_mesh,
-                     build_log_annulus_mesh, build_spec_mesh)
+                     build_log_annulus_mesh, build_spec_mesh,
+                     with_conformal_factor)
 from .spectra import Spectrum, merge_spectra
 
 TWO_PI = 2.0 * math.pi
@@ -35,11 +36,7 @@ def _boundary_anchors(spec) -> tuple[tuple[int, float], tuple[int, float]]:
     Antipodal in the chart angle, and kept away from the angle-0 seam so the
     refined arcs never wrap the parameter origin.
     """
-    if isinstance(spec, UnitDisk):
-        return (0, 0.5 * math.pi), (0, 1.5 * math.pi)
-    if isinstance(spec, FlatCylinder):
-        return (0, 0.5 * math.pi), (0, 1.5 * math.pi)
-    if isinstance(spec, MobiusCylinder):
+    if isinstance(spec, (UnitDisk, FlatCylinder, MobiusCylinder)):
         return (0, 0.5 * math.pi), (0, 1.5 * math.pi)
     raise InvalidParameterError(f"no chain anchors for {type(spec).__name__}")
 
@@ -125,11 +122,12 @@ def _neck_fractions(mesh: SurfaceMesh, spectrum: Spectrum, j_max: int) -> tuple[
 
 
 def _component_target(components, resolution: float, count: int) -> Spectrum:
-    parts = []
+    solved: dict = {}  # equal specs mesh to equal meshes: solve each once
     for spec in components:
-        mesh = build_spec_mesh(spec, resolution).mesh
-        parts.append(steklov_spectrum(mesh, count, label=type(spec).__name__))
-    return merge_spectra(parts)
+        if spec not in solved:
+            mesh = build_spec_mesh(spec, resolution).mesh
+            solved[spec] = steklov_spectrum(mesh, count, label=type(spec).__name__)
+    return merge_spectra([solved[spec] for spec in components])
 
 
 def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
@@ -311,14 +309,14 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
         for trial in range(trials):
             T = float(rng.uniform(0.6, 3.0))
             mesh = build_spec_mesh(FlatCylinder(T), res).mesh
-            op = build_dtn(mesh)
-            b_idx = op.boundary_index
+            b_idx = np.unique(np.concatenate(mesh.boundary_loops))
             chart_of = _chart_representatives(mesh, b_idx)
             angles = mesh.vertices[chart_of, 0]  # chart x is theta
             lam = np.ones(mesh.n_logical)
             lam[b_idx] = _random_log_density(rng, angles)
             try:
-                spec = op.spectrum(k_max + 1, conformal=lam)
+                # one spectrum per mesh: the sparse pencil, no dense operator to reuse
+                spec = steklov_spectrum(with_conformal_factor(mesh, lam), k_max + 1)
                 ratios = [spec.sigma_bar(k) / bound(k) for k in range(1, k_max + 1)]
                 rows.append({"trial": trial, "T": T, "ratios": ratios, "worst": max(ratios)})
             except Exception as exc:

@@ -314,8 +314,13 @@ def prepare_components(family: GluedFamily, resolution: float,
             else:
                 arc_sites[att.component].append(
                     ArcSite(att.loop, att.theta, family.rho, neck_segments))
-    comps = [build_spec_mesh(spec, resolution, tuple(arc_sites[i]), tuple(hole_sites[i]))
-             for i, spec in enumerate(family.components)]
+    built: dict = {}  # equal specs with equal sites mesh identically: build each once
+    comps = []
+    for i, spec in enumerate(family.components):
+        key = (spec, tuple(arc_sites[i]), tuple(hole_sites[i]))
+        if key not in built:
+            built[key] = build_spec_mesh(spec, resolution, key[1], key[2])
+        comps.append(built[key])
     return comps, config
 
 

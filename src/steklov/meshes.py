@@ -569,9 +569,7 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
 
 def build_disk_mesh(resolution: float) -> SurfaceMesh:
     """Unit-disk mesh with one boundary loop and lambda = 1."""
-    if not (0.0 < resolution < 1.0):
-        raise InvalidParameterError("resolution must lie in (0, 1)")
-    return _disk_component(resolution).mesh
+    return build_spec_mesh(UnitDisk(), resolution).mesh
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +619,7 @@ def _cylinder_component(T: float, density: float, resolution: float,
 
 def build_cylinder_mesh(T: float, rho_b: float = 1.0, resolution: float = 0.05) -> SurfaceMesh:
     """Flat cylinder [0, T] x S^1 with two boundary circles and lambda = rho_b."""
-    return _cylinder_component(T, rho_b, resolution).mesh
+    return build_spec_mesh(FlatCylinder(T, rho_b), resolution).mesh
 
 
 def _mobius_component(T: float, density: float, resolution: float,
@@ -666,12 +664,14 @@ def _mobius_component(T: float, density: float, resolution: float,
 def build_mobius_mesh(T: float, resolution: float = 0.05,
                       rho_b: float = 1.0) -> SurfaceMesh:
     """Moebius band as [0, T] x S^1 with (0, theta) ~ (0, theta + pi)."""
-    return _mobius_component(T, rho_b, resolution).mesh
+    return build_spec_mesh(MobiusCylinder(T, rho_b), resolution).mesh
 
 
 def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
                     hole_sites: Sequence[HoleSite] = ()) -> Component:
     """Component mesh for a non-glued metric description."""
+    if not (0.0 < resolution < 1.0):
+        raise InvalidParameterError("resolution must lie in (0, 1)")
     if isinstance(spec, UnitDisk):
         return _disk_component(resolution, arc_sites, hole_sites,
                                field=spec.conformal_factor_field)

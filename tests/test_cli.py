@@ -70,6 +70,28 @@ class TestSpectrum:
         assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--surface", "cylinder", "--T", "nan"], id="T-nan"),
+    pytest.param(["spectrum", "--surface", "disk", "--method", "fem",
+                  "--resolution", "0"], id="resolution-zero"),
+    pytest.param(["spectrum", "--surface", "disk", "--method", "fem",
+                  "--resolution", "1.5"], id="disk-resolution-above-one"),
+    pytest.param(["sweep", "--preset", "two-disks", "--k", "0", "--rho", "0.1",
+                  "--resolution", "0.1"], id="sweep-k-zero"),
+    pytest.param(["sweep", "--preset", "two-disks", "--rho", "0.1,nan",
+                  "--resolution", "0.1"], id="sweep-rho-nan"),
+    pytest.param(["sweep", "--preset", "two-disks", "--rho", "0.1,abc",
+                  "--resolution", "0.1"], id="sweep-rho-not-a-number"),
+    pytest.param(["spectrum", "--surface", "cylinder", "--T", "1",
+                  "--density", "nan"], id="density-nan"),
+])
+def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    code, out = run(argv, tmp_path, monkeypatch)
+    assert code == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestSweepAndCompare:
     def test_two_disk_sweep(self, tmp_path, monkeypatch, capsys):
         code, out = run(["sweep", "--preset", "two-disks", "--k", "2",

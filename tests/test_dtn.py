@@ -6,6 +6,7 @@ import pytest
 import steklov as sk
 from steklov import dtn
 from steklov.dtn import boundary_mass_vector, build_dtn
+from steklov.gluing import BOUNDARY_NECK, INTERIOR_NECK
 from steklov.meshes import assemble_mesh
 
 TWO_PI = 2 * math.pi
@@ -207,6 +208,18 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("dense Schur reduction called")
 
 
+@pytest.fixture(scope="module")
+def boundary_neck_mesh():
+    family = sk.chain_family([sk.UnitDisk(), sk.UnitDisk()], 0.025, BOUNDARY_NECK)
+    return sk.build_glued_mesh(family, 0.05)
+
+
+@pytest.fixture(scope="module")
+def interior_neck_mesh():
+    family = sk.chain_family([sk.UnitDisk(), sk.UnitDisk()], 1e-9, INTERIOR_NECK)
+    return sk.build_glued_mesh(family, 0.05)
+
+
 class TestPencil:
     """The sparse shift-invert pencil against the dense Schur DtN."""
 
@@ -214,9 +227,16 @@ class TestPencil:
     def mesh(self, request):
         return request.getfixturevalue(request.param)
 
-    def test_eigenvalues_match_dense(self, mesh):
-        pencil = sk.steklov_spectrum(mesh, 8)
-        dense = build_dtn(mesh).spectrum(8)
+    @pytest.mark.parametrize("mesh, count", [
+        pytest.param("coarse_disk_mesh", 8, id="coarse_disk_mesh"),
+        pytest.param("cylinder_mesh", 8, id="cylinder_mesh"),
+        pytest.param("mobius_mesh", 8, id="mobius_mesh"),
+        pytest.param("boundary_neck_mesh", 6, id="boundary_neck_mesh"),
+        pytest.param("interior_neck_mesh", 6, id="interior_neck_mesh"),
+    ], indirect=["mesh"])
+    def test_eigenvalues_match_dense(self, mesh, count):
+        pencil = sk.steklov_spectrum(mesh, count)
+        dense = build_dtn(mesh).spectrum(count)
         scale = np.max(dense.eigenvalues)
         assert np.allclose(pencil.eigenvalues, dense.eigenvalues, rtol=1e-12,
                            atol=1e-12 * scale)

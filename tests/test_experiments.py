@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import steklov as sk
+import steklov.experiments
+from steklov.dtn import build_dtn
 from steklov.experiments import write_report
 
 TWO_PI = 2 * math.pi
@@ -17,6 +20,21 @@ def two_disk_sweep():
 
 
 class TestGlueSweep:
+    def test_equal_components_solved_once(self, monkeypatch):
+        solved = []
+        real = steklov.experiments.steklov_spectrum
+
+        def solve(mesh, count, **kwargs):
+            solved.append(mesh.n_logical)
+            return real(mesh, count, **kwargs)
+
+        monkeypatch.setattr(steklov.experiments, "steklov_spectrum", solve)
+        target = steklov.experiments._component_target([sk.UnitDisk()] * 2, 0.1, 6)
+        single = real(sk.build_disk_mesh(0.1), 6)
+        assert len(solved) == 1
+        assert np.array_equal(target.eigenvalues, np.repeat(single.eigenvalues, 2))
+        assert target.boundary_length == 2 * single.boundary_length
+
     def test_converges_toward_merged_target(self, two_disk_sweep):
         sweep = two_disk_sweep
         assert sweep.target.sigma_bar(2) == pytest.approx(FOUR_PI, rel=1e-2)
@@ -151,6 +169,22 @@ class TestBoundCheck:
         t10 = sk.constant_T10().value
         # the critical catenoid sits well inside the annulus bound at k=1
         assert FOUR_PI / t10 < 2 * TWO_PI
+
+    def test_annulus_trials_match_dense_operator(self, monkeypatch):
+        kwargs = dict(trials=2, seed=3, k_max=4, resolution=0.08)
+        pencil = sk.bound_check("karpukhin-annulus", **kwargs)
+        dense_solves = []
+
+        def dense(mesh, count):
+            dense_solves.append(count)
+            return build_dtn(mesh).spectrum(count)
+
+        monkeypatch.setattr(steklov.experiments, "steklov_spectrum", dense)
+        reference = sk.bound_check("karpukhin-annulus", **kwargs)
+        assert dense_solves == [5, 5]
+        for row, ref in zip(pencil["rows"], reference["rows"]):
+            assert row["T"] == ref["T"]
+            assert np.allclose(row["ratios"], ref["ratios"], rtol=1e-10, atol=0)
 
     def test_unknown_kind(self):
         with pytest.raises(sk.InvalidParameterError):

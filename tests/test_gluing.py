@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import steklov as sk
-from steklov.gluing import Attachment, GluedFamily
+from steklov.gluing import Attachment, GluedFamily, glue_interior, prepare_components
+from steklov.meshes import HoleSite
 from steklov.experiments import annulus_self_glued, chain_family
 
 TWO_PI = 2 * math.pi
@@ -76,6 +77,18 @@ class TestInteriorGlue:
         assert sk.euler_characteristic(mesh) == -2
         assert len(mesh.boundary_loops) == 2
         assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, rel=1e-2)
+
+    def test_equal_components_built_once(self):
+        comps, config = prepare_components(two_disks(0.05, "interior-cylinder"), 0.07)
+        assert comps[0] is comps[1]
+        # the shared component glues exactly like two separately built ones
+        site = (HoleSite((0.0, 0.0), 0.05, config.neck_segments),)
+        apart = [sk.build_spec_mesh(sk.UnitDisk(), 0.07, (), site) for _ in range(2)]
+        shared, separate = glue_interior(comps, config), glue_interior(apart, config)
+        for name in ("vertices", "triangles", "identifications", "logical",
+                     "conformal_factor", "boundary_edge_chart"):
+            assert np.array_equal(getattr(shared, name), getattr(separate, name))
+        assert shared.boundary_loops == separate.boundary_loops
 
     def test_neck_reaching_boundary_rejected(self):
         fam = GluedFamily(

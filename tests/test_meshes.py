@@ -38,6 +38,13 @@ class TestDisk:
             sk.build_disk_mesh(-0.1)
         with pytest.raises(sk.InvalidParameterError):
             sk.build_disk_mesh(1.5)
+        # every surface shares the check, whichever builder it goes through
+        with pytest.raises(sk.InvalidParameterError):
+            sk.build_spec_mesh(sk.UnitDisk(), 1.5)
+        with pytest.raises(sk.InvalidParameterError):
+            sk.build_cylinder_mesh(1.0, 1.0, 0.0)
+        with pytest.raises(sk.InvalidParameterError):
+            sk.build_mobius_mesh(1.0, float("nan"))
 
 
 class TestCylinder:
