@@ -17,7 +17,7 @@ from .dtn import (DtnOperator, assemble_stiffness, build_dtn,
                   steklov_spectrum)
 from .errors import (AssemblyError, BracketError, FactorizationError,
                      InvalidGluingError, InvalidParameterError, ResolutionError,
-                     SolverError)
+                     SolverError, SteklovError)
 from .experiments import (ComparisonRecord, SweepResult, SweepRow,
                           annulus_self_glued, bound_check, chain_family,
                           cutoff_energy_law, glue_sweep, glued_limit_spectrum,

@@ -15,6 +15,7 @@ import numpy as np
 from . import closed_form as cf
 from . import experiments as ex
 from .dtn import build_dtn, steklov_spectrum
+from .errors import SteklovError
 from .meshes import (FlatCylinder, UnitDisk, build_disk_mesh, build_mobius_mesh,
                      build_spec_mesh)
 from .spectra import merge_spectra
@@ -288,17 +289,22 @@ def _c12_invariants():
         ok &= eigs[0] >= -1e-9 * scale
 
     import filecmp
+    import os
     import subprocess
     import sys
     import tempfile
+    # the child imports this same package, however the caller found it
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
         cmd = [sys.executable, "-m", "steklov.cli", "spectrum", "--surface", "cylinder",
                "--T", "1.0", "--count", "6", "--method", "closed-form", "--seed", "7"]
-        r1 = subprocess.run(cmd + ["--out", tmp + "/a"], capture_output=True)
-        r2 = subprocess.run(cmd + ["--out", tmp + "/b"], capture_output=True)
+        r1 = subprocess.run(cmd + ["--out", tmp + "/a"], capture_output=True, env=env)
+        r2 = subprocess.run(cmd + ["--out", tmp + "/b"], capture_output=True, env=env)
         same = r1.returncode == 0 and r2.returncode == 0
         if same:
-            import os
             names = sorted(os.listdir(tmp + "/a"))
             same = names == sorted(os.listdir(tmp + "/b")) and all(
                 filecmp.cmp(f"{tmp}/a/{n}", f"{tmp}/b/{n}", shallow=False) for n in names)
@@ -329,7 +335,7 @@ def run_criterion(index: int) -> CriterionResult:
             start = time.perf_counter()
             try:
                 passed, details = fn()
-            except Exception as exc:
+            except SteklovError as exc:
                 passed, details = False, {"exception": f"{type(exc).__name__}: {exc}"}
             return CriterionResult(idx, name, bool(passed),
                                    time.perf_counter() - start, details)

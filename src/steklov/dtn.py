@@ -18,7 +18,10 @@ The dense discrete Dirichlet-to-Neumann operator (`schur_dtn`, the Schur
 complement of K onto the boundary) is kept where it pays for itself or is
 itself under test: `DtnOperator` reuse across many boundary densities,
 `rayleigh_quotient`, the symmetry and kernel checks, and a `count` too close
-to n_boundary for Lanczos.
+to n_boundary for Lanczos.  It is read off one sparse LU of the SPD matrix
+K + E_b E_b' eliminated interior first, in a fill-reducing order, and boundary
+last: the trailing factor block gives L_bb U_bb = DtN + I, with no solve
+against a dense n_interior x n_boundary right-hand side.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .spectra import CLUSTER_RTOL_FEM, Spectrum, make_spectrum
 
 RESIDUAL_RTOL = 1e-10
 PENCIL_SHIFT = -0.5  # below the spectrum, so K - s M_b is positive definite
+# SuperLU on SPD matrices: diagonal pivots are stable and keep the symmetric ordering
+_SPD_FACTOR = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
 def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -73,17 +78,11 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
 
 def boundary_mass_vector(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
     """Lumped boundary mass per logical vertex: half of each incident edge length."""
-    lam = mesh.conformal_factor if conformal is None else np.asarray(conformal, float)
-    uv = mesh.boundary_edge_chart
+    half = 0.5 * boundary_edge_lengths(mesh, conformal)
+    ends = mesh.logical[mesh.boundary_edge_chart]
     mass = np.zeros(mesh.n_logical)
-    if len(uv) == 0:
-        return mass
-    chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
-    lu = mesh.logical[uv[:, 0]]
-    lv = mesh.logical[uv[:, 1]]
-    length = chord * 0.5 * (lam[lu] + lam[lv])
-    np.add.at(mass, lu, 0.5 * length)
-    np.add.at(mass, lv, 0.5 * length)
+    np.add.at(mass, ends[:, 0], half)
+    np.add.at(mass, ends[:, 1], half)
     return mass
 
 
@@ -113,25 +112,39 @@ def _ground(A: sp.spmatrix, pins: np.ndarray) -> sp.csc_matrix:
 
 
 def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
-    """Dense DtN_h = A_bb - A_bi A_ii^{-1} A_ib on the boundary degrees of freedom."""
+    """Dense DtN_h = K_bb - K_bi K_ii^{-1} K_ib on the boundary degrees of freedom.
+
+    Read off the trailing block of one sparse LU of A = ground(K) + E_b E_b'
+    (SPD) eliminated interior first, in a fill-reducing order, and boundary
+    last: there L_bb U_bb = (K_bb + I) - K_bi K_ii^{-1} K_ib.
+    """
     n = stiffness.shape[0]
     b = np.asarray(boundary_index, dtype=np.int64)
+    n_b = len(b)
     interior = np.setdiff1d(np.arange(n), b)
     K = stiffness.tocsr()
-    A_bb = K[b][:, b].toarray()
     if interior.size == 0:
-        dtn = A_bb
+        dtn = K[b][:, b].toarray()
     else:
-        A_bi = K[b][:, interior]
-        A_ib = K[interior][:, b]
-        pins = np.searchsorted(interior, _grounding_pins(K, b))
-        A_ii = _ground(K[interior][:, interior], pins)
+        K = _ground(K, _grounding_pins(K, b)).tocsr()
         try:
-            lu = splu(A_ii)
+            # factored only for its fill-reducing interior ordering
+            perm = splu(K[interior][:, interior].tocsc(),
+                        permc_spec="MMD_AT_PLUS_A", **_SPD_FACTOR).perm_c
+            order = np.concatenate([interior[np.argsort(perm)], b])
+            on_boundary = np.zeros(n)
+            on_boundary[n - n_b:] = 1.0
+            lu = splu((K[order][:, order] + sp.diags(on_boundary)).tocsc(),
+                      permc_spec="NATURAL", **_SPD_FACTOR)
         except RuntimeError as exc:
-            raise FactorizationError(f"interior block factorization failed: {exc}") from exc
-        X = lu.solve(A_ib.toarray())
-        dtn = A_bb - A_bi @ X
+            raise FactorizationError(f"boundary-last factorization failed: {exc}") from exc
+        # SuperLU may postorder the elimination tree, an equivalent ordering
+        # that only permutes the factor entries: find the boundary's positions
+        rows, cols = lu.perm_r[n - n_b:], lu.perm_c[n - n_b:]
+        if not np.array_equal(rows, cols):
+            raise FactorizationError("a boundary pivot left the diagonal")
+        dtn = lu.L[:, cols][rows].toarray() @ lu.U[:, cols][rows].toarray()
+        dtn[np.diag_indices(n_b)] -= 1.0
     defect = np.max(np.abs(dtn - dtn.T))
     scale = np.max(np.abs(dtn)) + 1e-300
     if defect > 1e-10 * scale:
@@ -163,20 +176,18 @@ class DtnOperator:
         s = 1.0 / np.sqrt(mass)
         H = self.matrix * np.outer(s, s)
         H = 0.5 * (H + H.T)
-        w, y = scipy.linalg.eigh(H, subset_by_index=[0, count - 1])
+        try:
+            w, y = scipy.linalg.eigh(H, subset_by_index=[0, count - 1])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"dense eigensolve failed: {exc}") from exc
         vectors = s[:, None] * y
         resid = self.matrix @ vectors - mass[:, None] * vectors * w[None, :]
         denom = np.linalg.norm(mass[:, None] * vectors, axis=0)
         rel = np.linalg.norm(resid, axis=0) / denom
         if np.any(rel > RESIDUAL_RTOL):
             raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
-        lam = self.mesh.conformal_factor if conformal is None else np.asarray(conformal, float)
-        uv = self.mesh.boundary_edge_chart
-        chord = np.linalg.norm(self.mesh.vertices[uv[:, 0]] - self.mesh.vertices[uv[:, 1]], axis=1)
-        length = float(np.sum(chord * 0.5 * (lam[self.mesh.logical[uv[:, 0]]]
-                                             + lam[self.mesh.logical[uv[:, 1]]])))
         return make_spectrum(
-            w, length, cluster_rtol=CLUSTER_RTOL_FEM,
+            w, float(np.sum(mass)), cluster_rtol=CLUSTER_RTOL_FEM,
             eigenvectors=vectors if want_vectors else None,
             boundary_index=b if want_vectors else None,
             label=label,
@@ -216,10 +227,8 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
     K = assemble_stiffness(mesh)
     K = _ground(K, _grounding_pins(K, b))
     try:
-        # SPD pencil: diagonal pivots are stable and keep the symmetric ordering
-        lu = splu(K - PENCIL_SHIFT * sp.diags(mass),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = splu(K - PENCIL_SHIFT * sp.diags(mass), permc_spec="MMD_AT_PLUS_A",
+                  **_SPD_FACTOR)
     except RuntimeError as exc:
         raise FactorizationError(f"pencil factorization failed: {exc}") from exc
     n, n_b = K.shape[0], len(b)

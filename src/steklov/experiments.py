@@ -14,7 +14,7 @@ import numpy as np
 
 from . import closed_form as cf
 from .dtn import assemble_stiffness, build_dtn, steklov_spectrum
-from .errors import InvalidParameterError, ResolutionError
+from .errors import InvalidParameterError, ResolutionError, SteklovError
 from .gluing import (BOUNDARY_NECK, INTERIOR_NECK, Attachment, GluedFamily,
                      build_glued_mesh)
 from .meshes import (FlatCylinder, MobiusCylinder, SurfaceMesh, UnitDisk,
@@ -155,7 +155,7 @@ def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
                          if record_vectors and neck_kind == BOUNDARY_NECK else None)
             rows.append(SweepRow(rho, spec.drop_vectors(), spec.boundary_length,
                                  errors, fractions))
-        except Exception as exc:  # recorded, sweep continues
+        except SteklovError as exc:  # recorded, sweep continues
             rows.append(SweepRow(rho, None, None, None, None,
                                  failure=f"{type(exc).__name__}: {exc}"))
     return SweepResult(description, k, rho_list, target, tuple(rows))
@@ -301,7 +301,7 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
                 spec = op.spectrum(k_max + 1, conformal=lam)
                 ratios = [spec.sigma_bar(k) / bound(k) for k in range(1, k_max + 1)]
                 rows.append({"trial": trial, "ratios": ratios, "worst": max(ratios)})
-            except Exception as exc:
+            except SteklovError as exc:
                 rows.append({"trial": trial, "failure": f"{type(exc).__name__}: {exc}"})
     elif kind == "karpukhin-annulus":
         res = resolution or 0.045
@@ -319,7 +319,7 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
                 spec = steklov_spectrum(with_conformal_factor(mesh, lam), k_max + 1)
                 ratios = [spec.sigma_bar(k) / bound(k) for k in range(1, k_max + 1)]
                 rows.append({"trial": trial, "T": T, "ratios": ratios, "worst": max(ratios)})
-            except Exception as exc:
+            except SteklovError as exc:
                 rows.append({"trial": trial, "T": T, "failure": f"{type(exc).__name__}: {exc}"})
     else:
         raise InvalidParameterError("kind must be 'hps-disk' or 'karpukhin-annulus'")

@@ -225,14 +225,17 @@ def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
 # measurements and validation
 # ---------------------------------------------------------------------------
 
-def boundary_edge_lengths(mesh: SurfaceMesh) -> np.ndarray:
-    """Physical length of each boundary edge: chart length times mean endpoint lambda."""
+def boundary_edge_lengths(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
+    """Physical length of each boundary edge: chart length times mean endpoint lambda.
+
+    `conformal` (per logical vertex) replaces the mesh's own factor.
+    """
     uv = mesh.boundary_edge_chart
     if len(uv) == 0:
         return np.zeros(0)
+    lam = mesh.conformal_factor if conformal is None else np.asarray(conformal, float)
     chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
-    lam = mesh.conformal_factor[mesh.logical[uv]]
-    return chord * lam.mean(axis=1)
+    return chord * lam[mesh.logical[uv]].mean(axis=1)
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:

@@ -72,12 +72,13 @@ def make_spectrum(values, boundary_length, cluster_rtol=CLUSTER_RTOL_EXACT,
     if boundary_length < 0:
         raise InvalidParameterError("boundary length must be nonnegative")
     values = values.copy()
-    # constant modes: tolerate solver noise up to 1e-8*sigma_1 + 1e-12
+    # constant modes: solver noise within 1e-8*sigma_1 + 1e-12 of zero, of either
+    # sign, is zero
     sigma1 = abs(values[1]) if values.size > 1 else 0.0
-    floor = -(1e-8 * sigma1 + 1e-12)
-    if values[0] < floor:
+    band = 1e-8 * sigma1 + 1e-12
+    if values[0] < -band:
         raise InvalidParameterError(f"leading eigenvalue {values[0]} below tolerance")
-    values[values < 0.0] = 0.0
+    values[np.abs(values) <= band] = 0.0
     values.flags.writeable = False
     normalized = values * boundary_length
     normalized.flags.writeable = False
@@ -91,9 +92,6 @@ def make_spectrum(values, boundary_length, cluster_rtol=CLUSTER_RTOL_EXACT,
         boundary_index=boundary_index,
         label=label,
     )
-
-
-EMPTY = None  # assigned below; the neutral element for merge_spectra
 
 
 def merge_spectra(parts: list[Spectrum] | tuple[Spectrum, ...]) -> Spectrum:
@@ -117,7 +115,7 @@ def _make_empty() -> Spectrum:
                     clusters=(), cluster_rtol=CLUSTER_RTOL_EXACT, label="")
 
 
-EMPTY = _make_empty()
+EMPTY = _make_empty()  # the neutral element for merge_spectra
 
 
 def spectrum_rows(spec: Spectrum) -> list[dict]:

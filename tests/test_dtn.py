@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import steklov as sk
 from steklov import dtn
@@ -266,6 +267,61 @@ class TestPencil:
         monkeypatch.setattr(dtn, "eigsh", _forbidden)
         spec = sk.steklov_spectrum(coarse_disk_mesh, n_b)
         assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+
+
+def disk_and_cylinder(disk, cylinder):
+    """Disjoint union of a disk and a cylinder as one mesh (an elimination forest)."""
+    n0 = disk.n_chart
+    return assemble_mesh(
+        np.vstack([disk.vertices, cylinder.vertices + [3.0, 0.0]]),
+        np.vstack([disk.triangles, cylinder.triangles + n0]),
+        np.vstack([disk.identifications, cylinder.identifications + n0]),
+        np.concatenate([disk.conformal_factor[disk.logical],
+                        cylinder.conformal_factor[cylinder.logical]]))
+
+
+def dense_rhs_dtn(mesh):
+    """K_bb - K_bi K_ii^{-1} K_ib by a solve against the dense K_ib."""
+    K = sk.assemble_stiffness(mesh)
+    b = dtn._boundary_index(mesh)
+    interior = np.setdiff1d(np.arange(mesh.n_logical), b)
+    pins = np.searchsorted(interior, dtn._grounding_pins(K, b))
+    A_ii = dtn._ground(K[interior][:, interior], pins)
+    X = splu(A_ii).solve(K[interior][:, b].toarray())
+    return K[b][:, b].toarray() - K[b][:, interior] @ X
+
+
+class TestBoundaryLastSchur:
+    """schur_dtn's boundary-last factorization against the dense-RHS formula."""
+
+    @pytest.fixture(params=["coarse_disk_mesh", "cylinder_mesh", "mobius_mesh",
+                            "boundary_neck_mesh", "interior_neck_mesh",
+                            "disk_plus_pillow", "disk_and_cylinder"])
+    def mesh(self, request):
+        if request.param == "disk_plus_pillow":
+            return disk_plus_pillow(request.getfixturevalue("coarse_disk_mesh"))
+        if request.param == "disk_and_cylinder":
+            return disk_and_cylinder(request.getfixturevalue("coarse_disk_mesh"),
+                                     request.getfixturevalue("cylinder_mesh"))
+        return request.getfixturevalue(request.param)
+
+    def test_matches_dense_rhs_formula(self, mesh):
+        reference = dense_rhs_dtn(mesh)
+        matrix = build_dtn(mesh).matrix
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(matrix - reference)) <= 1e-13 * scale
+
+    def test_reruns_bit_identical(self, coarse_disk_mesh):
+        K = sk.assemble_stiffness(coarse_disk_mesh)
+        b = dtn._boundary_index(coarse_disk_mesh)
+        assert np.array_equal(sk.schur_dtn(K, b), sk.schur_dtn(K, b))
+
+    def test_boundary_length_is_total_mass(self, coarse_disk_mesh):
+        rng = np.random.default_rng(3)
+        lam = np.exp(0.3 * rng.standard_normal(coarse_disk_mesh.n_logical))
+        spec = build_dtn(coarse_disk_mesh).spectrum(4, conformal=lam)
+        expect = sk.boundary_length(sk.with_conformal_factor(coarse_disk_mesh, lam))
+        assert spec.boundary_length == pytest.approx(expect, rel=1e-14)
 
 
 class TestEigenvectorExport:

@@ -68,6 +68,27 @@ class TestGlueSweep:
         assert bad.rows[1].failure is None
         assert sweep.rows[-1].spectrum is not None
 
+    def _sweep_raising(self, monkeypatch, exc):
+        real = steklov.experiments.steklov_spectrum
+        target_size = sk.build_disk_mesh(0.1).n_logical
+
+        def solve(mesh, count, **kwargs):
+            if mesh.n_logical != target_size:  # the glued rows, not the target
+                raise exc
+            return real(mesh, count, **kwargs)
+
+        monkeypatch.setattr(steklov.experiments, "steklov_spectrum", solve)
+        return sk.glue_sweep([sk.UnitDisk(), sk.UnitDisk()], k=2,
+                             rho_list=(0.1,), resolution=0.1)
+
+    def test_domain_error_recorded_as_row_failure(self, monkeypatch):
+        sweep = self._sweep_raising(monkeypatch, sk.SolverError("residual"))
+        assert sweep.rows[0].failure == "SolverError: residual"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        with pytest.raises(TypeError, match="injected"):
+            self._sweep_raising(monkeypatch, TypeError("injected"))
+
 
 class TestInteriorSweep:
     def test_boundary_length_constant(self):

@@ -33,6 +33,17 @@ class TestMakeSpectrum:
         s = make_spectrum([-1e-14, 1.0], 1.0)
         assert s.eigenvalues[0] == 0.0
 
+    @pytest.mark.parametrize("noise", [3e-15, -3e-15])
+    def test_zero_mode_noise_of_either_sign_is_zero(self, noise):
+        s = make_spectrum([noise, 1.0, 2.0], 2.0)
+        assert s.eigenvalues[0] == 0.0
+        assert s.normalized[0] == 0.0
+
+    def test_value_above_noise_band_kept(self):
+        band = 1e-8 * 1.0 + 1e-12
+        s = make_spectrum([2 * band, 1.0], 1.0)
+        assert s.eigenvalues[0] == 2 * band
+
     def test_clusters(self):
         s = make_spectrum([0.0, 1.0, 1.0 + 1e-12, 2.0], 1.0)
         assert s.multiplicity(1) == 2
