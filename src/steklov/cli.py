@@ -1,9 +1,11 @@
 """Command-line interface: constants, spectra, degeneration sweeps, comparisons,
 and the acceptance suite.
 
-Exit status: 0 on success, 1 when a verification criterion or comparison fails,
-2 on usage errors.  Identical invocations (including --seed) produce
-byte-identical output files; names embed a hash of the parameters.
+Exit status: 0 on success; 1 when a verification criterion or comparison fails,
+or when a computation raises a domain error (printed as `error: <Type>:
+<message>`, with no report written); 2 on usage errors.  Identical invocations
+(including --seed) produce byte-identical output files; names embed a hash of
+the parameters.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import sys
 
 from . import closed_form as cf
 from . import experiments as ex
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SteklovError
 from .gluing import build_metric_mesh
 from .meshes import FlatCylinder, MobiusCylinder, UnitDisk
 from .dtn import steklov_spectrum
 from .spectra import Spectrum, spectrum_csv, spectrum_rows
 
+DOMAIN_ERROR = 1
 USAGE_ERROR = 2
 
 
@@ -215,14 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed forms, a finite-element oracle, and neck experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, with_format=False):
         p.add_argument("--out", default="steklov-out",
                        help="output directory (STEKLOV_OUT overrides)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if with_format:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("constants", help="transcendental constants with residuals")
-    common(p)
+    common(p, with_format=True)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("spectrum", help="Steklov spectrum of one surface")
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed-form", "fem", "both"),
                    default="closed-form")
     p.add_argument("--resolution", type=float, default=0.03)
-    common(p)
+    common(p, with_format=True)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="neck-degeneration sweep toward a disjoint union")
@@ -264,6 +268,9 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except SteklovError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
 
 
 if __name__ == "__main__":

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketError, InvalidParameterError
+from .errors import BracketError, InvalidParameterError, SolverError
 from .meshes import FlatCylinder, MobiusCylinder
 from .spectra import CLUSTER_RTOL_EXACT, Spectrum, make_spectrum
 
@@ -41,15 +40,57 @@ SQRT3 = math.sqrt(3.0)
 # ---------------------------------------------------------------------------
 
 def solve_bracketed_root(f, a: float, b: float, tol: float = ROOT_TOL) -> float:
-    """Root of f in [a, b]; requires a sign change on the bracket."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    return float(brentq(f, a, b, xtol=tol, rtol=4.0 * np.finfo(float).eps, maxiter=200))
+    """Root of f in [a, b]; requires a sign change on the bracket.
+
+    A step-for-step port of scipy's brentq (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4; scipy's Zeros/brentq.c) with xtol = tol,
+    rtol = 4 eps and at most 200 iterations, so it returns the same float.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _finite_value(f, xpre), _finite_value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fpre}, f(b)={fcur}")
+    rtol = 4.0 * np.finfo(float).eps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short enough interpolation step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _finite_value(f, xcur)
+    raise SolverError(f"root on [{a}, {b}] not converged in 200 iterations (last {xcur})")
+
+
+def _finite_value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise SolverError(f"function value at x={x} is NaN")
+    return fx
 
 
 def _coth(t: float) -> float:

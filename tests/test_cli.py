@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import steklov.acceptance
+import steklov.cli
 import steklov.experiments
 from steklov.cli import main
 from steklov.errors import SolverError
@@ -90,6 +91,32 @@ def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "usage error:" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["sweep", "--preset", "two-disks"], id="sweep"),
+    pytest.param(["compare", "--surface", "annulus", "--k", "2"], id="compare"),
+    pytest.param(["verify"], id="verify"),
+])
+def test_format_only_where_honoured(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--format", "csv", "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_domain_error_exits_1_without_report(tmp_path, monkeypatch, capsys):
+    def fail(mesh, count, **kwargs):
+        raise SolverError("injected failure")
+
+    monkeypatch.setattr(steklov.cli, "steklov_spectrum", fail)
+    code, out = run(["spectrum", "--surface", "disk", "--method", "fem",
+                     "--resolution", "0.1"], tmp_path, monkeypatch)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: SolverError: injected failure\n"
+    assert not out.exists()
 
 
 class TestSweepAndCompare:

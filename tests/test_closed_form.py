@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +53,57 @@ class TestRootSolver:
     def test_no_sign_change_raises(self):
         with pytest.raises(sk.BracketError):
             sk.solve_bracketed_root(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(sk.SolverError):
+            sk.solve_bracketed_root(lambda t: math.nan if t > 0.5 else t - 0.7, 0.0, 1.0)
+
+    def test_nonconvergence_raises(self):
+        # a sign step at 1e-300 under tol 1e-300 needs about 1000 bisections
+        with pytest.raises(sk.SolverError):
+            sk.solve_bracketed_root(lambda t: 1.0 if t > 1e-300 else -1.0, -1.0, 1.0,
+                                    tol=1e-300)
+
+
+def _coth(t):
+    return 1.0 / math.tanh(t)
+
+
+# the constants' brackets, then generic ones: a root at either endpoint, a
+# reversed bracket, a triple root, steep and flat crossings
+BRENT_CASES = (
+    [pytest.param(lambda t: t - _coth(t), 1.0, 2.0, id="T_10")]
+    + [pytest.param(lambda t, k=k: k * math.tanh(k * t) - _coth(t), 1e-8, 2.0,
+                    id=f"T_{k}1") for k in range(2, 11)]
+    + [pytest.param(lambda t, k=k: k * math.tanh(k * t) - 1.2 / t, 1e-8, 3.0,
+                    id=f"t_{k}") for k in range(1, 11)]
+    + [pytest.param(lambda x: x - 1.0, 1.0, 3.0, id="root-at-a"),
+       pytest.param(lambda x: x * x - 9.0, 1.0, 3.0, id="root-at-b"),
+       pytest.param(lambda x: math.cos(x) - x, 2.0, -1.0, id="reversed"),
+       pytest.param(lambda x: (x - 0.3) ** 3, -2.0, 5.0, id="triple-root"),
+       pytest.param(lambda x: math.atan(50.0 * (x - 0.1)), -3.0, 4.0, id="steep"),
+       pytest.param(lambda x: math.exp(x) - 1.0 - 1e-9, -10.0, 1.0, id="flat-tail")]
+)
+
+
+@pytest.mark.parametrize("f, a, b", BRENT_CASES)
+def test_brent_port_matches_scipy_bitwise(f, a, b):
+    from scipy.optimize import brentq
+    expect = brentq(f, a, b, xtol=sk.closed_form.ROOT_TOL,
+                    rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    assert sk.solve_bracketed_root(f, a, b) == expect
+
+
+def test_import_graph_has_no_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sk.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, steklov, steklov.cli, steklov.acceptance; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestConstants:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, spilu, splu
 
 import steklov as sk
 from steklov import dtn
@@ -243,6 +243,16 @@ class TestPencil:
                            atol=1e-12 * scale)
         assert pencil.boundary_length == pytest.approx(dense.boundary_length, rel=1e-14)
 
+    @pytest.mark.parametrize("resolution", [0.1, 0.07, 0.05])
+    def test_count_splitting_a_degenerate_pair(self, resolution):
+        # sigma_7 = sigma_8 is a rotation pair, and count = 8 cuts it in half
+        mesh = sk.build_spec_mesh(sk.FlatCylinder(0.5), resolution).mesh
+        pencil = sk.steklov_spectrum(mesh, 8)
+        dense = build_dtn(mesh).spectrum(8)
+        scale = np.max(dense.eigenvalues)
+        assert np.allclose(pencil.eigenvalues, dense.eigenvalues, rtol=1e-12,
+                           atol=1e-12 * scale)
+
     def test_simple_traces_agree_up_to_sign(self, mesh):
         pencil = sk.steklov_spectrum(mesh, 8, want_vectors=True)
         # one eigenvalue more, so that a pair split at the cut is not taken as simple
@@ -260,6 +270,38 @@ class TestPencil:
         second = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    @pytest.mark.parametrize("count, failing_runs, outcome", [
+        pytest.param(8, 1, "retry", id="retry-with-two-more"),
+        pytest.param(21, 1, "dense", id="retry-too-large-for-lanczos"),
+        pytest.param(8, 2, "error", id="retry-misses-too"),
+    ])
+    def test_residual_miss_retries_once(self, coarse_disk_mesh, monkeypatch,
+                                        count, failing_runs, outcome):
+        # coarse disk: 63 boundary DOFs, so 21 pairs fit a Lanczos basis but 23 do not
+        wanted = []
+
+        def spoiled_eigsh(op, k, **kwargs):
+            theta, y = eigsh(op, k=k, **kwargs)
+            wanted.append(k)
+            return theta, (y + 1e-3 if len(wanted) <= failing_runs else y)
+
+        monkeypatch.setattr(dtn, "eigsh", spoiled_eigsh)
+        if outcome == "error":
+            with pytest.raises(sk.SolverError):
+                sk.steklov_spectrum(coarse_disk_mesh, count)
+            assert wanted == [count, count + 2]
+            return
+        spec = sk.steklov_spectrum(coarse_disk_mesh, count)
+        dense = build_dtn(coarse_disk_mesh).spectrum(count)
+        if outcome == "dense":
+            assert wanted == [count]
+            assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        else:
+            assert wanted == [count, count + 2]
+            scale = np.max(dense.eigenvalues)
+            assert np.allclose(spec.eigenvalues, dense.eigenvalues, rtol=1e-12,
+                               atol=1e-12 * scale)
 
     def test_full_count_takes_dense_route(self, coarse_disk_mesh, monkeypatch):
         n_b = len(build_dtn(coarse_disk_mesh).boundary_index)
@@ -310,6 +352,23 @@ class TestBoundaryLastSchur:
         matrix = build_dtn(mesh).matrix
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(matrix - reference)) <= 1e-13 * scale
+
+    def test_interior_ordering_matches_full_lu(self, mesh, monkeypatch):
+        K = sk.assemble_stiffness(mesh)
+        b = dtn._boundary_index(mesh)
+        matrix = sk.schur_dtn(K, b)
+        orderings = []
+
+        def full_lu(A, drop_tol, fill_factor, **options):
+            lu = splu(A, **options)
+            incomplete = spilu(A, drop_tol=drop_tol, fill_factor=fill_factor, **options)
+            orderings.append((lu.perm_c, incomplete.perm_c))
+            return lu
+
+        monkeypatch.setattr(dtn, "spilu", full_lu)
+        assert np.array_equal(sk.schur_dtn(K, b), matrix)
+        [(full, incomplete)] = orderings
+        assert np.array_equal(full, incomplete)
 
     def test_reruns_bit_identical(self, coarse_disk_mesh):
         K = sk.assemble_stiffness(coarse_disk_mesh)
