@@ -69,10 +69,11 @@ def _require_positive(flag: str, value: float) -> None:
 def _surface_spec(args):
     if args.surface == "disk":
         return UnitDisk()
+    density = 1.0 if args.density is None else args.density
     if args.surface == "cylinder":
-        return FlatCylinder(args.T, args.density)
+        return FlatCylinder(args.T, density)
     if args.surface == "mobius":
-        return MobiusCylinder(args.T, args.density)
+        return MobiusCylinder(args.T, density)
     raise InvalidParameterError(f"unknown surface {args.surface!r}")
 
 
@@ -88,11 +89,14 @@ def _spectrum_pair(args) -> dict[str, Spectrum]:
 
 
 def cmd_spectrum(args) -> int:
+    if args.surface == "disk" and (args.T is not None or args.density is not None):
+        raise InvalidParameterError("--T and --density do not apply to the disk")
     if args.surface in ("cylinder", "mobius") and args.T is None:
         raise InvalidParameterError("--T is required for cylinder and mobius surfaces")
     if args.T is not None:
         _require_positive("--T", args.T)
-    _require_positive("--density", args.density)
+    if args.density is not None:
+        _require_positive("--density", args.density)
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
     spectra = _spectrum_pair(args)
@@ -231,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Steklov spectrum of one surface")
     p.add_argument("--surface", choices=("disk", "cylinder", "mobius"), required=True)
-    p.add_argument("--T", type=float, default=None, help="chart height")
-    p.add_argument("--density", type=float, default=1.0, help="boundary density")
+    p.add_argument("--T", type=float, default=None,
+                   help="chart height (cylinder and mobius only)")
+    p.add_argument("--density", type=float, default=None,
+                   help="boundary density (default 1; cylinder and mobius only)")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--method", choices=("closed-form", "fem", "both"),
                    default="closed-form")

@@ -178,8 +178,7 @@ class DtnOperator:
         if np.any(mass <= 0):
             raise AssemblyError("boundary vertex with nonpositive lumped mass")
         s = 1.0 / np.sqrt(mass)
-        H = self.matrix * np.outer(s, s)
-        H = 0.5 * (H + H.T)
+        H = self.matrix * np.outer(s, s)  # exactly symmetric: schur_dtn symmetrizes
         try:
             w, y = scipy.linalg.eigh(H, subset_by_index=[0, count - 1])
         except np.linalg.LinAlgError as exc:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
 from .meshes import (ArcSite, Component, FlatCylinder, HoleSite, MobiusCylinder,
-                     SurfaceMesh, UnitDisk, assemble_mesh, build_spec_mesh)
+                     SurfaceMesh, UnitDisk, _grid_triangles, assemble_mesh,
+                     build_spec_mesh)
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,57 +172,23 @@ class _Builder:
                              tags_chart={k: v for k, v in self.tags.items()})
 
 
-def _square_neck(rho: float, lam1: float, lam2: float, segments: int):
-    """Trapezoidal chart grid of the square neck; physical side lengths all 2*rho."""
-    m = segments
-    xs = np.zeros(m + 1)
-    for r in range(m):
-        lam_mid = lam1 + (lam2 - lam1) * (r + 0.5) / m
-        xs[r + 1] = xs[r] + (2.0 * rho / m) / lam_mid
-    rows_lam = lam1 + (lam2 - lam1) * np.arange(m + 1) / m
-    pts = np.zeros(((m + 1) * (m + 1), 2))
-    lam = np.zeros((m + 1) * (m + 1))
-    for r in range(m + 1):
-        width = 2.0 * rho / rows_lam[r]
-        ys = np.linspace(-0.5 * width, 0.5 * width, m + 1)
-        sl = slice(r * (m + 1), (r + 1) * (m + 1))
-        pts[sl, 0] = xs[r]
-        pts[sl, 1] = ys
-        lam[sl] = rows_lam[r]
-    idx = np.arange((m + 1) * (m + 1)).reshape(m + 1, m + 1)
-    a = idx[:-1, :-1].ravel()
-    b = idx[:-1, 1:].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[1:, :-1].ravel()
-    tris = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
-    return pts, tris, lam, idx
+def _graded_strip(rho: float, lam1: float, lam2: float, rows: int, cols: int,
+                  width: float, y0: float):
+    """Chart grid of a neck of physical length 2*rho and physical width `width`.
 
-
-def _tube_neck(rho: float, lam1: float, lam2: float, segments: int):
-    """Flat cylinder neck: circumference 2*pi*rho, length 2*rho, seam at column 0/m."""
-    m = segments
-    n_len = max(2, int(round(m / math.pi)))
-    xs = np.zeros(n_len + 1)
-    for r in range(n_len):
-        lam_mid = lam1 + (lam2 - lam1) * (r + 0.5) / n_len
-        xs[r + 1] = xs[r] + (2.0 * rho / n_len) / lam_mid
-    rows_lam = lam1 + (lam2 - lam1) * np.arange(n_len + 1) / n_len
-    pts = np.zeros(((n_len + 1) * (m + 1), 2))
-    lam = np.zeros((n_len + 1) * (m + 1))
-    for r in range(n_len + 1):
-        width = TWO_PI * rho / rows_lam[r]
-        ys = np.linspace(0.0, width, m + 1)
-        sl = slice(r * (m + 1), (r + 1) * (m + 1))
-        pts[sl, 0] = xs[r]
-        pts[sl, 1] = ys
-        lam[sl] = rows_lam[r]
-    idx = np.arange((n_len + 1) * (m + 1)).reshape(n_len + 1, m + 1)
-    a = idx[:-1, :-1].ravel()
-    b = idx[:-1, 1:].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[1:, :-1].ravel()
-    tris = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
-    return pts, tris, lam, idx
+    The density runs linearly from lam1 (row 0) to lam2 (row `rows`); each row
+    spans `width` physically in `cols` steps, from y0 * (its chart width).
+    Returns (points, triangles, lam, idx) with idx[row, col] the node ids.
+    """
+    lam_mid = lam1 + (lam2 - lam1) * (np.arange(rows) + 0.5) / rows
+    xs = np.concatenate([[0.0], np.cumsum((2.0 * rho / rows) / lam_mid)])
+    rows_lam = lam1 + (lam2 - lam1) * np.arange(rows + 1) / rows
+    chart_width = width / rows_lam
+    lo = y0 * chart_width
+    ys = np.linspace(lo, lo + chart_width, cols + 1, axis=1)
+    pts = np.stack([np.repeat(xs, cols + 1), ys.ravel()], axis=1)
+    tris, idx = _grid_triangles(rows + 1, cols + 1)
+    return pts, tris, np.repeat(rows_lam, cols + 1), idx
 
 
 def _find_interface(comp: Component, att: Attachment):
@@ -249,7 +216,9 @@ def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceM
         for iface in (if_a, if_b):
             if len(iface.chart_ids) != m + 1:
                 raise AssemblyError("attachment arc discretization does not match the neck")
-        pts, tris, lam, idx = _square_neck(config.rho, if_a.lam, if_b.lam, m)
+        # a square: side 2*rho both ways, centred on the arc
+        pts, tris, lam, idx = _graded_strip(config.rho, if_a.lam, if_b.lam, m, m,
+                                            2.0 * config.rho, -0.5)
         side = np.concatenate([idx[:, 0], idx[:, m]])
         base = builder.add_patch(pts, tris, lam, {"neck_boundary": side})
         ids_a = if_a.chart_ids + bases[a.component]
@@ -274,9 +243,11 @@ def glue_interior(components: list[Component], config: GluingConfig) -> SurfaceM
         for iface in (if_a, if_b):
             if len(iface.chart_ids) != m:
                 raise AssemblyError("rim discretization does not match the neck")
-        pts, tris, lam, idx = _tube_neck(config.rho, if_a.lam, if_b.lam, m)
+        # a tube: circumference 2*pi*rho, seam at columns 0 and m
+        n_len = max(2, int(round(m / math.pi)))
+        pts, tris, lam, idx = _graded_strip(config.rho, if_a.lam, if_b.lam, n_len, m,
+                                            TWO_PI * config.rho, 0.0)
         base = builder.add_patch(pts, tris, lam)
-        n_len = idx.shape[0] - 1
         builder.identify(np.stack([idx[:, 0] + base, idx[:, m] + base], axis=1))
         ids_a = if_a.chart_ids + bases[a.component]
         ids_b = if_b.chart_ids + bases[b.component]

@@ -5,6 +5,11 @@ A surface is a union of flat chart pieces; logical vertices are equivalence
 classes of chart vertices under the identification list.  The metric is
 lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
 chart-only and the conformal factor enters solely through boundary lengths.
+
+Site-free disks put their points on concentric rings, and their Delaunay
+triangulation comes from merging consecutive rings (`_ring_delaunay`).  Qhull
+(`scipy.spatial`, imported only when needed) triangulates the refinement
+patches around neck sites, cylinder holes, and disks too coarse for the merge.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay
 
 from .errors import AssemblyError, InvalidParameterError
 
@@ -432,6 +436,62 @@ def _collar_rings(r_rim: float, r_outer: float) -> np.ndarray:
     return np.geomspace(r_rim, r_outer, n + 1)
 
 
+def _qhull_triangles(points: np.ndarray) -> np.ndarray:
+    from scipy.spatial import Delaunay  # imported on first use: most meshes never need it
+    tri = Delaunay(points)
+    if tri.coplanar.size:
+        raise AssemblyError("triangulation dropped input points")
+    return tri.simplices
+
+
+def _cotangents(points: np.ndarray, apex: np.ndarray, p: np.ndarray,
+                q: np.ndarray) -> np.ndarray:
+    e1 = points[p] - points[apex]
+    e2 = points[q] - points[apex]
+    return (np.einsum("ij,ij->i", e1, e2)
+            / np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+
+
+def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                   offsets: np.ndarray) -> np.ndarray | None:
+    """Delaunay triangulation of points on concentric rings, by merging the rings.
+
+    Ring r (ring 0 is the one-vertex centre) holds the vertices starts[r] + k at
+    angles offsets[r] + 2*pi*k/counts[r].  Each edge of ring r >= 1 takes as apex
+    the vertex of ring r-1 nearest its bisector: of that ring's vertices it sees
+    the edge under the largest angle, so the triangles between two rings are
+    those of their Delaunay triangulation (Guibas-Stolfi merge, 1985).  Ring
+    r-1's edges then take the ring-r vertex between the outer edges whose apexes
+    flank them.  Returns None when a ring edge fails the Delaunay test (opposite
+    angles summing past pi): the triangulation then joins rings that are not
+    consecutive, which coarse disks (resolution above ~0.64) do.
+    """
+    ring = np.repeat(np.arange(1, len(counts)), counts[1:])  # ring of each edge
+    first = np.concatenate([[0], np.cumsum(counts[1:])])  # edge 0 of ring r at first[r-1]
+    e = np.arange(len(ring)) - first[ring - 1]
+    n, n_in = counts[ring], counts[ring - 1]
+    apex = np.floor((offsets[ring] - offsets[ring - 1]) / TWO_PI * n_in
+                    + (e + 0.5) * n_in / n + 0.5).astype(np.int64)
+    outward = np.stack([starts[ring] + e, starts[ring] + (e + 1) % n,
+                        starts[ring - 1] + apex % n_in], axis=1)
+    # edge k of ring r follows the edges l of ring r+1 with apex_l <= k (unwrapped
+    # from ring r+1's first apex); sorted keys answer that for every ring at once
+    base = np.concatenate([[0], np.cumsum(counts + 1)])
+    apex0 = apex[first[:-1]]
+    key = base[ring - 1] + apex - apex0[ring - 1]
+    mid = ring < len(counts) - 1
+    r, k = ring[mid], e[mid]
+    j = np.searchsorted(key, base[r] + (k - apex0[r]) % counts[r], side="right") - first[r]
+    ring_edges = outward[mid, :2]
+    inward = np.stack([ring_edges[:, 1], ring_edges[:, 0],
+                       starts[r + 1] + j % counts[r + 1]], axis=1)
+    cot_sum = (_cotangents(points, outward[mid, 2], ring_edges[:, 0], ring_edges[:, 1])
+               + _cotangents(points, inward[:, 2], ring_edges[:, 0], ring_edges[:, 1]))
+    if np.any(cot_sum < -1e-12):  # ties (cocircular quads) sum to rounding noise
+        return None
+    return np.concatenate([outward, inward])
+
+
 def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
                     hole_sites: Sequence[HoleSite] = (),
                     field: Callable[[float, float], float] | None = None) -> Component:
@@ -501,12 +561,15 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
 
     nr = max(3, int(round(1.0 / resolution)))
     bulk = [np.zeros((1, 2))]
+    ring_counts, ring_offsets = [1], [0.0]  # the centre, then the bulk rings
     for i in range(1, nr):
         r = i / nr
         n = max(6, int(round(TWO_PI * r / resolution)))
         offs = (i % 2) * math.pi / n
         ang = offs + TWO_PI * np.arange(n) / n
         bulk.append(r * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        ring_counts.append(n)
+        ring_offsets.append(offs)
     bulk_pts = np.concatenate(bulk)
     for c, rr in exclusions:
         bulk_pts = bulk_pts[np.linalg.norm(bulk_pts - c, axis=1) > rr]
@@ -519,10 +582,15 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         rim_id_lists.append(np.arange(offset, offset + len(rp)))
         offset += len(rp)
 
-    tri = Delaunay(points)
-    if tri.coplanar.size:
-        raise AssemblyError("triangulation dropped input points")
-    triangles = tri.simplices
+    triangles = None
+    if not arc_meta and not rim_meta:
+        # points are the boundary ring, then the centre and the bulk rings
+        starts = n_boundary + np.cumsum([0] + ring_counts[:-1])
+        triangles = _ring_delaunay(points, np.append(starts, 0),
+                                   np.array(ring_counts + [n_boundary]),
+                                   np.array(ring_offsets + [0.0]))
+    if triangles is None:
+        triangles = _qhull_triangles(points)
     for rim_ids in rim_id_lists:
         inside = np.isin(triangles, rim_ids).all(axis=1)
         triangles = triangles[~inside]
@@ -579,18 +647,23 @@ def build_disk_mesh(resolution: float) -> SurfaceMesh:
 # cylinder and Moebius band
 # ---------------------------------------------------------------------------
 
-def _grid_mesh(t_nodes: np.ndarray, th_nodes: np.ndarray):
-    """Tensor-product triangulation of [t] x [theta]; returns (points, triangles)."""
-    n_t, n_th = len(t_nodes), len(th_nodes)
-    tt, hh = np.meshgrid(t_nodes, th_nodes, indexing="ij")
-    points = np.stack([hh.ravel(), tt.ravel()], axis=1)  # chart x = theta, y = t
-    idx = np.arange(n_t * n_th).reshape(n_t, n_th)
+def _grid_triangles(n_rows: int, n_cols: int):
+    """Two triangles per cell of a row-major node grid; returns (triangles, idx)."""
+    idx = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
     a = idx[:-1, :-1].ravel()
     b = idx[:-1, 1:].ravel()
     c = idx[1:, 1:].ravel()
     d = idx[1:, :-1].ravel()
     triangles = np.concatenate([np.stack([a, b, c], axis=1),
                                 np.stack([a, c, d], axis=1)])
+    return triangles, idx
+
+
+def _grid_mesh(t_nodes: np.ndarray, th_nodes: np.ndarray):
+    """Tensor-product triangulation of [t] x [theta]; returns (points, triangles, idx)."""
+    tt, hh = np.meshgrid(t_nodes, th_nodes, indexing="ij")
+    points = np.stack([hh.ravel(), tt.ravel()], axis=1)  # chart x = theta, y = t
+    triangles, idx = _grid_triangles(len(t_nodes), len(th_nodes))
     return points, triangles, idx
 
 
@@ -745,10 +818,7 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
         rim_id_lists.append(np.arange(offset, offset + len(rp)))
         offset += len(rp)
 
-    tri = Delaunay(points)
-    if tri.coplanar.size:
-        raise AssemblyError("triangulation dropped input points")
-    triangles = tri.simplices
+    triangles = _qhull_triangles(points)
     for rim_ids in rim_id_lists:
         inside = np.isin(triangles, rim_ids).all(axis=1)
         triangles = triangles[~inside]

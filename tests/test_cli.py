@@ -85,6 +85,8 @@ class TestSpectrum:
                   "--resolution", "0.1"], id="sweep-rho-not-a-number"),
     pytest.param(["spectrum", "--surface", "cylinder", "--T", "1",
                   "--density", "nan"], id="density-nan"),
+    pytest.param(["spectrum", "--surface", "disk", "--density", "2"], id="disk-density"),
+    pytest.param(["spectrum", "--surface", "disk", "--T", "3"], id="disk-T"),
 ])
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     code, out = run(argv, tmp_path, monkeypatch)

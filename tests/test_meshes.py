@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 
 import steklov as sk
 from steklov.experiments import chain_family
-from steklov.meshes import _fill_graded, _parameter_grid, _ArcRequest
+from steklov.meshes import (_ArcRequest, _fill_graded, _parameter_grid, _ring_delaunay,
+                            assemble_mesh)
 
 TWO_PI = 2 * math.pi
 
@@ -45,6 +49,85 @@ class TestDisk:
             sk.build_cylinder_mesh(1.0, 1.0, 0.0)
         with pytest.raises(sk.InvalidParameterError):
             sk.build_mobius_mesh(1.0, float("nan"))
+
+
+SITE_FREE_RESOLUTIONS = [0.2, 0.1, 0.05, 0.03, 0.02, math.sqrt(math.pi / 2e4)]
+
+
+def _site_free_disk_points(resolution):
+    """The site-free disk's point layout: boundary circle, centre, bulk rings."""
+    n = max(8, int(round(TWO_PI / resolution)))
+    angles = np.linspace(0.0, TWO_PI, n + 1)[:-1]
+    points = [np.stack([np.cos(angles), np.sin(angles)], axis=1), np.zeros((1, 2))]
+    nr = max(3, int(round(1.0 / resolution)))
+    for i in range(1, nr):
+        r = i / nr
+        m = max(6, int(round(TWO_PI * r / resolution)))
+        ang = (i % 2) * math.pi / m + TWO_PI * np.arange(m) / m
+        points.append(r * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return np.concatenate(points), n
+
+
+def _qhull_stiffness(vertices):
+    from scipy.spatial import Delaunay
+    mesh = assemble_mesh(vertices, Delaunay(vertices).simplices, [], np.ones(len(vertices)))
+    return sk.assemble_stiffness(mesh)
+
+
+class TestRingDelaunayDisk:
+    """Site-free disks are triangulated by merging rings, not by Qhull."""
+
+    @pytest.fixture(scope="class", params=SITE_FREE_RESOLUTIONS)
+    def disk(self, request):
+        return request.param, sk.build_disk_mesh(request.param)
+
+    def test_point_layout_unchanged(self, disk):
+        resolution, mesh = disk
+        points, n_boundary = _site_free_disk_points(resolution)
+        assert np.array_equal(mesh.vertices, points)
+        assert mesh.boundary_loops == (tuple(range(n_boundary)),)
+
+    def test_stiffness_is_delaunay(self, disk):
+        _, mesh = disk
+        K = sk.assemble_stiffness(mesh).tocoo()
+        off = K.row != K.col
+        assert K.data[off].max() <= 1e-12 * np.abs(K.data).max()
+
+    def test_stiffness_matches_qhull(self, disk):
+        _, mesh = disk
+        K_qhull = _qhull_stiffness(mesh.vertices)
+        assert abs(sk.assemble_stiffness(mesh) - K_qhull).max() <= 1e-12 * abs(K_qhull).max()
+
+    def test_coarse_rings_fall_back_to_qhull(self):
+        # at resolution 0.7 the Delaunay triangulation joins rings two apart
+        points, n_boundary = _site_free_disk_points(0.7)
+        counts = [1, 6, 6, n_boundary]
+        starts = [n_boundary, n_boundary + 1, n_boundary + 7, 0]
+        offsets = [0.0, math.pi / 6, 0.0, 0.0]
+        assert _ring_delaunay(points, np.array(starts), np.array(counts),
+                              np.array(offsets)) is None
+        mesh = sk.build_disk_mesh(0.7)
+        assert np.array_equal(mesh.vertices, points)
+        assert abs(sk.assemble_stiffness(mesh) - _qhull_stiffness(points)).max() == 0.0
+
+
+def test_scipy_spatial_loads_only_for_qhull_meshes():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sk.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, steklov, steklov.cli, steklov.acceptance\n"
+            "import steklov as sk\n"
+            "from steklov.experiments import chain_family\n"
+            "for mesh in (sk.build_disk_mesh(0.1), sk.build_cylinder_mesh(1.0, 1.0, 0.1),\n"
+            "             sk.build_mobius_mesh(1.0, 0.1)):\n"
+            "    sk.steklov_spectrum(mesh, 4)\n"
+            "print('scipy.spatial' in sys.modules)\n"
+            "sk.build_glued_mesh(chain_family([sk.UnitDisk(), sk.UnitDisk()], 0.1), 0.1)\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 class TestCylinder:
