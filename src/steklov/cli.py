@@ -4,8 +4,9 @@ and the acceptance suite.
 Exit status: 0 on success; 1 when a verification criterion or comparison fails,
 or when a computation raises a domain error (printed as `error: <Type>:
 <message>`, with no report written); 2 on usage errors.  Identical invocations
-(including --seed) produce byte-identical output files; names embed a hash of
-the parameters.
+produce byte-identical output files.  The reports of `spectrum`, `sweep` and
+`compare` are named by a hash of their parameters, so runs that differ in any
+parameter never overwrite each other; `constants` and `verify` write fixed names.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ def cmd_spectrum(args) -> int:
         raise InvalidParameterError("--count must be >= 1")
     spectra = _spectrum_pair(args)
     out = _outdir(args)
-    tag = f"{args.surface}" + (f"-T{args.T:g}" if args.T is not None else "")
+    params = {"surface": args.surface, "T": args.T, "density": args.density,
+              "count": args.count, "method": args.method, "resolution": args.resolution}
+    tag = f"{args.surface}-{ex._params_hash(params)}"
     for method, spec in spectra.items():
         stem = os.path.join(out, f"spectrum-{tag}-{method}")
         if args.format == "json":
@@ -174,7 +177,7 @@ def cmd_sweep(args) -> int:
     verdict = "pass" if not failed and abs(rows[-1]["sigma_bar_k"] - target) <= 0.05 * target \
         else "fail"
     params = {"preset": args.preset, "k": k, "rho": list(rho_list),
-              "resolution": args.resolution, "seed": args.seed}
+              "resolution": args.resolution}
     paths = ex.write_report(_outdir(args), f"sweep-{args.preset}", params, rows, verdict)
     print(f"target sigma_bar_{k} = {target:.6f}")
     for r in rows:
@@ -227,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (STEKLOV_OUT overrides)")
         if with_format:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("constants", help="transcendental constants with residuals")
     common(p, with_format=True)

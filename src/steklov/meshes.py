@@ -7,9 +7,11 @@ lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
 chart-only and the conformal factor enters solely through boundary lengths.
 
 Site-free disks put their points on concentric rings, and their Delaunay
-triangulation comes from merging consecutive rings (`_ring_delaunay`).  Qhull
-(`scipy.spatial`, imported only when needed) triangulates the refinement
-patches around neck sites, cylinder holes, and disks too coarse for the merge.
+triangulation comes from merging consecutive rings (`_ring_delaunay`).  Disks
+and cylinders with neck sites share one site mesher (`_site_mesh`): graded
+patches, Qhull (`scipy.spatial`, imported only when needed), rims cut open,
+and a structured log collar below chart radius 1e-3 for tiny rims.  Qhull also
+triangulates disks too coarse for the ring merge.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AssemblyError, InvalidParameterError
+from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +67,6 @@ class SurfaceMesh:
     n_logical: int
     conformal_factor: np.ndarray      # (n_logical,) positive
     boundary_loops: tuple[tuple[int, ...], ...]  # ordered logical ids, closed
-    boundary_edges: np.ndarray        # (nb, 2) logical endpoints
     boundary_edge_chart: np.ndarray   # (nb, 2) chart endpoints of the unique chart edge
     tags: dict[str, frozenset[int]] = field(default_factory=dict)
 
@@ -193,9 +194,8 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
     if np.any(counts > 2):
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
-    boundary_edges = edges[bmask]
     boundary_edge_chart = chart_rep[bmask]
-    loops = _walk_loops(boundary_edges) if len(boundary_edges) else ()
+    loops = _walk_loops(edges[bmask]) if bmask.any() else ()
 
     tags = {}
     if tags_chart:
@@ -210,7 +210,6 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         n_logical=n_logical,
         conformal_factor=_freeze(lam),
         boundary_loops=loops,
-        boundary_edges=_freeze(boundary_edges),
         boundary_edge_chart=_freeze(boundary_edge_chart),
         tags=tags,
     )
@@ -418,7 +417,7 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep):
 
 
 # ---------------------------------------------------------------------------
-# disk
+# neck sites: graded patches, rims cut open, log collars
 # ---------------------------------------------------------------------------
 
 # below this rim radius a structured collar keeps the tiniest triangles away
@@ -431,9 +430,12 @@ def _ring_points(center, radius: float, m: int) -> np.ndarray:
     return np.asarray(center) + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _collar_rings(r_rim: float, r_outer: float) -> np.ndarray:
-    n = max(2, int(math.ceil(math.log(r_outer / r_rim) / math.log(1.3))))
-    return np.geomspace(r_rim, r_outer, n + 1)
+def _ring_strips(rings: np.ndarray) -> np.ndarray:
+    """Two triangles per cell between consecutive closed rings (rows of vertex ids)."""
+    a, d = rings[:-1], rings[1:]
+    b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
+    return np.concatenate([np.stack([a, b, c], axis=2),
+                           np.stack([a, c, d], axis=2)], axis=1).reshape(-1, 3)
 
 
 def _qhull_triangles(points: np.ndarray) -> np.ndarray:
@@ -443,6 +445,71 @@ def _qhull_triangles(points: np.ndarray) -> np.ndarray:
         raise AssemblyError("triangulation dropped input points")
     return tri.simplices
 
+
+def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution: float,
+               inside, pinned: np.ndarray | None = None):
+    """Chart triangulation refined around neck sites, with a hole cut at each rim.
+
+    Points are `head` (placed first), then the rims, the `background` points
+    outside every patch (or `pinned`), then the patches.  `arcs` holds the
+    (centre, spacing) of boundary-arc patches and `holes` the (centre, rim
+    radius, segments) of interior rims; `inside(q, s)` keeps patch points at
+    spacing s within the chart.  Qhull sees each rim at COLLAR_RADIUS or more,
+    and a structured log collar descends from there to the true rim.
+    Returns the points, the triangles and each hole's true rim ids.
+    """
+    rims = [(c, max(r_rim, COLLAR_RADIUS), m) for c, r_rim, m in holes]
+    patches = ([(c, h0, 1.9 * h0, 0.0) for c, h0 in arcs]
+               + [(c, TWO_PI * r / m, r + TWO_PI * r / m, r) for c, r, m in rims])
+    patch_pts, exclusions = [], []  # exclusions: (centre, radius)
+    for c, h0, r_start, r_hole in patches:
+
+        def keep(q, s, _c=c, _r=r_hole):
+            ok = inside(q, s) & (np.linalg.norm(q - _c, axis=1) > _r + 0.45 * s)
+            for e, rr in exclusions:
+                ok &= np.linalg.norm(q - e, axis=1) > 0.8 * rr
+            return ok
+
+        pts, r_excl = _patch_rings(c, h0, resolution, r_start, keep)
+        patch_pts.append(pts)
+        exclusions.append((c, r_excl + r_hole))
+    far = np.ones(len(background), dtype=bool)
+    for c, rr in exclusions:
+        far &= np.linalg.norm(background - c, axis=1) > rr
+    if pinned is not None:
+        far |= pinned
+    rim_pts = [_ring_points(c, r, m) for c, r, m in rims]
+    sections = [head] + rim_pts + [background[far]] + patch_pts
+    points = np.concatenate([s for s in sections if len(s)])
+    offsets = len(head) + np.cumsum([0] + [m for _, _, m in rims])
+    rim_ids = [np.arange(o, o + m) for o, (_, _, m) in zip(offsets, rims)]
+
+    triangles = _qhull_triangles(points)
+    for ids in rim_ids:
+        triangles = triangles[~np.isin(triangles, ids).all(axis=1)]
+
+    collar_pts, collar_tris, true_rim_ids = [], [], []
+    n = len(points)
+    for (c, r_rim, m), ids in zip(holes, rim_ids):
+        if r_rim >= COLLAR_RADIUS:
+            true_rim_ids.append(ids)
+            continue
+        n_rings = max(2, int(math.ceil(math.log(COLLAR_RADIUS / r_rim) / math.log(1.3))))
+        radii = np.geomspace(r_rim, COLLAR_RADIUS, n_rings + 1)[:-1]
+        collar_pts += [_ring_points(c, r, m) for r in radii]
+        rings = np.vstack([np.arange(n, n + n_rings * m).reshape(n_rings, m), ids])
+        collar_tris.append(_ring_strips(rings))
+        true_rim_ids.append(rings[0])
+        n += n_rings * m
+    if collar_pts:
+        points = np.concatenate([points] + collar_pts)
+        triangles = np.concatenate([triangles] + collar_tris)
+    return points, triangles, true_rim_ids
+
+
+# ---------------------------------------------------------------------------
+# disk
+# ---------------------------------------------------------------------------
 
 def _cotangents(points: np.ndarray, apex: np.ndarray, p: np.ndarray,
                 q: np.ndarray) -> np.ndarray:
@@ -512,7 +579,6 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     angles, arc_index_lists = _parameter_grid(TWO_PI, resolution, requests)
     angles = angles[:-1]  # 2*pi duplicates the angle-0 node on a circle
     boundary_pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    n_boundary = len(boundary_pts)
 
     rim_meta = []
     for site in hole_sites:
@@ -520,44 +586,8 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         lam_p = float(base_lam(p[None])[0])
         r_rim = site.rho / lam_p
         if np.linalg.norm(p) + 2.0 * r_rim >= 1.0:
-            from .errors import InvalidGluingError
             raise InvalidGluingError("interior neck disk reaches the boundary")
-        r_del = max(r_rim, COLLAR_RADIUS)  # radius the Delaunay stage sees
-        rim_meta.append((site, p, lam_p, r_rim, r_del))
-
-    # patches: graded rings around each attachment, then the coarse bulk
-    patch_pts = []
-    exclusions = []  # (center, radius)
-    rim_pts_list = []
-    for (site, p, lam_p, w), idxs in zip(arc_meta, arc_index_lists):
-        h0 = 2.0 * w / site.segments
-
-        def keep(q, s, _p=p):
-            r2 = np.linalg.norm(q, axis=1)
-            ok = r2 <= 1.0 - 0.45 * s
-            for c, rr in exclusions:
-                ok &= np.linalg.norm(q - c, axis=1) > 0.8 * rr
-            return ok
-
-        pts, r_excl = _patch_rings(p, h0, resolution, 1.9 * h0, keep)
-        patch_pts.append(pts)
-        exclusions.append((p, r_excl))
-    for site, p, lam_p, r_rim, r_del in rim_meta:
-        m = site.segments
-        rim_pts_list.append(_ring_points(p, r_del, m))
-        h0 = TWO_PI * r_del / m
-
-        def keep(q, s, _p=p, _r=r_del):
-            r2 = np.linalg.norm(q, axis=1)
-            ok = r2 <= 1.0 - 0.45 * s
-            ok &= np.linalg.norm(q - _p, axis=1) > _r + 0.45 * s
-            for c, rr in exclusions:
-                ok &= np.linalg.norm(q - c, axis=1) > 0.8 * rr
-            return ok
-
-        pts, r_excl = _patch_rings(p, h0, resolution, r_del + 1.0 * h0, keep)
-        patch_pts.append(pts)
-        exclusions.append((p, r_excl + r_del))
+        rim_meta.append((site, p, lam_p, r_rim))
 
     nr = max(3, int(round(1.0 / resolution)))
     bulk = [np.zeros((1, 2))]
@@ -571,70 +601,34 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         ring_counts.append(n)
         ring_offsets.append(offs)
     bulk_pts = np.concatenate(bulk)
-    for c, rr in exclusions:
-        bulk_pts = bulk_pts[np.linalg.norm(bulk_pts - c, axis=1) > rr]
 
-    sections = [boundary_pts] + rim_pts_list + [bulk_pts] + patch_pts
-    points = np.concatenate([s for s in sections if len(s)])
-    rim_id_lists = []
-    offset = n_boundary
-    for rp in rim_pts_list:
-        rim_id_lists.append(np.arange(offset, offset + len(rp)))
-        offset += len(rp)
-
-    triangles = None
-    if not arc_meta and not rim_meta:
+    rim_ids = []
+    if arc_meta or rim_meta:
+        points, triangles, rim_ids = _site_mesh(
+            boundary_pts, bulk_pts,
+            [(p, 2.0 * w / site.segments) for site, p, lam_p, w in arc_meta],
+            [(p, r_rim, site.segments) for site, p, lam_p, r_rim in rim_meta],
+            resolution, lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s)
+    else:
         # points are the boundary ring, then the centre and the bulk rings
+        points = np.concatenate([boundary_pts, bulk_pts])
+        n_boundary = len(boundary_pts)
         starts = n_boundary + np.cumsum([0] + ring_counts[:-1])
         triangles = _ring_delaunay(points, np.append(starts, 0),
                                    np.array(ring_counts + [n_boundary]),
                                    np.array(ring_offsets + [0.0]))
-    if triangles is None:
-        triangles = _qhull_triangles(points)
-    for rim_ids in rim_id_lists:
-        inside = np.isin(triangles, rim_ids).all(axis=1)
-        triangles = triangles[~inside]
-
-    # structured collars descend from the Delaunay-facing ring to tiny rims
-    extra_points, extra_tris = [], []
-    true_rim_ids: list[np.ndarray] = []
-    n_cursor = len(points)
-    for (site, p, lam_p, r_rim, r_del), del_ids in zip(rim_meta, rim_id_lists):
-        if r_rim >= r_del:
-            true_rim_ids.append(del_ids)
-            continue
-        m = site.segments
-        radii = _collar_rings(r_rim, r_del)
-        ring_ids = []
-        for r in radii[:-1]:
-            extra_points.append(_ring_points(p, r, m))
-            ring_ids.append(np.arange(n_cursor, n_cursor + m))
-            n_cursor += m
-        ring_ids.append(del_ids)
-        for inner, outer in zip(ring_ids, ring_ids[1:]):
-            a = inner
-            b = np.roll(inner, -1)
-            c = np.roll(outer, -1)
-            d = outer
-            extra_tris.append(np.stack([a, b, c], axis=1))
-            extra_tris.append(np.stack([a, c, d], axis=1))
-        true_rim_ids.append(ring_ids[0])
-    if extra_points:
-        points = np.concatenate([points] + extra_points)
-        triangles = np.concatenate([triangles] + extra_tris)
+        if triangles is None:
+            triangles = _qhull_triangles(points)
 
     lam_chart = base_lam(points)
-    for (site, p, lam_p, w), _ in zip(arc_meta, arc_index_lists):
-        lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
-    for site, p, lam_p, r_rim, r_del in rim_meta:
+    for site, p, lam_p, _ in arc_meta + rim_meta:
         lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
 
     mesh = assemble_mesh(points, triangles, [], lam_chart)
-    interfaces = []
-    for (site, p, lam_p, w), idxs in zip(arc_meta, arc_index_lists):
-        interfaces.append(Interface(site, np.asarray(idxs), lam_p, "arc"))
-    for (site, p, lam_p, r_rim, r_del), rim_ids in zip(rim_meta, true_rim_ids):
-        interfaces.append(Interface(site, rim_ids, lam_p, "rim"))
+    interfaces = [Interface(site, np.asarray(idxs), lam_p, "arc")
+                  for (site, p, lam_p, w), idxs in zip(arc_meta, arc_index_lists)]
+    interfaces += [Interface(site, ids, lam_p, "rim")
+                   for (site, p, lam_p, r_rim), ids in zip(rim_meta, rim_ids)]
     return Component(mesh, tuple(interfaces))
 
 
@@ -765,12 +759,11 @@ def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
 def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
                               arc_sites: Sequence[ArcSite],
                               hole_sites: Sequence[HoleSite]) -> Component:
-    """Cylinder with interior holes: unstructured points + Delaunay in the chart."""
+    """Cylinder with interior holes: a base grid carved around each site."""
     if arc_sites:
         raise InvalidParameterError("mixed boundary and interior sites are not supported")
-    from .errors import InvalidGluingError
     T, density = spec.T, spec.boundary_density
-    rim_meta = []
+    holes = []
     for site in hole_sites:
         p = np.asarray(site.point, dtype=float)  # chart (theta, t)
         r_rim = site.rho / density
@@ -778,50 +771,22 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
             raise InvalidGluingError("interior neck disk reaches the cylinder boundary")
         if not (2.0 * r_rim < p[0] < TWO_PI - 2.0 * r_rim):
             raise InvalidGluingError("interior neck disk crosses the chart seam")
-        rim_meta.append((site, p, r_rim))
+        holes.append((p, r_rim, site.segments))
 
     n_th = max(8, int(round(TWO_PI / resolution)))
     n_t = max(2, int(round(T / resolution)))
-    th = np.linspace(0.0, TWO_PI, n_th + 1)
-    tt = np.linspace(0.0, T, n_t + 1)
-    grid_th, grid_t = np.meshgrid(th, tt)
+    grid_th, grid_t = np.meshgrid(np.linspace(0.0, TWO_PI, n_th + 1),
+                                  np.linspace(0.0, T, n_t + 1))
     base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)
 
-    rim_pts_list, patch_pts, exclusions = [], [], []
-    for site, p, r_rim in rim_meta:
-        m = site.segments
-        rim_angles = TWO_PI * np.arange(m) / m
-        rim_pts_list.append(p + r_rim * np.stack([np.cos(rim_angles), np.sin(rim_angles)], axis=1))
-        h0 = TWO_PI * r_rim / m
+    def inside(q, s):
+        return ((q[:, 1] > 0.45 * s) & (q[:, 1] < T - 0.45 * s)
+                & (q[:, 0] > 0.45 * s) & (q[:, 0] < TWO_PI - 0.45 * s))
 
-        def keep(q, s, _p=p, _r=r_rim):
-            ok = (q[:, 1] > 0.45 * s) & (q[:, 1] < T - 0.45 * s)
-            ok &= (q[:, 0] > 0.45 * s) & (q[:, 0] < TWO_PI - 0.45 * s)
-            ok &= np.linalg.norm(q - _p, axis=1) > _r + 0.45 * s
-            return ok
-
-        pts, r_excl = _patch_rings(p, h0, resolution, r_rim + h0, keep)
-        patch_pts.append(pts)
-        exclusions.append((p, r_excl + r_rim))
-
-    keep_base = np.ones(len(base), dtype=bool)
-    for c, rr in exclusions:
-        keep_base &= np.linalg.norm(base - c, axis=1) > rr
     # the seam columns must survive with identical t-grids on both sides
-    keep_base |= (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI)
-    base_pts = base[keep_base]
-
-    sections = rim_pts_list + [base_pts] + patch_pts
-    points = np.concatenate([s for s in sections if len(s)])
-    rim_id_lists, offset = [], 0
-    for rp in rim_pts_list:
-        rim_id_lists.append(np.arange(offset, offset + len(rp)))
-        offset += len(rp)
-
-    triangles = _qhull_triangles(points)
-    for rim_ids in rim_id_lists:
-        inside = np.isin(triangles, rim_ids).all(axis=1)
-        triangles = triangles[~inside]
+    seam_cols = (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI)
+    points, triangles, rim_ids = _site_mesh(np.zeros((0, 2)), base, (), holes, resolution,
+                                            inside, pinned=seam_cols)
 
     # identify the chart seam: vertices at theta=0 and theta=2*pi share t values
     left = np.where(points[:, 0] == 0.0)[0]
@@ -834,8 +799,8 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
 
     lam_chart = np.full(len(points), density)
     mesh = assemble_mesh(points, triangles, seam, lam_chart)
-    interfaces = [Interface(site, rim_ids, density, "rim")
-                  for (site, p, r_rim), rim_ids in zip(rim_meta, rim_id_lists)]
+    interfaces = [Interface(site, ids, density, "rim")
+                  for site, ids in zip(hole_sites, rim_ids)]
     return Component(mesh, tuple(interfaces))
 
 
@@ -849,18 +814,8 @@ def build_log_annulus_mesh(r_in: float, r_out: float, n_radial: int,
     if not (0 < r_in < r_out):
         raise InvalidParameterError("need 0 < r_in < r_out")
     radii = np.geomspace(r_in, r_out, n_radial + 1)
-    ang = TWO_PI * np.arange(n_angular) / n_angular
-    points = np.concatenate([
-        np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1) for r in radii])
-    tris = []
-    for i in range(n_radial):
-        a = i * n_angular + np.arange(n_angular)
-        b = i * n_angular + (np.arange(n_angular) + 1) % n_angular
-        c = (i + 1) * n_angular + (np.arange(n_angular) + 1) % n_angular
-        d = (i + 1) * n_angular + np.arange(n_angular)
-        tris.append(np.stack([a, b, c], axis=1))
-        tris.append(np.stack([a, c, d], axis=1))
-    triangles = np.concatenate(tris)
+    points = np.concatenate([_ring_points((0.0, 0.0), r, n_angular) for r in radii])
+    triangles = _ring_strips(np.arange(len(points)).reshape(n_radial + 1, n_angular))
     return assemble_mesh(points, triangles, [], np.ones(len(points)))
 
 

@@ -105,6 +105,16 @@ class TestInteriorSweep:
         got = sweep.rows[-1].spectrum.eigenvalues[1]
         assert got == pytest.approx(target.eigenvalues[1], rel=0.05)
 
+    def test_self_glued_annulus_pinches_to_tiny_rims(self):
+        # rims below the collar radius: the cylinder hole gets the log collar
+        sweep = sk.interior_glue_sweep([sk.FlatCylinder(1.0)], k=1,
+                                       rho_list=(1e-2, 1e-4, 1e-6, 1e-9), resolution=0.06)
+        assert [row.failure for row in sweep.rows] == [None] * 4
+        lengths = [row.boundary_length for row in sweep.rows]
+        assert lengths == pytest.approx([lengths[0]] * 4, rel=1e-12)
+        target = sk.cylinder_spectrum(1.0, count=3).eigenvalues[1]  # 0.4621
+        assert sweep.rows[-1].spectrum.eigenvalues[1] == pytest.approx(target, rel=0.05)
+
 
 class TestCatenoidDiskSweep:
     def test_sigma_bar2_approaches_formula(self):

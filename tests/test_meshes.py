@@ -254,7 +254,8 @@ class TestAssemblyOrdering:
         edges, first, counts = np.unique(np.sort(logical_e, axis=1), axis=0,
                                          return_index=True, return_counts=True)
         boundary = counts == 1
-        assert np.array_equal(glued.boundary_edges, edges[boundary])
+        assert np.array_equal(np.sort(glued.logical[glued.boundary_edge_chart], axis=1),
+                              edges[boundary])
         assert np.array_equal(glued.boundary_edge_chart, chart_e[first][boundary])
 
 
