@@ -39,7 +39,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
 
 from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
                      SolverError)
-from .meshes import SurfaceMesh, boundary_edge_lengths
+from .meshes import SurfaceMesh, _edge_census, boundary_edge_lengths
 from .spectra import CLUSTER_RTOL_FEM, Spectrum, make_spectrum
 
 RESIDUAL_RTOL = 1e-10
@@ -64,17 +64,18 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
         -np.einsum("ij,ij->i", e2, e0) / area2,
         -np.einsum("ij,ij->i", e0, e1) / area2,
     ], axis=1)  # cot of the angle at each corner
-    lab = mesh.logical[tri]
-    rows, cols, vals = [], [], []
-    opposite = ((1, 2), (2, 0), (0, 1))
-    for corner, (i, j) in enumerate(opposite):
-        w = 0.5 * cots[:, corner]
-        rows += [lab[:, i], lab[:, j], lab[:, i], lab[:, j]]
-        cols += [lab[:, j], lab[:, i], lab[:, i], lab[:, j]]
-        vals += [-w, -w, w, w]
+    # census edge c joins corners c and c+1, opposite corner c+2
+    edges, _, _, inverse = _edge_census(mesh.logical[tri], tri)
+    w = 0.5 * np.bincount(inverse, weights=cots[:, [2, 0, 1]].T.ravel(),
+                          minlength=len(edges))
+    lo, hi = edges[:, 0], edges[:, 1]
+    n = mesh.n_logical
+    diag = np.bincount(lo, weights=w, minlength=n) + np.bincount(hi, weights=w, minlength=n)
+    every = np.arange(n)
     K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_logical, mesh.n_logical),
+        (np.concatenate([-w, -w, diag]),
+         (np.concatenate([lo, hi, every]), np.concatenate([hi, lo, every]))),
+        shape=(n, n),
     )
     return K.tocsr()
 

@@ -114,10 +114,9 @@ def _neck_fractions(mesh: SurfaceMesh, spectrum: Spectrum, j_max: int) -> tuple[
     ua = spectrum.eigenvectors[pos[uv[:, 0]]]
     ub = spectrum.eigenvectors[pos[uv[:, 1]]]
     per_edge = lengths[:, None] * 0.5 * (ua ** 2 + ub ** 2)
-    on_neck = np.array([(int(a) in tag) and (int(b) in tag) for a, b in uv])
+    on_neck = np.isin(uv, np.fromiter(tag, dtype=np.int64, count=len(tag))).all(axis=1)
     total = per_edge.sum(axis=0)
-    neck = per_edge[on_neck].sum(axis=0) if on_neck.any() else np.zeros_like(total)
-    fractions = neck / total
+    fractions = per_edge[on_neck].sum(axis=0) / total
     return tuple(float(f) for f in fractions[:j_max + 1])
 
 

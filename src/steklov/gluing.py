@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
 from .meshes import (ArcSite, Component, FlatCylinder, HoleSite, MobiusCylinder,
                      SurfaceMesh, UnitDisk, _grid_triangles, assemble_mesh,
-                     build_spec_mesh)
+                     build_spec_mesh, placed_rim_radius)
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,8 +111,8 @@ def _check_interior_clearance(family: GluedFamily) -> None:
             for j in range(i + 1, len(entries)):
                 pi, li = entries[i]
                 pj, lj = entries[j]
-                r_i = family.rho / li
-                r_j = family.rho / lj
+                r_i = placed_rim_radius(family.rho / li)
+                r_j = placed_rim_radius(family.rho / lj)
                 if np.linalg.norm(pi - pj) <= 4.0 * (r_i + r_j):
                     raise InvalidGluingError("interior neck disks too close together")
 
@@ -122,7 +122,7 @@ def _check_interior_clearance(family: GluedFamily) -> None:
 # ---------------------------------------------------------------------------
 
 class _Builder:
-    """Accumulates chart pieces, identifications and tags for one glued mesh."""
+    """Accumulates chart pieces, identifications and tags; assembles once at the end."""
 
     def __init__(self):
         self.points: list[np.ndarray] = []
@@ -133,23 +133,15 @@ class _Builder:
         self.offset = 0
         self.x_cursor = 0.0
 
-    def add_component(self, mesh: SurfaceMesh) -> int:
-        shift = np.array([self.x_cursor - mesh.vertices[:, 0].min(), 0.0])
-        self.points.append(mesh.vertices + shift)
-        self.triangles.append(mesh.triangles + self.offset)
-        if len(mesh.identifications):
-            self.idents.append(mesh.identifications + self.offset)
-        self.lam.append(mesh.conformal_factor[mesh.logical])
-        base = self.offset
-        self.offset += mesh.n_chart
-        self.x_cursor += (mesh.vertices[:, 0].max() - mesh.vertices[:, 0].min()) + 2.0
-        return base
-
-    def add_patch(self, points: np.ndarray, triangles: np.ndarray, lam: np.ndarray,
-                  tag_ids: dict[str, np.ndarray] | None = None) -> int:
+    def add(self, points: np.ndarray, triangles: np.ndarray, lam: np.ndarray,
+            identifications: np.ndarray = (),
+            tag_ids: dict[str, np.ndarray] | None = None) -> int:
+        """Place a chart piece right of the previous ones; returns its first chart id."""
         shift = np.array([self.x_cursor - points[:, 0].min(), 0.0])
         self.points.append(points + shift)
         self.triangles.append(triangles + self.offset)
+        if len(identifications):
+            self.idents.append(identifications + self.offset)
         self.lam.append(lam)
         base = self.offset
         if tag_ids:
@@ -158,6 +150,10 @@ class _Builder:
         self.offset += len(points)
         self.x_cursor += (points[:, 0].max() - points[:, 0].min()) + 2.0
         return base
+
+    def add_component(self, comp: Component) -> int:
+        return self.add(comp.vertices, comp.triangles, comp.conformal_chart,
+                        comp.identifications)
 
     def identify(self, pairs: np.ndarray) -> None:
         self.idents.append(np.asarray(pairs, dtype=np.int64))
@@ -206,7 +202,7 @@ def _find_interface(comp: Component, att: Attachment):
 def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceMesh:
     """Join prepared components with square boundary necks (node-matched)."""
     builder = _Builder()
-    bases = [builder.add_component(c.mesh) for c in components]
+    bases = [builder.add_component(c) for c in components]
     m = config.neck_segments
     for a, b in config.pairs:
         if a.interior or b.interior:
@@ -220,7 +216,7 @@ def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceM
         pts, tris, lam, idx = _graded_strip(config.rho, if_a.lam, if_b.lam, m, m,
                                             2.0 * config.rho, -0.5)
         side = np.concatenate([idx[:, 0], idx[:, m]])
-        base = builder.add_patch(pts, tris, lam, {"neck_boundary": side})
+        base = builder.add(pts, tris, lam, tag_ids={"neck_boundary": side})
         ids_a = if_a.chart_ids + bases[a.component]
         ids_b = if_b.chart_ids + bases[b.component]
         row0 = idx[0] + base
@@ -233,7 +229,7 @@ def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceM
 def glue_interior(components: list[Component], config: GluingConfig) -> SurfaceMesh:
     """Join prepared components with interior cylinder necks; boundary unchanged."""
     builder = _Builder()
-    bases = [builder.add_component(c.mesh) for c in components]
+    bases = [builder.add_component(c) for c in components]
     m = config.neck_segments
     for a, b in config.pairs:
         if not (a.interior and b.interior):
@@ -247,7 +243,7 @@ def glue_interior(components: list[Component], config: GluingConfig) -> SurfaceM
         n_len = max(2, int(round(m / math.pi)))
         pts, tris, lam, idx = _graded_strip(config.rho, if_a.lam, if_b.lam, n_len, m,
                                             TWO_PI * config.rho, 0.0)
-        base = builder.add_patch(pts, tris, lam)
+        base = builder.add(pts, tris, lam)
         builder.identify(np.stack([idx[:, 0] + base, idx[:, m] + base], axis=1))
         ids_a = if_a.chart_ids + bases[a.component]
         ids_b = if_b.chart_ids + bases[b.component]

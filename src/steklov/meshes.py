@@ -9,9 +9,17 @@ chart-only and the conformal factor enters solely through boundary lengths.
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`).  Disks
 and cylinders with neck sites share one site mesher (`_site_mesh`): graded
-patches, Qhull (`scipy.spatial`, imported only when needed), rims cut open,
-and a structured log collar below chart radius 1e-3 for tiny rims.  Qhull also
-triangulates disks too coarse for the ring merge.
+patches, a Delaunay stage, rims cut open, and a structured log collar below
+chart radius 1e-3 for tiny rims.  On a disk the Delaunay stage is confined to
+a band of rings around the patches (`_band_delaunay`): the rings inside and
+outside it are merged, Qhull (`scipy.spatial`, imported only when needed)
+sees only the band, and a certificate on the split rings
+(`_split_ring_delaunay`) joins the pieces or sends the chart to one whole-chart
+Qhull call.  Cylinders, and disks too coarse for the ring merge, go to Qhull.
+
+Builders return a `Component`: chart arrays plus neck interfaces.  A glued
+mesh is assembled once from its components' arrays; a component's own `mesh`
+is assembled only when a plain surface asks for it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,49 +123,57 @@ def _degenerate_triangles(vertices: np.ndarray, triangles: np.ndarray,
 
 
 def _edge_census(tri_logical: np.ndarray, triangles: np.ndarray):
-    """Unique logical edges with adjacency counts and one chart realization each."""
-    logical_e = np.concatenate([tri_logical[:, [0, 1]], tri_logical[:, [1, 2]],
-                                tri_logical[:, [2, 0]]])
-    chart_e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                              triangles[:, [2, 0]]])
-    lo = logical_e.min(axis=1)
-    hi = logical_e.max(axis=1)
+    """Unique logical edges with adjacency counts and one chart realization each.
+
+    Triangle edge c (c = 0, 1, 2) joins corners c and c+1 and sits at position
+    c * n_tri + t of the census; the chart realization of a unique edge is its
+    first position.  Also returns the unique-edge index of every position.
+    """
+    nxt = tri_logical[:, [1, 2, 0]]
+    lo = np.minimum(tri_logical, nxt).T.ravel()
+    hi = np.maximum(tri_logical, nxt).T.ravel()
     n = int(hi.max()) + 1 if len(hi) else 1
     # a * n + b orders the edges (a, b), a < b, lexicographically
-    key, first, counts = np.unique(lo * n + hi, return_index=True, return_counts=True)
-    uniq = np.stack([key // n, key % n], axis=1)
-    return uniq, counts, chart_e[first]
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")  # stable: each run starts at its first position
+    sorted_key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    counts = np.diff(np.append(starts, len(key)))
+    chart = np.stack([triangles.T.ravel()[first], triangles[:, [1, 2, 0]].T.ravel()[first]],
+                     axis=1)
+    return np.stack([lo[first], hi[first]], axis=1), counts, chart, inverse
 
 
 def _walk_loops(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Closed loops of boundary vertices, each from its lowest edge in that edge's order."""
+    ends = boundary_edges.tolist()
     incident: dict[int, list[int]] = {}
-    for eid, (a, b) in enumerate(boundary_edges):
-        incident.setdefault(int(a), []).append(eid)
-        incident.setdefault(int(b), []).append(eid)
+    for eid, (a, b) in enumerate(ends):
+        incident.setdefault(a, []).append(eid)
+        incident.setdefault(b, []).append(eid)
     for v, eids in incident.items():
         if len(eids) != 2:
             raise AssemblyError(f"boundary vertex {v} lies on {len(eids)} boundary edges")
-    used = np.zeros(len(boundary_edges), dtype=bool)
+    used = [False] * len(ends)
     loops = []
-    for start_eid in range(len(boundary_edges)):
-        if used[start_eid]:
+    for eid, (a, current) in enumerate(ends):
+        if used[eid]:
             continue
-        a, b = (int(x) for x in boundary_edges[start_eid])
-        used[start_eid] = True
-        loop = [a, b]
-        current = b
-        while True:
-            nxt = [e for e in incident[current] if not used[e]]
-            if not nxt:
-                break
-            eid = nxt[0]
-            used[eid] = True
-            u, v = (int(x) for x in boundary_edges[eid])
-            current = v if u == current else u
+        used[eid] = True
+        loop = [a]
+        while current != a:  # every vertex has two edges: leave by the other one
             loop.append(current)
-        if loop[0] != loop[-1]:
-            raise AssemblyError("boundary walk did not close into a loop")
-        loops.append(tuple(loop[:-1]))
+            e1, e2 = incident[current]
+            eid = e2 if e1 == eid else e1
+            used[eid] = True
+            u, v = ends[eid]
+            current = v if u == current else u
+        loops.append(tuple(loop))
     return tuple(loops)
 
 
@@ -190,7 +207,7 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         raise AssemblyError("conformal factor must be positive")
 
     tri_logical = labels[triangles]
-    edges, counts, chart_rep = _edge_census(tri_logical, triangles)
+    edges, counts, chart_rep, _ = _edge_census(tri_logical, triangles)
     if np.any(counts > 2):
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
@@ -246,7 +263,7 @@ def boundary_length(mesh: SurfaceMesh) -> float:
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
-    edges, _, _ = _edge_census(mesh.logical[mesh.triangles], mesh.triangles)
+    edges = _edge_census(mesh.logical[mesh.triangles], mesh.triangles)[0]
     return mesh.n_logical - len(edges) + mesh.n_triangles
 
 
@@ -262,7 +279,7 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
     # equal factors across identified pairs are structural here (one logical
     # slot per class); assemble_mesh rejects unequal chart inputs up front
 
-    edges, counts, _ = _edge_census(mesh.logical[mesh.triangles], mesh.triangles)
+    edges, counts, _, _ = _edge_census(mesh.logical[mesh.triangles], mesh.triangles)
     if np.any(counts > 2):
         report.append("edge shared by more than two triangles")
     derived = {tuple(e) for e in edges[counts == 1]}
@@ -371,10 +388,23 @@ class Interface:
     kind: str  # "arc" | "rim"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Component:
-    mesh: SurfaceMesh
+    """Chart arrays of one surface, as `assemble_mesh` takes them, and its interfaces.
+
+    A glue concatenates the chart arrays of its components and assembles the
+    glued mesh once; `mesh` assembles a component alone, for a plain surface.
+    """
+    vertices: np.ndarray
+    triangles: np.ndarray
+    identifications: np.ndarray
+    conformal_chart: np.ndarray
     interfaces: tuple[Interface, ...]
+
+    @cached_property
+    def mesh(self) -> SurfaceMesh:
+        return assemble_mesh(self.vertices, self.triangles, self.identifications,
+                             self.conformal_chart)
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -425,6 +455,11 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep):
 COLLAR_RADIUS = 1e-3
 
 
+def placed_rim_radius(r_rim: float) -> float:
+    """Chart radius at which the Delaunay stage sees a rim; clearances count from it."""
+    return max(r_rim, COLLAR_RADIUS)
+
+
 def _ring_points(center, radius: float, m: int) -> np.ndarray:
     ang = TWO_PI * np.arange(m) / m
     return np.asarray(center) + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -447,18 +482,21 @@ def _qhull_triangles(points: np.ndarray) -> np.ndarray:
 
 
 def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution: float,
-               inside, pinned: np.ndarray | None = None):
+               inside, pinned: np.ndarray | None = None, rings=None):
     """Chart triangulation refined around neck sites, with a hole cut at each rim.
 
     Points are `head` (placed first), then the rims, the `background` points
     outside every patch (or `pinned`), then the patches.  `arcs` holds the
     (centre, spacing) of boundary-arc patches and `holes` the (centre, rim
     radius, segments) of interior rims; `inside(q, s)` keeps patch points at
-    spacing s within the chart.  Qhull sees each rim at COLLAR_RADIUS or more,
-    and a structured log collar descends from there to the true rim.
+    spacing s within the chart.  The Delaunay stage sees each rim at
+    COLLAR_RADIUS or more, and a structured log collar descends from there to
+    the true rim.  On a disk chart, `rings` gives the (counts, offsets) of the
+    centre and bulk rings that make up `background`, `head` being the boundary
+    circle, and `_band_delaunay` triangulates; otherwise Qhull does.
     Returns the points, the triangles and each hole's true rim ids.
     """
-    rims = [(c, max(r_rim, COLLAR_RADIUS), m) for c, r_rim, m in holes]
+    rims = [(c, placed_rim_radius(r_rim), m) for c, r_rim, m in holes]
     patches = ([(c, h0, 1.9 * h0, 0.0) for c, h0 in arcs]
                + [(c, TWO_PI * r / m, r + TWO_PI * r / m, r) for c, r, m in rims])
     patch_pts, exclusions = [], []  # exclusions: (centre, radius)
@@ -484,7 +522,17 @@ def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution
     offsets = len(head) + np.cumsum([0] + [m for _, _, m in rims])
     rim_ids = [np.arange(o, o + m) for o, (_, _, m) in zip(offsets, rims)]
 
-    triangles = _qhull_triangles(points)
+    if rings is None:
+        triangles = _qhull_triangles(points)
+    else:
+        ring_counts, ring_offsets = rings
+        first = np.cumsum([0] + ring_counts[:-1])  # of each ring in `background`
+        # the rings the band split keeps are whole, so they lie at consecutive ids
+        kept_id = offsets[-1] + np.cumsum(far) - 1
+        triangles = _band_delaunay(points, np.append(kept_id[first], 0),
+                                   np.array(ring_counts + [len(head)]),
+                                   np.array(ring_offsets + [0.0]),
+                                   exclusions, uniform_boundary=not arcs)
     for ids in rim_ids:
         triangles = triangles[~np.isin(triangles, ids).all(axis=1)]
 
@@ -523,9 +571,11 @@ def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
                    offsets: np.ndarray) -> np.ndarray | None:
     """Delaunay triangulation of points on concentric rings, by merging the rings.
 
-    Ring r (ring 0 is the one-vertex centre) holds the vertices starts[r] + k at
-    angles offsets[r] + 2*pi*k/counts[r].  Each edge of ring r >= 1 takes as apex
-    the vertex of ring r-1 nearest its bisector: of that ring's vertices it sees
+    Ring r holds the vertices starts[r] + k at angles offsets[r] + 2*pi*k/counts[r];
+    ring 0 is the one-vertex centre or a full ring, which then bounds the
+    triangulation on the inside (its edges are left to the caller's Delaunay
+    test).  Each edge of ring r >= 1 takes as apex the
+    vertex of ring r-1 nearest its bisector: of that ring's vertices it sees
     the edge under the largest angle, so the triangles between two rings are
     those of their Delaunay triangulation (Guibas-Stolfi merge, 1985).  Ring
     r-1's edges then take the ring-r vertex between the outer edges whose apexes
@@ -533,7 +583,7 @@ def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     angles summing past pi): the triangulation then joins rings that are not
     consecutive, which coarse disks (resolution above ~0.64) do.
     """
-    ring = np.repeat(np.arange(1, len(counts)), counts[1:])  # ring of each edge
+    ring = np.repeat(np.arange(1, len(counts)), counts[1:])  # ring of each outer edge
     first = np.concatenate([[0], np.cumsum(counts[1:])])  # edge 0 of ring r at first[r-1]
     e = np.arange(len(ring)) - first[ring - 1]
     n, n_in = counts[ring], counts[ring - 1]
@@ -547,16 +597,89 @@ def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     apex0 = apex[first[:-1]]
     key = base[ring - 1] + apex - apex0[ring - 1]
     mid = ring < len(counts) - 1
-    r, k = ring[mid], e[mid]
+    n_first = counts[0] if counts[0] > 1 else 0  # a full ring 0 has edges too
+    r = np.concatenate([np.zeros(n_first, dtype=np.int64), ring[mid]])
+    k = np.concatenate([np.arange(n_first), e[mid]])
     j = np.searchsorted(key, base[r] + (k - apex0[r]) % counts[r], side="right") - first[r]
-    ring_edges = outward[mid, :2]
-    inward = np.stack([ring_edges[:, 1], ring_edges[:, 0],
+    inward = np.stack([starts[r] + (k + 1) % counts[r], starts[r] + k,
                        starts[r + 1] + j % counts[r + 1]], axis=1)
+    ring_edges = outward[mid, :2]
     cot_sum = (_cotangents(points, outward[mid, 2], ring_edges[:, 0], ring_edges[:, 1])
-               + _cotangents(points, inward[:, 2], ring_edges[:, 0], ring_edges[:, 1]))
+               + _cotangents(points, inward[n_first:, 2], ring_edges[:, 0], ring_edges[:, 1]))
     if np.any(cot_sum < -1e-12):  # ties (cocircular quads) sum to rounding noise
         return None
     return np.concatenate([outward, inward])
+
+
+def _split_ring_delaunay(points: np.ndarray, ring_ids: np.ndarray, band: np.ndarray,
+                         piece: np.ndarray) -> bool:
+    """Whether each edge of a split ring bounds one triangle on each side and passes
+    `_ring_delaunay`'s test, so that the two triangulations join into one Delaunay
+    triangulation (an edge that is locally Delaunay everywhere makes it global)."""
+    m = len(ring_ids)
+    pos = np.full(len(points), -1)
+    pos[ring_ids] = np.arange(m)
+    apexes = []
+    for tris in (band, piece):
+        a = pos[tris]
+        b = np.roll(a, -1, axis=1)  # edge c joins corners c and c+1, opposite corner c+2
+        fwd = (a >= 0) & (b >= 0) & ((b - a) % m == 1)
+        back = (a >= 0) & (b >= 0) & ((a - b) % m == 1)
+        t, c = np.nonzero(fwd | back)
+        edge = np.where(fwd[t, c], a[t, c], b[t, c])
+        if not np.array_equal(np.bincount(edge, minlength=m), np.ones(m, dtype=np.int64)):
+            return False
+        apex = np.empty(m, dtype=np.int64)
+        apex[edge] = tris[t, (c + 2) % 3]
+        apexes.append(apex)
+    nxt = np.roll(ring_ids, -1)
+    cot_sum = (_cotangents(points, apexes[0], ring_ids, nxt)
+               + _cotangents(points, apexes[1], ring_ids, nxt))
+    return bool(np.all(cot_sum >= -1e-12))
+
+
+def _band_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                   offsets: np.ndarray, exclusions, uniform_boundary: bool) -> np.ndarray:
+    """Delaunay triangulation of a disk chart whose neck patches cut a band of rings.
+
+    Ring i of the chart (0: the centre, last: the boundary circle) lies at
+    radius i / (len(counts) - 1); `exclusions` holds the (centre, radius) of
+    the disks the patches cover.  The band runs between split rings that every
+    exclusion disk clears by two ring spacings.  The inner disk is ring-merged,
+    the outer annulus too when the boundary is the uniform ring, and Qhull runs
+    on the band's points and split rings only (dropping its triangles spanned
+    by one split ring).  The pieces must pass `_split_ring_delaunay`; otherwise
+    Qhull triangulates the whole chart.
+    """
+    nr = len(counts) - 1
+    near = min(float(np.linalg.norm(c)) - rr for c, rr in exclusions)
+    far = max(float(np.linalg.norm(c)) + rr for c, rr in exclusions)
+    lo = int(math.floor(near * nr)) - 2  # outer ring of the inner disk
+    hi = int(math.ceil(far * nr)) + 2  # inner ring of the outer annulus
+    splits, pieces, off_band = [], [], []
+    if lo >= 1:
+        splits.append(lo)
+        pieces.append(_ring_delaunay(points, starts[:lo + 1], counts[:lo + 1],
+                                     offsets[:lo + 1]))
+        off_band += range(lo)
+    if uniform_boundary and hi < nr:
+        splits.append(hi)
+        pieces.append(_ring_delaunay(points, starts[hi:], counts[hi:], offsets[hi:]))
+        off_band += range(hi + 1, nr + 1)
+    if not splits or any(p is None for p in pieces):
+        return _qhull_triangles(points)
+    in_band = np.ones(len(points), dtype=bool)
+    for i in off_band:
+        in_band[starts[i]:starts[i] + counts[i]] = False
+    band_ids = np.flatnonzero(in_band)
+    band = band_ids[_qhull_triangles(points[band_ids])]
+    ring_ids = [starts[i] + np.arange(counts[i]) for i in splits]
+    for ids in ring_ids:
+        band = band[~np.isin(band, ids).all(axis=1)]
+    if not all(_split_ring_delaunay(points, ids, band, piece)
+               for ids, piece in zip(ring_ids, pieces)):
+        return _qhull_triangles(points)
+    return np.concatenate([band] + pieces)
 
 
 def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
@@ -585,7 +708,7 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         p = np.asarray(site.point, dtype=float)
         lam_p = float(base_lam(p[None])[0])
         r_rim = site.rho / lam_p
-        if np.linalg.norm(p) + 2.0 * r_rim >= 1.0:
+        if np.linalg.norm(p) + 2.0 * placed_rim_radius(r_rim) >= 1.0:
             raise InvalidGluingError("interior neck disk reaches the boundary")
         rim_meta.append((site, p, lam_p, r_rim))
 
@@ -608,7 +731,8 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
             boundary_pts, bulk_pts,
             [(p, 2.0 * w / site.segments) for site, p, lam_p, w in arc_meta],
             [(p, r_rim, site.segments) for site, p, lam_p, r_rim in rim_meta],
-            resolution, lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s)
+            resolution, lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s,
+            rings=(ring_counts, ring_offsets))
     else:
         # points are the boundary ring, then the centre and the bulk rings
         points = np.concatenate([boundary_pts, bulk_pts])
@@ -624,12 +748,12 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     for site, p, lam_p, _ in arc_meta + rim_meta:
         lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
 
-    mesh = assemble_mesh(points, triangles, [], lam_chart)
     interfaces = [Interface(site, np.asarray(idxs), lam_p, "arc")
                   for (site, p, lam_p, w), idxs in zip(arc_meta, arc_index_lists)]
     interfaces += [Interface(site, ids, lam_p, "rim")
                    for (site, p, lam_p, r_rim), ids in zip(rim_meta, rim_ids)]
-    return Component(mesh, tuple(interfaces))
+    return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), lam_chart,
+                     tuple(interfaces))
 
 
 def build_disk_mesh(resolution: float) -> SurfaceMesh:
@@ -678,13 +802,12 @@ def _cylinder_component(T: float, density: float, resolution: float,
     t_nodes = _fill_graded(0.0, T, fine_by_loop[0], fine_by_loop[1], resolution)
     points, triangles, idx = _grid_mesh(t_nodes, th_nodes)
     seam = np.stack([idx[:, 0], idx[:, -1]], axis=1)
-    lam_chart = np.full(len(points), density)
-    mesh = assemble_mesh(points, triangles, seam, lam_chart)
     interfaces = []
     for site, cols in zip(arc_sites, arc_cols):
         row = 0 if site.loop == 0 else len(t_nodes) - 1
         interfaces.append(Interface(site, idx[row, np.asarray(cols)], density, "arc"))
-    return Component(mesh, tuple(interfaces))
+    return Component(points, triangles, seam, np.full(len(points), density),
+                     tuple(interfaces))
 
 
 def build_cylinder_mesh(T: float, rho_b: float = 1.0, resolution: float = 0.05) -> SurfaceMesh:
@@ -721,14 +844,13 @@ def _mobius_component(T: float, density: float, resolution: float,
     seam = np.stack([idx[:, 0], idx[:, -1]], axis=1)
     antipodal = np.stack([idx[0, np.arange(n_half)],
                           idx[0, np.arange(n_half) + n_half]], axis=1)
-    lam_chart = np.full(len(points), density)
-    mesh = assemble_mesh(points, triangles, np.concatenate([seam, antipodal]), lam_chart)
     interfaces = []
     top = len(t_nodes) - 1
     for site, cols, section in zip(arc_sites, arc_cols_half, site_half):
         cols = np.asarray(cols) + section * n_half
         interfaces.append(Interface(site, idx[top, cols], density, "arc"))
-    return Component(mesh, tuple(interfaces))
+    return Component(points, triangles, np.concatenate([seam, antipodal]),
+                     np.full(len(points), density), tuple(interfaces))
 
 
 def build_mobius_mesh(T: float, resolution: float = 0.05,
@@ -767,9 +889,10 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
     for site in hole_sites:
         p = np.asarray(site.point, dtype=float)  # chart (theta, t)
         r_rim = site.rho / density
-        if not (2.0 * r_rim < p[1] < T - 2.0 * r_rim):
+        reach = 2.0 * placed_rim_radius(r_rim)
+        if not (reach < p[1] < T - reach):
             raise InvalidGluingError("interior neck disk reaches the cylinder boundary")
-        if not (2.0 * r_rim < p[0] < TWO_PI - 2.0 * r_rim):
+        if not (reach < p[0] < TWO_PI - reach):
             raise InvalidGluingError("interior neck disk crosses the chart seam")
         holes.append((p, r_rim, site.segments))
 
@@ -797,11 +920,10 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
         raise AssemblyError("cylinder seam columns do not match")
     seam = np.stack([left, right], axis=1)
 
-    lam_chart = np.full(len(points), density)
-    mesh = assemble_mesh(points, triangles, seam, lam_chart)
     interfaces = [Interface(site, ids, density, "rim")
                   for site, ids in zip(hole_sites, rim_ids)]
-    return Component(mesh, tuple(interfaces))
+    return Component(points, triangles, seam, np.full(len(points), density),
+                     tuple(interfaces))
 
 
 # ---------------------------------------------------------------------------

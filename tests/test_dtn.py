@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, spilu, splu
 
 import steklov as sk
@@ -38,6 +39,37 @@ class TestStiffness:
             coarse_disk_mesh, 3.7 * coarse_disk_mesh.conformal_factor)
         K2 = sk.assemble_stiffness(scaled)
         assert (K1 - K2).nnz == 0
+
+
+def corner_block_stiffness(mesh):
+    """Reference cotangent stiffness: a 2x2 block per triangle corner, summed as COO."""
+    pts, tri = mesh.vertices, mesh.triangles
+    lab = mesh.logical[tri]
+    rows, cols, vals = [], [], []
+    for corner in range(3):
+        i, j = (corner + 1) % 3, (corner + 2) % 3
+        e1 = pts[tri[:, i]] - pts[tri[:, corner]]
+        e2 = pts[tri[:, j]] - pts[tri[:, corner]]
+        w = 0.5 * np.einsum("ij,ij->i", e1, e2) / (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        rows += [lab[:, i], lab[:, j], lab[:, i], lab[:, j]]
+        cols += [lab[:, j], lab[:, i], lab[:, i], lab[:, j]]
+        vals += [-w, -w, w, w]
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(mesh.n_logical, mesh.n_logical)).tocsr()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sk.build_disk_mesh(0.05),
+    lambda: sk.build_cylinder_mesh(1.0, 1.0, 0.06),
+    lambda: sk.build_mobius_mesh(1.0, 0.06),
+    lambda: sk.build_glued_mesh(sk.chain_family([sk.UnitDisk()] * 2, 1e-4, INTERIOR_NECK),
+                                0.06),
+], ids=["disk", "cylinder", "mobius", "glued"])
+def test_edgewise_stiffness_matches_corner_blocks(build):
+    mesh = build()
+    K, ref = sk.assemble_stiffness(mesh), corner_block_stiffness(mesh)
+    assert K.nnz == ref.nnz
+    assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
 
 class TestBoundaryMass:

@@ -8,6 +8,7 @@ import steklov as sk
 import steklov.experiments
 from steklov.dtn import build_dtn
 from steklov.experiments import write_report
+from steklov.meshes import boundary_edge_lengths
 
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi
@@ -256,6 +257,22 @@ class TestNeckDiagnostic:
         neck_length = 4 * row.rho
         assert row.neck_fractions[0] == pytest.approx(
             neck_length / row.boundary_length, rel=1e-6)
+
+    def test_fractions_match_edge_loop(self, two_disk_sweep):
+        """The vectorized neck membership reproduces a per-edge loop bit for bit."""
+        row = two_disk_sweep.rows[-1]
+        mesh = sk.build_glued_mesh(sk.chain_family([sk.UnitDisk()] * 2, row.rho), 0.06)
+        spec = sk.steklov_spectrum(mesh, 6, want_vectors=True)
+        tag = mesh.tags["neck_boundary"]
+        uv = mesh.logical[mesh.boundary_edge_chart]
+        pos = -np.ones(mesh.n_logical, dtype=np.int64)
+        pos[spec.boundary_index] = np.arange(len(spec.boundary_index))
+        ua, ub = spec.eigenvectors[pos[uv[:, 0]]], spec.eigenvectors[pos[uv[:, 1]]]
+        per_edge = boundary_edge_lengths(mesh)[:, None] * 0.5 * (ua ** 2 + ub ** 2)
+        on_neck = np.array([(int(a) in tag) and (int(b) in tag) for a, b in uv])
+        assert 0 < on_neck.sum() < len(uv)
+        loop = per_edge[on_neck].sum(axis=0) / per_edge.sum(axis=0)
+        assert row.neck_fractions == tuple(float(f) for f in loop[:3])
 
     def test_missing_vectors_rejected(self):
         sweep = sk.glue_sweep([sk.UnitDisk()] * 2, 1, (0.1,), 0.1,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import steklov as sk
+from steklov import gluing, meshes
 from steklov.gluing import Attachment, GluedFamily, glue_interior, prepare_components
 from steklov.meshes import HoleSite
 from steklov.experiments import annulus_self_glued, chain_family
@@ -106,6 +107,23 @@ class TestInteriorGlue:
         with pytest.raises(sk.InvalidGluingError):
             sk.build_glued_mesh(fam, 0.1)
 
+    # tiny rims are meshed at the collar radius 1e-3, and clearances count from there
+    def test_tiny_rim_near_disk_boundary_rejected(self):
+        fam = GluedFamily(
+            (sk.UnitDisk(), sk.UnitDisk()), 1e-7,
+            ((Attachment(0, point=(0.9995, 0.0)), Attachment(1, point=(0.0, 0.0))),),
+            "interior-cylinder")
+        with pytest.raises(sk.InvalidGluingError):
+            sk.build_glued_mesh(fam, 0.05)
+
+    def test_tiny_rims_close_together_rejected(self):
+        fam = GluedFamily(
+            (sk.FlatCylinder(1.0),), 1e-7,
+            ((Attachment(0, point=(3.0, 0.5)), Attachment(0, point=(3.0001, 0.5))),),
+            "interior-cylinder")
+        with pytest.raises(sk.InvalidGluingError):
+            sk.build_glued_mesh(fam, 0.06)
+
 
 class TestUncommonConfigurations:
     def test_nonconstant_field_blends_to_attachment_density(self):
@@ -144,6 +162,32 @@ class TestUncommonConfigurations:
             ((Attachment(0, theta=math.pi), Attachment(1, theta=1.5 * math.pi)),))
         with pytest.raises(sk.InvalidParameterError):
             sk.build_glued_mesh(fam, 0.1)
+
+
+class TestOneAssembly:
+    @pytest.mark.parametrize("kind", ["boundary-square", "interior-cylinder"])
+    def test_glued_mesh_assembled_once(self, kind, monkeypatch):
+        calls = []
+        real = gluing.assemble_mesh
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gluing, "assemble_mesh", counted)
+        monkeypatch.setattr(meshes, "assemble_mesh", counted)
+        mesh = sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 3, 0.05, kind), 0.08)
+        assert calls == [mesh.n_chart]
+
+    def test_plain_surface_assembled_on_request(self, monkeypatch):
+        calls = []
+        real = meshes.assemble_mesh
+        monkeypatch.setattr(meshes, "assemble_mesh",
+                            lambda *args: calls.append(1) or real(*args))
+        comp = sk.build_spec_mesh(sk.FlatCylinder(1.0), 0.1)
+        assert calls == []
+        assert comp.mesh is comp.mesh
+        assert calls == [1]
 
 
 class TestCleanliness:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import steklov as sk
+from steklov import meshes
 from steklov.experiments import chain_family
 from steklov.meshes import (_ArcRequest, _fill_graded, _parameter_grid, _ring_delaunay,
                             assemble_mesh)
@@ -109,6 +110,96 @@ class TestRingDelaunayDisk:
         mesh = sk.build_disk_mesh(0.7)
         assert np.array_equal(mesh.vertices, points)
         assert abs(sk.assemble_stiffness(mesh) - _qhull_stiffness(points)).max() == 0.0
+
+
+def _chain(n, rho, kind="boundary-square"):
+    return chain_family([sk.UnitDisk()] * n, rho, kind)
+
+
+BAND_CASES = {
+    "two-disk boundary 0.2": (_chain(2, 0.2), 0.03),
+    "two-disk boundary 0.025": (_chain(2, 0.025), 0.03),
+    "two-disk interior 1e-2": (_chain(2, 1e-2, "interior-cylinder"), 0.03),
+    "two-disk interior 1e-9": (_chain(2, 1e-9, "interior-cylinder"), 0.03),
+    "three-disk boundary 0.025": (_chain(3, 0.025), 0.035),
+    "three-disk interior 1e-3": (_chain(3, 1e-3, "interior-cylinder"), 0.05),
+}
+
+
+def _whole_chart_delaunay(points, *args, **kwargs):
+    """Stands in for `_band_delaunay`: scipy.spatial.Delaunay on the whole chart."""
+    return meshes._qhull_triangles(points)
+
+
+def _qhull_sizes(monkeypatch):
+    sizes = []
+    real = meshes._qhull_triangles
+    monkeypatch.setattr(meshes, "_qhull_triangles",
+                        lambda points: sizes.append(len(points)) or real(points))
+    return sizes
+
+
+class TestBandDelaunay:
+    """Disks with neck sites: Qhull on a band of rings, ring merges inside and outside."""
+
+    @pytest.fixture(scope="class", params=list(BAND_CASES))
+    def pair(self, request):
+        family, resolution = BAND_CASES[request.param]
+        with pytest.MonkeyPatch.context() as mp:
+            band_sizes = _qhull_sizes(mp)
+            band = sk.build_glued_mesh(family, resolution)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(meshes, "_band_delaunay", _whole_chart_delaunay)
+            whole_sizes = _qhull_sizes(mp)
+            whole = sk.build_glued_mesh(family, resolution)
+        return band, whole, (band_sizes, whole_sizes)
+
+    def test_stiffness_matches_whole_chart_delaunay(self, pair):
+        band, whole, _ = pair
+        K_whole = sk.assemble_stiffness(whole)
+        assert abs(sk.assemble_stiffness(band) - K_whole).max() <= 1e-12 * abs(K_whole).max()
+
+    def test_everything_but_triangles_bitwise_equal(self, pair):
+        band, whole, _ = pair
+        for name in ("vertices", "identifications", "logical", "conformal_factor",
+                     "boundary_edge_chart"):
+            assert np.array_equal(getattr(band, name), getattr(whole, name)), name
+        assert band.boundary_loops == whole.boundary_loops
+        assert band.tags == whole.tags
+        assert band.n_triangles == whole.n_triangles
+
+    def test_qhull_sees_only_the_band(self, pair):
+        *_, (band_sizes, whole_sizes) = pair
+        # one call per distinct component; coarse charts leave wide bands (0.5 of
+        # the points at resolution 0.05), fine ones narrow bands (0.06 at 0.03)
+        assert len(band_sizes) == len(whole_sizes) > 0
+        assert all(b < 0.6 * w for b, w in zip(band_sizes, whole_sizes))
+
+    def test_certificate_failure_falls_back_to_whole_chart_qhull(self, monkeypatch):
+        family, resolution = BAND_CASES["two-disk interior 1e-2"]
+        monkeypatch.setattr(meshes, "_split_ring_delaunay", lambda *args: False)
+        sizes = _qhull_sizes(monkeypatch)
+        fallback = sk.build_glued_mesh(family, resolution)
+        # the band's Qhull call, then the whole chart's
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+        monkeypatch.setattr(meshes, "_band_delaunay", _whole_chart_delaunay)
+        whole = sk.build_glued_mesh(family, resolution)
+        assert np.array_equal(fallback.triangles, whole.triangles)
+
+    def test_certificate_checks_the_opposite_angles(self):
+        m = 8
+        ang = TWO_PI * np.arange(m) / m
+        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        ids = np.arange(m)
+        inside = np.stack([ids, np.roll(ids, -1), np.full(m, m)], axis=1)  # fan to the centre
+        outside = np.stack([ids, np.roll(ids, -1), m + 1 + ids], axis=1)
+        mid = ang + math.pi / m
+        for radius, delaunay in ((2.0, True), (1.02, False)):
+            apex = radius * np.stack([np.cos(mid), np.sin(mid)], axis=1)
+            points = np.concatenate([ring, [[0.0, 0.0]], apex])
+            assert meshes._split_ring_delaunay(points, ids, outside, inside) is delaunay
+        # an edge missing from one side fails as well
+        assert not meshes._split_ring_delaunay(points, ids, outside[1:], inside)
 
 
 def test_scipy_spatial_loads_only_for_qhull_meshes():
