@@ -12,8 +12,7 @@ from .closed_form import (Branch, Constant, SupremumResult, all_constants,
                           cylinder_spectrum, disk_spectrum, cylinder_sigma2bar_deficit,
                           invariant_supremum, mobius_spectrum,
                           solve_bracketed_root, spectrum_for)
-from .dtn import (DtnOperator, assemble_stiffness, build_dtn,
-                  export_eigenvectors, rayleigh_quotient, schur_dtn,
+from .dtn import (DtnOperator, assemble_stiffness, build_dtn, schur_dtn,
                   steklov_spectrum)
 from .errors import (AssemblyError, BracketError, FactorizationError,
                      InvalidGluingError, InvalidParameterError, ResolutionError,
@@ -23,14 +22,12 @@ from .experiments import (ComparisonRecord, SweepResult, SweepRow,
                           cutoff_energy_law, glue_sweep, glued_limit_spectrum,
                           interior_glue_sweep, neck_mass_diagnostic,
                           noninvariant_comparison, touching_disks_sharpness)
-from .gluing import (Attachment, GluedFamily, GluingConfig, build_glued_mesh,
-                     build_metric_mesh, glue_boundary, glue_interior,
-                     prepare_components)
+from .gluing import (Attachment, GluedFamily, build_glued_mesh, build_metric_mesh,
+                     glue_boundary, glue_interior, prepare_components)
 from .meshes import (FlatCylinder, MobiusCylinder, SurfaceMesh, UnitDisk,
                      boundary_length, build_cylinder_mesh, build_disk_mesh,
                      build_log_annulus_mesh, build_mobius_mesh, build_spec_mesh,
-                     euler_characteristic, export_off, export_sidecar,
-                     validate_mesh, with_conformal_factor)
+                     euler_characteristic, validate_mesh, with_conformal_factor)
 from .spectra import EMPTY, Spectrum, make_spectrum, merge_spectra
 
 __version__ = "0.1.0"

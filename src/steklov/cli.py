@@ -1,12 +1,13 @@
 """Command-line interface: constants, spectra, degeneration sweeps, comparisons,
-and the acceptance suite.
+random-metric eigenvalue bounds, and the acceptance suite.
 
 Exit status: 0 on success; 1 when a verification criterion or comparison fails,
 or when a computation raises a domain error (printed as `error: <Type>:
 <message>`, with no report written); 2 on usage errors.  Identical invocations
-produce byte-identical output files.  The reports of `spectrum`, `sweep` and
-`compare` are named by a hash of their parameters, so runs that differ in any
-parameter never overwrite each other; `constants` and `verify` write fixed names.
+produce byte-identical output files.  The reports of `spectrum`, `sweep`,
+`compare` and `bounds` are named by a hash of their parameters, so runs that
+differ in any parameter never overwrite each other; `constants` and `verify`
+write fixed names.
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-PRESETS = ("two-disks", "k-disks", "catenoid-disk", "mobius-critical")
+PRESETS = ("two-disks", "two-disks-interior", "k-disks", "catenoid-disk", "mobius-critical")
 
 
 def _preset_components(preset: str, k: int):
-    if preset == "two-disks":
+    if preset in ("two-disks", "two-disks-interior"):
         return [UnitDisk(), UnitDisk()], 2
     if preset == "k-disks":
         return [UnitDisk()] * k, k
@@ -156,7 +157,8 @@ def cmd_sweep(args) -> int:
         raise InvalidParameterError("--k must be >= 1")
     components, k_default = _preset_components(args.preset, args.k or 2)
     k = args.k or k_default
-    sweep = ex.glue_sweep(components, k, rho_list, args.resolution)
+    run_sweep = ex.interior_glue_sweep if args.preset == "two-disks-interior" else ex.glue_sweep
+    sweep = run_sweep(components, k, rho_list, args.resolution)
     rows = []
     for row in sweep.rows:
         if row.failure:
@@ -173,9 +175,12 @@ def cmd_sweep(args) -> int:
         rows.append(entry)
     target = sweep.target.sigma_bar(k)
     # a failed row at any rho fails the sweep; the final row carries the limit
-    failed = any("failure" in r for r in rows)
-    verdict = "pass" if not failed and abs(rows[-1]["sigma_bar_k"] - target) <= 0.05 * target \
-        else "fail"
+    converged = (not any("failure" in r for r in rows)
+                 and abs(rows[-1]["sigma_bar_k"] - target) <= 0.05 * target)
+    # across a boundary neck, the eigenfunctions' boundary mass must leave the neck
+    shedding = (not any(row.neck_fractions is not None for row in sweep.rows)
+                or all(ex.neck_mass_diagnostic(sweep, k)["decreasing"].values()))
+    verdict = "pass" if converged and shedding else "fail"
     params = {"preset": args.preset, "k": k, "rho": list(rho_list),
               "resolution": args.resolution}
     paths = ex.write_report(_outdir(args), f"sweep-{args.preset}", params, rows, verdict)
@@ -186,6 +191,8 @@ def cmd_sweep(args) -> int:
         else:
             print(f"rho={r['rho']:g}: sigma_bar_{k} = {r['sigma_bar_k']:.6f}, "
                   f"L = {r['boundary_length']:.6f}")
+    if not shedding:
+        print("neck boundary-mass fractions do not fall toward the smallest rho")
     print(f"verdict: {verdict}; report: {paths['json']}")
     return 0 if verdict == "pass" else 1
 
@@ -202,6 +209,22 @@ def cmd_compare(args) -> int:
           f"(margin {record.margin:+.6f})")
     print(f"verdict: {record.verdict}; report: {paths['json']}")
     return 0 if record.verdict == "pass" else 1
+
+
+def cmd_bounds(args) -> int:
+    checks = []  # every check runs before any report is written
+    for kind, trials in (("hps-disk", args.trials),
+                         ("karpukhin-annulus", max(args.trials // 2, 1))):
+        report = ex.bound_check(kind, trials=trials, seed=args.seed, k_max=args.k_max)
+        checks.append((kind, {"trials": trials, "seed": args.seed, "k_max": args.k_max},
+                       report))
+    out = _outdir(args)
+    for kind, params, report in checks:
+        paths = ex.write_report(out, f"bounds-{kind}", params, report["rows"],
+                                report["verdict"])
+        print(f"{kind}: {params['trials']} trials, worst ratio "
+              f"{report['worst_ratio']:.4f} -> {report['verdict']}; report: {paths['json']}")
+    return 0 if all(report["verdict"] == "pass" for _, _, report in checks) else 1
 
 
 def cmd_verify(args) -> int:
@@ -261,6 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     common(p)
     p.set_defaults(fn=cmd_compare)
+
+    p = sub.add_parser("bounds", help="seeded random metrics against sigma_bar_k <= 2*pi*k "
+                                      "(disk) and 2*pi*(k+1) (annulus)")
+    p.add_argument("--trials", type=int, default=50,
+                   help="disk trials; the annulus runs max(trials // 2, 1)")
+    p.add_argument("--seed", type=int, default=20240811)
+    p.add_argument("--k-max", type=int, default=5)
+    common(p)
+    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     common(p)

@@ -15,16 +15,16 @@ symmetric with eigenvalues theta = 1 / (sigma - s); one block solve lifts its
 eigenvectors to the full vertex vectors, whose boundary rows are the traces.
 
 The dense discrete Dirichlet-to-Neumann operator (`schur_dtn`, the Schur
-complement of K onto the boundary) is kept where it pays for itself or is
-itself under test: `DtnOperator` reuse across many boundary densities,
-`rayleigh_quotient`, the symmetry and kernel checks, and a `count` too close
-to n_boundary for Lanczos.  It is read off one sparse LU of the SPD matrix
-K + E_b E_b' eliminated interior first, in a fill-reducing order, and boundary
-last: the trailing factor block gives L_bb U_bb = DtN + I, with no solve
-against a dense n_interior x n_boundary right-hand side.  The interior order is
-SuperLU's minimum-degree column order (with its elimination-tree postorder) of
-the interior block, taken from an incomplete LU that drops every entry, so the
-ordering costs no numeric interior factorization.
+complement of K onto the boundary) is kept where it pays for itself:
+`DtnOperator` reuse across many boundary densities, and a `count` too close to
+n_boundary for Lanczos.  It checks its own symmetry and kernel.  It is read off
+one sparse LU of the SPD matrix K + E_b E_b' eliminated interior first, in a
+fill-reducing order, and boundary last: the trailing factor block gives
+L_bb U_bb = DtN + I, with no solve against a dense n_interior x n_boundary
+right-hand side.  The interior order is SuperLU's minimum-degree column order
+(with its elimination-tree postorder) of the interior block, taken from an
+incomplete LU that drops every entry, so the ordering costs no numeric
+interior factorization.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
 
 from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
                      SolverError)
-from .meshes import SurfaceMesh, _edge_census, boundary_edge_lengths
+from .meshes import SurfaceMesh, boundary_edge_lengths
 from .spectra import CLUSTER_RTOL_FEM, Spectrum, make_spectrum
 
 RESIDUAL_RTOL = 1e-10
@@ -64,11 +64,10 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
         -np.einsum("ij,ij->i", e2, e0) / area2,
         -np.einsum("ij,ij->i", e0, e1) / area2,
     ], axis=1)  # cot of the angle at each corner
-    # census edge c joins corners c and c+1, opposite corner c+2
-    edges, _, _, inverse = _edge_census(mesh.logical[tri], tri)
-    w = 0.5 * np.bincount(inverse, weights=cots[:, [2, 0, 1]].T.ravel(),
-                          minlength=len(edges))
-    lo, hi = edges[:, 0], edges[:, 1]
+    # each edge's weight is half the cotangents of the (one or two) corners facing it
+    w = 0.5 * np.bincount(mesh.opposite_edge.ravel(), weights=cots.ravel(),
+                          minlength=len(mesh.edges))
+    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
     n = mesh.n_logical
     diag = np.bincount(lo, weights=w, minlength=n) + np.bincount(hi, weights=w, minlength=n)
     every = np.arange(n)
@@ -288,34 +287,8 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
     )
 
 
-def export_eigenvectors(spectrum: Spectrum, mesh: SurfaceMesh, path) -> None:
-    """JSON array of boundary traces, one list per eigenvector, in loop order."""
-    import json
-    if spectrum.eigenvectors is None or spectrum.boundary_index is None:
-        raise InvalidParameterError("spectrum carries no eigenvectors")
-    pos = {int(v): i for i, v in enumerate(spectrum.boundary_index)}
-    order = [pos[v] for loop in mesh.boundary_loops for v in loop]
-    traces = spectrum.eigenvectors[order].T
-    with open(path, "w") as fh:
-        json.dump([[float(x) for x in column] for column in traces], fh)
-        fh.write("\n")
-
-
-def rayleigh_quotient(mesh: SurfaceMesh, trace: np.ndarray) -> float:
-    """(f' DtN f) / (f' M f) for a boundary trace f (indexed like boundary_index)."""
-    op = build_dtn(mesh)
-    f = np.asarray(trace, dtype=float)
-    if f.shape != op.boundary_index.shape:
-        raise InvalidParameterError("trace must have one value per boundary vertex")
-    mass = boundary_mass_vector(mesh)[op.boundary_index]
-    denom = float(f @ (mass * f))
-    if denom <= 0:
-        raise InvalidParameterError("trace has zero boundary norm")
-    return float(f @ (op.matrix @ f)) / denom
-
-
 __all__ = [
     "assemble_stiffness", "boundary_mass_vector",
     "schur_dtn", "DtnOperator", "build_dtn", "steklov_spectrum",
-    "rayleigh_quotient", "boundary_edge_lengths", "export_eigenvectors",
+    "boundary_edge_lengths",
 ]

@@ -281,8 +281,10 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
     sigma_bar_k <= 2*pi*(k+1) on the cylinder.  Reports worst ratios; the
     verdict allows the stated discretization slack.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    if trials < 1 or k_max < 1:
+        raise InvalidParameterError("trials and k_max must be >= 1")
+    if seed < 0:
+        raise InvalidParameterError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     rows = []
     if kind == "hps-disk":

@@ -23,6 +23,7 @@ TWO_PI = 2.0 * math.pi
 
 BOUNDARY_NECK = "boundary-square"
 INTERIOR_NECK = "interior-cylinder"
+NECK_SEGMENTS = 16  # segments along a boundary neck's arc and around an interior rim
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,6 @@ class Attachment:
     @property
     def interior(self) -> bool:
         return self.point is not None
-
-
-@dataclass(frozen=True)
-class GluingConfig:
-    pairs: tuple[tuple[Attachment, Attachment], ...]
-    rho: float
-    resolution: float
-    neck_segments: int = 16
-
-    @property
-    def flatten_radius(self) -> float:
-        return math.sqrt(self.rho)
 
 
 @dataclass(frozen=True)
@@ -199,12 +188,12 @@ def _find_interface(comp: Component, att: Attachment):
     raise AssemblyError("component was not prepared with the requested attachment")
 
 
-def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceMesh:
+def glue_boundary(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     """Join prepared components with square boundary necks (node-matched)."""
     builder = _Builder()
     bases = [builder.add_component(c) for c in components]
-    m = config.neck_segments
-    for a, b in config.pairs:
+    m = NECK_SEGMENTS
+    for a, b in family.pairs:
         if a.interior or b.interior:
             raise InvalidParameterError("boundary gluing needs boundary attachments")
         if_a = _find_interface(components[a.component], a)
@@ -213,8 +202,8 @@ def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceM
             if len(iface.chart_ids) != m + 1:
                 raise AssemblyError("attachment arc discretization does not match the neck")
         # a square: side 2*rho both ways, centred on the arc
-        pts, tris, lam, idx = _graded_strip(config.rho, if_a.lam, if_b.lam, m, m,
-                                            2.0 * config.rho, -0.5)
+        pts, tris, lam, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, m, m,
+                                            2.0 * family.rho, -0.5)
         side = np.concatenate([idx[:, 0], idx[:, m]])
         base = builder.add(pts, tris, lam, tag_ids={"neck_boundary": side})
         ids_a = if_a.chart_ids + bases[a.component]
@@ -226,12 +215,12 @@ def glue_boundary(components: list[Component], config: GluingConfig) -> SurfaceM
     return builder.finish()
 
 
-def glue_interior(components: list[Component], config: GluingConfig) -> SurfaceMesh:
+def glue_interior(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     """Join prepared components with interior cylinder necks; boundary unchanged."""
     builder = _Builder()
     bases = [builder.add_component(c) for c in components]
-    m = config.neck_segments
-    for a, b in config.pairs:
+    m = NECK_SEGMENTS
+    for a, b in family.pairs:
         if not (a.interior and b.interior):
             raise InvalidParameterError("interior gluing needs interior attachments")
         if_a = _find_interface(components[a.component], a)
@@ -241,8 +230,8 @@ def glue_interior(components: list[Component], config: GluingConfig) -> SurfaceM
                 raise AssemblyError("rim discretization does not match the neck")
         # a tube: circumference 2*pi*rho, seam at columns 0 and m
         n_len = max(2, int(round(m / math.pi)))
-        pts, tris, lam, idx = _graded_strip(config.rho, if_a.lam, if_b.lam, n_len, m,
-                                            TWO_PI * config.rho, 0.0)
+        pts, tris, lam, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, n_len, m,
+                                            TWO_PI * family.rho, 0.0)
         base = builder.add(pts, tris, lam)
         builder.identify(np.stack([idx[:, 0] + base, idx[:, m] + base], axis=1))
         ids_a = if_a.chart_ids + bases[a.component]
@@ -259,8 +248,8 @@ def glue_interior(components: list[Component], config: GluingConfig) -> SurfaceM
 # family driver
 # ---------------------------------------------------------------------------
 
-def prepare_components(family: GluedFamily, resolution: float,
-                       neck_segments: int = 16) -> tuple[list[Component], GluingConfig]:
+def prepare_components(family: GluedFamily, resolution: float) -> list[Component]:
+    """Mesh each component with the neck sites of the family's attachments."""
     if family.rho <= 0:
         raise InvalidParameterError("neck parameter rho must be positive")
     if family.neck_kind == BOUNDARY_NECK:
@@ -269,18 +258,16 @@ def prepare_components(family: GluedFamily, resolution: float,
         _check_interior_clearance(family)
     else:
         raise InvalidParameterError(f"unknown neck kind {family.neck_kind!r}")
-    config = GluingConfig(pairs=family.pairs, rho=family.rho,
-                          resolution=resolution, neck_segments=neck_segments)
     arc_sites: dict[int, list[ArcSite]] = {i: [] for i in range(len(family.components))}
     hole_sites: dict[int, list[HoleSite]] = {i: [] for i in range(len(family.components))}
     for a, b in family.pairs:
         for att in (a, b):
             if att.interior:
                 hole_sites[att.component].append(
-                    HoleSite(tuple(att.point), family.rho, neck_segments))
+                    HoleSite(tuple(att.point), family.rho, NECK_SEGMENTS))
             else:
                 arc_sites[att.component].append(
-                    ArcSite(att.loop, att.theta, family.rho, neck_segments))
+                    ArcSite(att.loop, att.theta, family.rho, NECK_SEGMENTS))
     built: dict = {}  # equal specs with equal sites mesh identically: build each once
     comps = []
     for i, spec in enumerate(family.components):
@@ -288,15 +275,14 @@ def prepare_components(family: GluedFamily, resolution: float,
         if key not in built:
             built[key] = build_spec_mesh(spec, resolution, key[1], key[2])
         comps.append(built[key])
-    return comps, config
+    return comps
 
 
-def build_glued_mesh(family: GluedFamily, resolution: float,
-                     neck_segments: int = 16) -> SurfaceMesh:
-    comps, config = prepare_components(family, resolution, neck_segments)
+def build_glued_mesh(family: GluedFamily, resolution: float) -> SurfaceMesh:
+    comps = prepare_components(family, resolution)
     if family.neck_kind == BOUNDARY_NECK:
-        return glue_boundary(comps, config)
-    return glue_interior(comps, config)
+        return glue_boundary(comps, family)
+    return glue_interior(comps, family)
 
 
 def build_metric_mesh(spec: MetricSpec, resolution: float) -> SurfaceMesh:

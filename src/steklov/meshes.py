@@ -24,7 +24,6 @@ is assembled only when a plain surface asks for it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -77,6 +76,8 @@ class SurfaceMesh:
     conformal_factor: np.ndarray      # (n_logical,) positive
     boundary_loops: tuple[tuple[int, ...], ...]  # ordered logical ids, closed
     boundary_edge_chart: np.ndarray   # (nb, 2) chart endpoints of the unique chart edge
+    edges: np.ndarray                 # (ne, 2) unique logical edges (lo, hi), lexicographic
+    opposite_edge: np.ndarray         # (nt, 3) index into edges of the edge opposite each corner
     tags: dict[str, frozenset[int]] = field(default_factory=dict)
 
     @property
@@ -207,7 +208,7 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         raise AssemblyError("conformal factor must be positive")
 
     tri_logical = labels[triangles]
-    edges, counts, chart_rep, _ = _edge_census(tri_logical, triangles)
+    edges, counts, chart_rep, inverse = _edge_census(tri_logical, triangles)
     if np.any(counts > 2):
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
@@ -228,6 +229,9 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         conformal_factor=_freeze(lam),
         boundary_loops=loops,
         boundary_edge_chart=_freeze(boundary_edge_chart),
+        edges=_freeze(edges),
+        # census edge c joins corners c and c+1, so corner c faces edge c+1
+        opposite_edge=_freeze(inverse.reshape(3, -1).T[:, [1, 2, 0]]),
         tags=tags,
     )
 
@@ -263,8 +267,7 @@ def boundary_length(mesh: SurfaceMesh) -> float:
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
-    edges = _edge_census(mesh.logical[mesh.triangles], mesh.triangles)[0]
-    return mesh.n_logical - len(edges) + mesh.n_triangles
+    return mesh.n_logical - len(mesh.edges) + mesh.n_triangles
 
 
 def validate_mesh(mesh: SurfaceMesh) -> list[str]:
@@ -301,13 +304,24 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
 
 def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float,
                  growth: float = 0.4) -> np.ndarray:
-    """Nodes on [a, b] with end spacings h_a, h_b growing toward h_max."""
+    """Nodes on [a, b] with end spacings h_a, h_b growing toward h_max.
+
+    The node density 1/h is integrated by the trapezoid rule on steps of
+    h_max / 8, refined near a fine end by steps of h / 32 that grow
+    geometrically with h, so the rule costs O(log(h_max / h_a)) samples there.
+    """
     span = b - a
     h_a = min(h_a, h_max)
     h_b = min(h_b, h_max)
     if span <= 1.2 * min(h_a, h_b):
         return np.array([a, b])
-    xs = np.linspace(a, b, max(64, int(8 * span / min(h_a, h_b, h_max)) + 1))
+    xs = np.linspace(a, b, max(64, int(8 * span / h_max) + 1))
+    ratio = 1.0 + growth / 32.0
+    for end, h_end, inward in ((a, h_a, 1.0), (b, h_b, -1.0)):
+        if h_end < h_max:
+            steps = np.arange(int(math.log(h_max / h_end) / math.log(ratio)) + 1)
+            d = h_end / growth * (ratio ** steps - 1.0)  # d_{i+1} - d_i = h(d_i) / 32
+            xs = np.union1d(xs, end + inward * d[d < span])
     h = np.minimum(h_max, np.minimum(h_a + growth * (xs - a), h_b + growth * (b - xs)))
     w = 1.0 / h
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))])
@@ -939,30 +953,3 @@ def build_log_annulus_mesh(r_in: float, r_out: float, n_radial: int,
     points = np.concatenate([_ring_points((0.0, 0.0), r, n_angular) for r in radii])
     triangles = _ring_strips(np.arange(len(points)).reshape(n_radial + 1, n_angular))
     return assemble_mesh(points, triangles, [], np.ones(len(points)))
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def export_off(mesh: SurfaceMesh, path) -> None:
-    """OFF text file of the chart triangulation (z = 0)."""
-    lines = ["OFF", f"{mesh.n_chart} {mesh.n_triangles} 0"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x!r} {y!r} 0.0")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_sidecar(mesh: SurfaceMesh, path) -> None:
-    """JSON sidecar: conformal factor, identifications, boundary loops."""
-    payload = {
-        "conformal_factor": [float(v) for v in mesh.conformal_factor],
-        "identifications": [[int(a), int(b)] for a, b in mesh.identifications],
-        "boundary_loops": [[int(v) for v in loop] for loop in mesh.boundary_loops],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")

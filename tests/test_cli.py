@@ -1,15 +1,20 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import steklov.acceptance
 import steklov.cli
 import steklov.experiments
-from steklov.cli import main
+from steklov.cli import build_parser, main
 from steklov.errors import SolverError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv, tmp_path, monkeypatch, subdir="out"):
@@ -99,6 +104,9 @@ class TestSpectrum:
                   "--density", "nan"], id="density-nan"),
     pytest.param(["spectrum", "--surface", "disk", "--density", "2"], id="disk-density"),
     pytest.param(["spectrum", "--surface", "disk", "--T", "3"], id="disk-T"),
+    pytest.param(["bounds", "--k-max", "0"], id="bounds-k-max-zero"),
+    pytest.param(["bounds", "--trials", "0"], id="bounds-trials-zero"),
+    pytest.param(["bounds", "--trials", "1", "--seed", "-1"], id="bounds-seed-negative"),
 ])
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     code, out = run(argv, tmp_path, monkeypatch)
@@ -198,6 +206,63 @@ class TestSweepAndCompare:
         assert "failure" not in payload["rows"][0]
         assert "SolverError" in payload["rows"][-1]["failure"]
 
+    def test_interior_preset(self, tmp_path, monkeypatch, capsys):
+        code, out = run(["sweep", "--preset", "two-disks-interior", "--rho", "0.1,1e-4",
+                         "--resolution", "0.08"], tmp_path, monkeypatch)
+        assert code == 0
+        assert "verdict: pass" in capsys.readouterr().out
+        [report] = out.glob("sweep-two-disks-interior-*.json")
+        rows = json.loads(report.read_text())["rows"]
+        # an interior neck leaves the boundary alone, and carries no neck fractions
+        assert rows[0]["boundary_length"] == rows[1]["boundary_length"]
+        assert not any(key.startswith("neck_fraction") for key in rows[0])
+
+    def test_rising_neck_fractions_fail_boundary_sweep(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def rising(mesh, spectrum, j_max):
+            calls.append(None)
+            return tuple(0.01 * len(calls) for _ in range(j_max + 1))
+
+        monkeypatch.setattr(steklov.experiments, "_neck_fractions", rising)
+        code, out = run(["sweep", "--preset", "two-disks", "--k", "2",
+                         "--rho", "0.1,0.05", "--resolution", "0.07"],
+                        tmp_path, monkeypatch)
+        assert code == 1
+        text = capsys.readouterr().out
+        assert "neck boundary-mass fractions do not fall" in text
+        assert "verdict: fail" in text
+        [report] = out.glob("sweep-two-disks-*.json")
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "fail"
+        assert not any("failure" in row for row in payload["rows"])
+
+    def test_tiny_rho_ends_with_a_report(self, tmp_path, monkeypatch):
+        # rho 1e-7 is a domain failure of its row, not an unbounded grading
+        code, out = run(["sweep", "--preset", "two-disks", "--rho", "0.1,1e-7",
+                         "--resolution", "0.03"], tmp_path, monkeypatch)
+        assert code in (0, 1)
+        [report] = out.glob("sweep-two-disks-*.json")
+        assert len(json.loads(report.read_text())["rows"]) == 2
+
+
+class TestBounds:
+    def test_two_reports_byte_identical_reruns(self, tmp_path, monkeypatch):
+        argv = ["bounds", "--trials", "2", "--k-max", "2"]
+        code, out1 = run(argv, tmp_path, monkeypatch, "a")
+        assert code == 0
+        _, out2 = run(argv, tmp_path, monkeypatch, "b")
+        reports = sorted(p.name for p in out1.glob("*.json"))
+        assert [name.rsplit("-", 1)[0] for name in reports] == [
+            "bounds-hps-disk", "bounds-karpukhin-annulus"]
+        for name in sorted(p.name for p in out1.iterdir()):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        disk = json.loads((out1 / reports[0]).read_text())
+        assert disk["params"] == {"k_max": 2, "seed": 20240811, "trials": 2}
+        annulus = json.loads((out1 / reports[1]).read_text())
+        assert annulus["params"]["trials"] == 1
+        assert disk["verdict"] == annulus["verdict"] == "pass"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
@@ -256,3 +321,29 @@ class TestVerify:
         code, _ = run(["verify"], tmp_path, monkeypatch, "v2")
         assert code == 1
         assert "1/2 criteria passed" in capsys.readouterr().out
+
+
+def readme_commands():
+    """Every `steklov ...` line of the README's shell blocks, loop variables bound."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        loops = {var: values.split()[0]
+                 for var, values in re.findall(r"for (\w+) in ([^;]+);", block)}
+        for line in block.splitlines():
+            line = line.split("#")[0].strip()
+            if line.startswith("steklov "):
+                for var, value in loops.items():
+                    line = line.replace(f"${var}", value)
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: steklov {shlex.join(argv)}")

@@ -5,7 +5,8 @@ import pytest
 
 import steklov as sk
 from steklov import gluing, meshes
-from steklov.gluing import Attachment, GluedFamily, glue_interior, prepare_components
+from steklov.gluing import (NECK_SEGMENTS, Attachment, GluedFamily, glue_interior,
+                            prepare_components)
 from steklov.meshes import HoleSite
 from steklov.experiments import annulus_self_glued, chain_family
 
@@ -80,12 +81,13 @@ class TestInteriorGlue:
         assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, rel=1e-2)
 
     def test_equal_components_built_once(self):
-        comps, config = prepare_components(two_disks(0.05, "interior-cylinder"), 0.07)
+        family = two_disks(0.05, "interior-cylinder")
+        comps = prepare_components(family, 0.07)
         assert comps[0] is comps[1]
         # the shared component glues exactly like two separately built ones
-        site = (HoleSite((0.0, 0.0), 0.05, config.neck_segments),)
+        site = (HoleSite((0.0, 0.0), 0.05, NECK_SEGMENTS),)
         apart = [sk.build_spec_mesh(sk.UnitDisk(), 0.07, (), site) for _ in range(2)]
-        shared, separate = glue_interior(comps, config), glue_interior(apart, config)
+        shared, separate = glue_interior(comps, family), glue_interior(apart, family)
         for name in ("vertices", "triangles", "identifications", "logical",
                      "conformal_factor", "boundary_edge_chart"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))

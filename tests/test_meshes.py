@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -306,6 +305,21 @@ class TestGrids:
         assert steps[0] == pytest.approx(0.01, rel=0.6)
         assert steps.max() <= 0.25
 
+    def test_fill_graded_cost_is_logarithmic_in_the_grading(self, monkeypatch):
+        nodes = _fill_graded(0.0, 2.0, 1e-7, 0.05, 0.2)
+        assert np.diff(nodes)[0] == pytest.approx(1e-7, rel=0.6)
+        # a boundary neck at rho 1e-5 grades the arc spacing down to 1.25e-6
+        requests = []
+        real = np.linspace
+
+        def spy(start, stop, num=50, *args, **kwargs):
+            requests.append(num)
+            return real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(meshes.np, "linspace", spy)
+        sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 1e-5), 0.03)
+        assert requests and max(requests) <= 1e5
+
     def test_parameter_grid_pins_arcs(self):
         arcs = [_ArcRequest(2.0, 0.1, 8)]
         grid, lists = _parameter_grid(TWO_PI, 0.3, arcs)
@@ -348,24 +362,13 @@ class TestAssemblyOrdering:
         assert np.array_equal(np.sort(glued.logical[glued.boundary_edge_chart], axis=1),
                               edges[boundary])
         assert np.array_equal(glued.boundary_edge_chart, chart_e[first][boundary])
+        assert np.array_equal(glued.edges, edges)
 
-
-class TestExport:
-    def test_off_and_sidecar(self, tmp_path, coarse_disk_mesh):
-        off = tmp_path / "disk.off"
-        side = tmp_path / "disk.json"
-        sk.export_off(coarse_disk_mesh, off)
-        sk.export_sidecar(coarse_disk_mesh, side)
-        lines = off.read_text().splitlines()
-        assert lines[0] == "OFF"
-        nv, nt, _ = (int(tok) for tok in lines[1].split())
-        assert nv == coarse_disk_mesh.n_chart
-        assert nt == coarse_disk_mesh.n_triangles
-        payload = json.loads(side.read_text())
-        assert set(payload) == {"conformal_factor", "identifications", "boundary_loops"}
-        assert len(payload["conformal_factor"]) == coarse_disk_mesh.n_logical
-        loop = payload["boundary_loops"][0]
-        assert sorted(loop) == sorted(set(loop))
+    def test_opposite_edge_joins_the_other_two_corners(self, glued):
+        lab = glued.logical[glued.triangles]
+        for c in range(3):
+            ends = np.sort(lab[:, [(c + 1) % 3, (c + 2) % 3]], axis=1)
+            assert np.array_equal(glued.edges[glued.opposite_edge[:, c]], ends)
 
 
 def _loop_lengths(mesh):
