@@ -232,8 +232,7 @@ def _sorted_branch_values(surface: str, T: float, count: int):
     return head
 
 
-def _spectrum_from_branches(surface: str, T: float, rho_b: float, count: int,
-                            label: str) -> Spectrum:
+def _spectrum_from_branches(surface: str, T: float, rho_b: float, count: int) -> Spectrum:
     if T <= 0:
         raise InvalidParameterError("chart height T must be positive")
     if rho_b <= 0:
@@ -243,19 +242,17 @@ def _spectrum_from_branches(surface: str, T: float, rho_b: float, count: int,
     head = _sorted_branch_values(surface, T, count - 1) if count > 1 else []
     values = np.array([0.0] + [v for v, _ in head]) / rho_b
     length = _unit_density_length(surface) * rho_b
-    return make_spectrum(values, length, cluster_rtol=CLUSTER_RTOL_EXACT, label=label)
+    return make_spectrum(values, length, cluster_rtol=CLUSTER_RTOL_EXACT)
 
 
 def cylinder_spectrum(T: float, rho_b: float = 1.0, count: int = 10) -> Spectrum:
     """Smallest `count` Steklov eigenvalues of the flat cylinder, sigma_0 = 0 included."""
-    return _spectrum_from_branches("cylinder", T, rho_b, count,
-                                   label=f"cylinder T={T:g} rho_b={rho_b:g}")
+    return _spectrum_from_branches("cylinder", T, rho_b, count)
 
 
 def mobius_spectrum(T: float, count: int = 10, rho_b: float = 1.0) -> Spectrum:
     """Smallest `count` Steklov eigenvalues of the flat Moebius band."""
-    return _spectrum_from_branches("mobius", T, rho_b, count,
-                                   label=f"mobius T={T:g} rho_b={rho_b:g}")
+    return _spectrum_from_branches("mobius", T, rho_b, count)
 
 
 def disk_spectrum(count: int = 10) -> Spectrum:
@@ -263,7 +260,7 @@ def disk_spectrum(count: int = 10) -> Spectrum:
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     values = np.array([(j + 1) // 2 for j in range(count)], dtype=float)
-    return make_spectrum(values, 2.0 * math.pi, label="disk")
+    return make_spectrum(values, 2.0 * math.pi)
 
 
 def spectrum_for(spec, count: int) -> Spectrum:
@@ -321,7 +318,10 @@ def _limit_sigma_k(surface: str, k: int) -> float:
     return vals[k - 1]
 
 
-def invariant_supremum(surface: str, k: int, *, grid_size: int = 220) -> SupremumResult:
+SUPREMUM_GRID_SIZE = 220  # log-spaced T in [10^-2.5, 10^3] that locate the envelope's kink
+
+
+def invariant_supremum(surface: str, k: int) -> SupremumResult:
     """sup over T of sigma_bar_k for the circle-invariant family.
 
     The envelope T -> sigma_k(T) is a minimum over monotone branches, so its
@@ -333,7 +333,7 @@ def invariant_supremum(surface: str, k: int, *, grid_size: int = 220) -> Supremu
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     length = _unit_density_length(surface)
-    grid = np.logspace(-2.5, 3.0, grid_size)
+    grid = np.logspace(-2.5, 3.0, SUPREMUM_GRID_SIZE)
     env = np.array([_sigma_k_unit(surface, T, k) for T in grid])
     limit = _limit_sigma_k(surface, k)
     best = env.max()
@@ -342,7 +342,7 @@ def invariant_supremum(surface: str, k: int, *, grid_size: int = 220) -> Supremu
 
     i = int(np.argmax(env))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_size - 1)]
+    hi = grid[min(i + 1, SUPREMUM_GRID_SIZE - 1)]
     f = lambda T: _sigma_k_unit(surface, T, k)
     T_hat = _golden_max(f, lo, hi)
 

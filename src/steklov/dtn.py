@@ -168,8 +168,7 @@ class DtnOperator:
     matrix: np.ndarray
     boundary_index: np.ndarray
 
-    def spectrum(self, count: int, conformal=None, want_vectors: bool = False,
-                 label: str = "") -> Spectrum:
+    def spectrum(self, count: int, conformal=None, want_vectors: bool = False) -> Spectrum:
         b = self.boundary_index
         if not (1 <= count <= len(b)):
             raise InvalidParameterError(
@@ -193,7 +192,6 @@ class DtnOperator:
             w, float(np.sum(mass)), cluster_rtol=CLUSTER_RTOL_FEM,
             eigenvectors=vectors if want_vectors else None,
             boundary_index=b if want_vectors else None,
-            label=label,
         )
 
 
@@ -214,8 +212,7 @@ def _lanczos_fits(wanted: int, n_boundary: int) -> bool:
     return 2 * wanted + 20 <= n_boundary
 
 
-def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
-                     label: str = "") -> Spectrum:
+def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) -> Spectrum:
     """Smallest `count` discrete Steklov eigenvalues with optional boundary traces.
 
     Shift-invert Lanczos on the sparse pencil K u = sigma M_b u, run in
@@ -231,7 +228,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
         raise InvalidParameterError(
             f"count must lie in [1, {n_b}] (boundary degrees of freedom)")
     if not _lanczos_fits(count, n_b):
-        return build_dtn(mesh).spectrum(count, want_vectors=want_vectors, label=label)
+        return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
     mass = boundary_mass_vector(mesh)
     if np.any(mass[b] <= 0):
         raise AssemblyError("boundary vertex with nonpositive lumped mass")
@@ -275,7 +272,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
     w, u, rel = lowest_pairs(count)
     if np.any(rel > RESIDUAL_RTOL):
         if not _lanczos_fits(count + 2, n_b):
-            return build_dtn(mesh).spectrum(count, want_vectors=want_vectors, label=label)
+            return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
         w, u, rel = lowest_pairs(count + 2)
     if np.any(rel > RESIDUAL_RTOL):
         raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
@@ -283,7 +280,6 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False,
         w, float(np.sum(mass[b])), cluster_rtol=CLUSTER_RTOL_FEM,
         eigenvectors=u[b] if want_vectors else None,
         boundary_index=b if want_vectors else None,
-        label=label,
     )
 
 

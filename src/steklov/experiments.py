@@ -96,13 +96,6 @@ class SweepResult:
     target: Spectrum
     rows: tuple[SweepRow, ...]
 
-    def final_relative_error(self, j: int) -> float:
-        row = self.rows[-1]
-        if row.spectrum is None:
-            raise InvalidParameterError(f"last sweep row failed: {row.failure}")
-        ref = self.target.eigenvalues[j]
-        return abs(row.spectrum.eigenvalues[j] - ref) / abs(ref)
-
 
 def _neck_fractions(mesh: SurfaceMesh, spectrum: Spectrum, j_max: int) -> tuple[float, ...]:
     """Share of each eigenfunction's boundary L^2 norm carried by the neck sides."""
@@ -125,17 +118,18 @@ def _component_target(components, resolution: float, count: int) -> Spectrum:
     for spec in components:
         if spec not in solved:
             mesh = build_spec_mesh(spec, resolution).mesh
-            solved[spec] = steklov_spectrum(mesh, count, label=type(spec).__name__)
+            solved[spec] = steklov_spectrum(mesh, count)
     return merge_spectra([solved[spec] for spec in components])
 
 
 def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
-               description: str, record_vectors: bool = True) -> SweepResult:
+               description: str) -> SweepResult:
     rho_list = tuple(float(r) for r in rho_list)
     if any(b >= a for a, b in zip(rho_list, rho_list[1:])):
         raise InvalidParameterError("rho list must be strictly decreasing")
     count = max(k + 3, 6)
     target = _component_target(components, resolution, count)
+    traced = neck_kind == BOUNDARY_NECK  # neck fractions need the boundary traces
     rows = []
     for rho in rho_list:
         try:
@@ -147,11 +141,10 @@ def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
                 raise InvalidParameterError(
                     "self-gluing is implemented for the flat cylinder only")
             mesh = build_glued_mesh(family, resolution)
-            spec = steklov_spectrum(mesh, count, want_vectors=record_vectors)
+            spec = steklov_spectrum(mesh, count, want_vectors=traced)
             errors = tuple(float(abs(spec.eigenvalues[j] - target.eigenvalues[j]))
                            for j in range(k + 1))
-            fractions = (_neck_fractions(mesh, spec, k)
-                         if record_vectors and neck_kind == BOUNDARY_NECK else None)
+            fractions = _neck_fractions(mesh, spec, k) if traced else None
             rows.append(SweepRow(rho, spec.drop_vectors(), spec.boundary_length,
                                  errors, fractions))
         except SteklovError as exc:  # recorded, sweep continues
@@ -160,8 +153,7 @@ def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
     return SweepResult(description, k, rho_list, target, tuple(rows))
 
 
-def glue_sweep(components, k: int, rho_list, resolution: float,
-               record_vectors: bool = True) -> SweepResult:
+def glue_sweep(components, k: int, rho_list, resolution: float) -> SweepResult:
     """Boundary-neck degeneration toward the disjoint union of the components."""
     components = tuple(components)
     if len(components) < 2:
@@ -171,17 +163,16 @@ def glue_sweep(components, k: int, rho_list, resolution: float,
         return SweepResult("single component", k, (), target, ())
     names = "+".join(type(c).__name__ for c in components)
     return _run_sweep(components, k, rho_list, resolution, BOUNDARY_NECK,
-                      f"boundary glue {names}", record_vectors)
+                      f"boundary glue {names}")
 
 
-def interior_glue_sweep(components, k: int, rho_list, resolution: float,
-                        record_vectors: bool = False) -> SweepResult:
+def interior_glue_sweep(components, k: int, rho_list, resolution: float) -> SweepResult:
     """Interior-neck degeneration; the boundary is untouched at every rho."""
     components = tuple(components)
     names = "+".join(type(c).__name__ for c in components)
     kind = "self interior glue" if len(components) == 1 else "interior glue"
     return _run_sweep(components, k, rho_list, resolution, INTERIOR_NECK,
-                      f"{kind} {names}", record_vectors)
+                      f"{kind} {names}")
 
 
 def touching_disks_sharpness(k: int, rho: float, resolution: float) -> float:

@@ -5,6 +5,11 @@ identified node-for-node with boundary arcs of the components; the remaining
 two sides become new boundary, so the total boundary length is unchanged.
 Interior necks are thin flat cylinders (circumference 2*pi*rho, length 2*rho)
 replacing a pair of removed disks, leaving the boundary untouched.
+
+`prepare_components` checks the family and meshes each component with one
+neck site per attachment; every mesh builder returns one interface per site,
+in site order.  `glue` joins all necks in one pass, taking each attachment's
+interface by that position, and assembles the glued mesh once.
 """
 
 from __future__ import annotations
@@ -15,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
-from .meshes import (ArcSite, Component, FlatCylinder, HoleSite, MobiusCylinder,
-                     SurfaceMesh, UnitDisk, _grid_triangles, assemble_mesh,
-                     build_spec_mesh, placed_rim_radius)
+from .meshes import (NECK_SEGMENTS, ArcSite, Component, FlatCylinder, HoleSite,
+                     MobiusCylinder, SurfaceMesh, UnitDisk, _grid_triangles,
+                     assemble_mesh, build_spec_mesh, placed_rim_radius)
 
 TWO_PI = 2.0 * math.pi
 
 BOUNDARY_NECK = "boundary-square"
 INTERIOR_NECK = "interior-cylinder"
-NECK_SEGMENTS = 16  # segments along a boundary neck's arc and around an interior rim
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,6 @@ def _check_interior_clearance(family: GluedFamily) -> None:
     by_comp: dict[int, list[tuple[np.ndarray, float]]] = {}
     for a, b in family.pairs:
         for att in (a, b):
-            if not att.interior:
-                raise InvalidParameterError("interior gluing needs interior attachment points")
             lam = _density_at(family.components[att.component], att)
             by_comp.setdefault(att.component, []).append(
                 (np.asarray(att.point, float), lam))
@@ -109,53 +111,6 @@ def _check_interior_clearance(family: GluedFamily) -> None:
 # ---------------------------------------------------------------------------
 # mesh-level assembly
 # ---------------------------------------------------------------------------
-
-class _Builder:
-    """Accumulates chart pieces, identifications and tags; assembles once at the end."""
-
-    def __init__(self):
-        self.points: list[np.ndarray] = []
-        self.triangles: list[np.ndarray] = []
-        self.idents: list[np.ndarray] = []
-        self.lam: list[np.ndarray] = []
-        self.tags: dict[str, list[int]] = {}
-        self.offset = 0
-        self.x_cursor = 0.0
-
-    def add(self, points: np.ndarray, triangles: np.ndarray, lam: np.ndarray,
-            identifications: np.ndarray = (),
-            tag_ids: dict[str, np.ndarray] | None = None) -> int:
-        """Place a chart piece right of the previous ones; returns its first chart id."""
-        shift = np.array([self.x_cursor - points[:, 0].min(), 0.0])
-        self.points.append(points + shift)
-        self.triangles.append(triangles + self.offset)
-        if len(identifications):
-            self.idents.append(identifications + self.offset)
-        self.lam.append(lam)
-        base = self.offset
-        if tag_ids:
-            for name, ids in tag_ids.items():
-                self.tags.setdefault(name, []).extend(int(i) + base for i in ids)
-        self.offset += len(points)
-        self.x_cursor += (points[:, 0].max() - points[:, 0].min()) + 2.0
-        return base
-
-    def add_component(self, comp: Component) -> int:
-        return self.add(comp.vertices, comp.triangles, comp.conformal_chart,
-                        comp.identifications)
-
-    def identify(self, pairs: np.ndarray) -> None:
-        self.idents.append(np.asarray(pairs, dtype=np.int64))
-
-    def finish(self) -> SurfaceMesh:
-        idents = (np.concatenate(self.idents) if self.idents
-                  else np.zeros((0, 2), dtype=np.int64))
-        return assemble_mesh(np.concatenate(self.points),
-                             np.concatenate(self.triangles),
-                             idents,
-                             np.concatenate(self.lam),
-                             tags_chart={k: v for k, v in self.tags.items()})
-
 
 def _graded_strip(rho: float, lam1: float, lam2: float, rows: int, cols: int,
                   width: float, y0: float):
@@ -176,72 +131,59 @@ def _graded_strip(rho: float, lam1: float, lam2: float, rows: int, cols: int,
     return pts, tris, np.repeat(rows_lam, cols + 1), idx
 
 
-def _find_interface(comp: Component, att: Attachment):
-    for iface in comp.interfaces:
-        site = iface.site
-        if att.interior and isinstance(site, HoleSite):
-            if np.allclose(site.point, att.point):
-                return iface
-        elif not att.interior and isinstance(site, ArcSite):
-            if site.loop == att.loop and math.isclose(site.theta, att.theta):
-                return iface
-    raise AssemblyError("component was not prepared with the requested attachment")
+def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
+    """Join prepared components with the family's necks and assemble the result once.
 
-
-def glue_boundary(components: list[Component], family: GluedFamily) -> SurfaceMesh:
-    """Join prepared components with square boundary necks (node-matched)."""
-    builder = _Builder()
-    bases = [builder.add_component(c) for c in components]
+    Component i's interfaces are taken in the order `prepare_components` gave
+    its sites: pair by pair, the first attachment of a pair before the second.
+    Charts and necks are placed side by side, left to right.
+    """
     m = NECK_SEGMENTS
+    pieces = [c.vertices for c in components]
+    offsets = np.cumsum([0] + [len(p) for p in pieces])
+    triangles = [c.triangles + o for c, o in zip(components, offsets)]
+    idents = [c.identifications + o for c, o in zip(components, offsets)]
+    lam = [c.conformal_chart for c in components]
+    wanted = np.bincount([att.component for pair in family.pairs for att in pair],
+                         minlength=len(components))
+    if wanted.tolist() != [len(c.interfaces) for c in components]:
+        raise AssemblyError("components were not prepared for this family")
+    unused = [iter(c.interfaces) for c in components]
+    sides = []
+    n = int(offsets[-1])
     for a, b in family.pairs:
-        if a.interior or b.interior:
-            raise InvalidParameterError("boundary gluing needs boundary attachments")
-        if_a = _find_interface(components[a.component], a)
-        if_b = _find_interface(components[b.component], b)
-        for iface in (if_a, if_b):
-            if len(iface.chart_ids) != m + 1:
-                raise AssemblyError("attachment arc discretization does not match the neck")
-        # a square: side 2*rho both ways, centred on the arc
-        pts, tris, lam, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, m, m,
-                                            2.0 * family.rho, -0.5)
-        side = np.concatenate([idx[:, 0], idx[:, m]])
-        base = builder.add(pts, tris, lam, tag_ids={"neck_boundary": side})
-        ids_a = if_a.chart_ids + bases[a.component]
-        ids_b = if_b.chart_ids + bases[b.component]
-        row0 = idx[0] + base
-        rowN = idx[m] + base
-        builder.identify(np.stack([ids_a, row0], axis=1))
-        builder.identify(np.stack([ids_b, rowN[::-1]], axis=1))
-    return builder.finish()
-
-
-def glue_interior(components: list[Component], family: GluedFamily) -> SurfaceMesh:
-    """Join prepared components with interior cylinder necks; boundary unchanged."""
-    builder = _Builder()
-    bases = [builder.add_component(c) for c in components]
-    m = NECK_SEGMENTS
-    for a, b in family.pairs:
-        if not (a.interior and b.interior):
-            raise InvalidParameterError("interior gluing needs interior attachments")
-        if_a = _find_interface(components[a.component], a)
-        if_b = _find_interface(components[b.component], b)
-        for iface in (if_a, if_b):
-            if len(iface.chart_ids) != m:
-                raise AssemblyError("rim discretization does not match the neck")
-        # a tube: circumference 2*pi*rho, seam at columns 0 and m
-        n_len = max(2, int(round(m / math.pi)))
-        pts, tris, lam, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, n_len, m,
-                                            TWO_PI * family.rho, 0.0)
-        base = builder.add(pts, tris, lam)
-        builder.identify(np.stack([idx[:, 0] + base, idx[:, m] + base], axis=1))
-        ids_a = if_a.chart_ids + bases[a.component]
-        ids_b = if_b.chart_ids + bases[b.component]
-        row0 = idx[0, :m] + base
-        rowN = idx[n_len, :m] + base
-        builder.identify(np.stack([ids_a, row0], axis=1))
-        reflect = (m - np.arange(m)) % m
-        builder.identify(np.stack([ids_b[reflect], rowN], axis=1))
-    return builder.finish()
+        if_a, if_b = next(unused[a.component]), next(unused[b.component])
+        ids_a = if_a.chart_ids + offsets[a.component]
+        ids_b = if_b.chart_ids + offsets[b.component]
+        if family.neck_kind == BOUNDARY_NECK:
+            # a square: side 2*rho both ways, centred on the arc
+            pts, tris, lam_neck, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, m, m,
+                                                     2.0 * family.rho, -0.5)
+            idx = idx + n
+            sides.append(np.concatenate([idx[:, 0], idx[:, m]]))
+            idents += [np.stack([ids_a, idx[0]], axis=1),
+                       np.stack([ids_b, idx[m, ::-1]], axis=1)]
+        else:
+            # a tube: circumference 2*pi*rho, seam at columns 0 and m
+            rows = max(2, int(round(m / math.pi)))
+            pts, tris, lam_neck, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, rows, m,
+                                                     TWO_PI * family.rho, 0.0)
+            idx = idx + n
+            reflect = (m - np.arange(m)) % m
+            idents += [np.stack([idx[:, 0], idx[:, m]], axis=1),
+                       np.stack([ids_a, idx[0, :m]], axis=1),
+                       np.stack([ids_b[reflect], idx[rows, :m]], axis=1)]
+        pieces.append(pts)
+        triangles.append(tris + n)
+        lam.append(lam_neck)
+        n += len(pts)
+    x_cursor, placed = 0.0, []
+    for pts in pieces:
+        placed.append(pts + np.array([x_cursor - pts[:, 0].min(), 0.0]))
+        x_cursor += (pts[:, 0].max() - pts[:, 0].min()) + 2.0
+    return assemble_mesh(np.concatenate(placed), np.concatenate(triangles),
+                         np.concatenate(idents), np.concatenate(lam),
+                         tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {})
 
 
 # ---------------------------------------------------------------------------
@@ -249,40 +191,38 @@ def glue_interior(components: list[Component], family: GluedFamily) -> SurfaceMe
 # ---------------------------------------------------------------------------
 
 def prepare_components(family: GluedFamily, resolution: float) -> list[Component]:
-    """Mesh each component with the neck sites of the family's attachments."""
+    """Mesh each component with one neck site per attachment, in pair order."""
     if family.rho <= 0:
         raise InvalidParameterError("neck parameter rho must be positive")
-    if family.neck_kind == BOUNDARY_NECK:
-        _check_boundary_clearance(family)
-    elif family.neck_kind == INTERIOR_NECK:
+    if family.neck_kind not in (BOUNDARY_NECK, INTERIOR_NECK):
+        raise InvalidParameterError(f"unknown neck kind {family.neck_kind!r}")
+    interior = family.neck_kind == INTERIOR_NECK
+    if any(att.interior != interior for pair in family.pairs for att in pair):
+        where = "interior" if interior else "boundary"
+        raise InvalidParameterError(f"{family.neck_kind} necks need {where} attachments")
+    if interior:
         _check_interior_clearance(family)
     else:
-        raise InvalidParameterError(f"unknown neck kind {family.neck_kind!r}")
-    arc_sites: dict[int, list[ArcSite]] = {i: [] for i in range(len(family.components))}
-    hole_sites: dict[int, list[HoleSite]] = {i: [] for i in range(len(family.components))}
-    for a, b in family.pairs:
-        for att in (a, b):
-            if att.interior:
-                hole_sites[att.component].append(
-                    HoleSite(tuple(att.point), family.rho, NECK_SEGMENTS))
-            else:
-                arc_sites[att.component].append(
-                    ArcSite(att.loop, att.theta, family.rho, NECK_SEGMENTS))
+        _check_boundary_clearance(family)
+    sites: list[list] = [[] for _ in family.components]
+    for pair in family.pairs:
+        for att in pair:
+            sites[att.component].append(
+                HoleSite(tuple(att.point), family.rho) if interior
+                else ArcSite(att.loop, att.theta, family.rho))
     built: dict = {}  # equal specs with equal sites mesh identically: build each once
     comps = []
-    for i, spec in enumerate(family.components):
-        key = (spec, tuple(arc_sites[i]), tuple(hole_sites[i]))
+    for spec, own in zip(family.components, sites):
+        key = (spec, tuple(own))
         if key not in built:
-            built[key] = build_spec_mesh(spec, resolution, key[1], key[2])
+            built[key] = (build_spec_mesh(spec, resolution, (), key[1]) if interior
+                          else build_spec_mesh(spec, resolution, key[1]))
         comps.append(built[key])
     return comps
 
 
 def build_glued_mesh(family: GluedFamily, resolution: float) -> SurfaceMesh:
-    comps = prepare_components(family, resolution)
-    if family.neck_kind == BOUNDARY_NECK:
-        return glue_boundary(comps, family)
-    return glue_interior(comps, family)
+    return glue(prepare_components(family, resolution), family)
 
 
 def build_metric_mesh(spec: MetricSpec, resolution: float) -> SurfaceMesh:

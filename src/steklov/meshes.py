@@ -331,12 +331,14 @@ def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float,
     return nodes
 
 
+NECK_SEGMENTS = 16  # segments along a boundary neck's arc and around an interior rim
+
+
 @dataclass(frozen=True)
 class _ArcRequest:
-    """A pinned uniform subdivision inside a 1-D parameter interval."""
+    """A pinned subdivision of NECK_SEGMENTS equal steps inside a 1-D parameter interval."""
     center: float
     half_width: float
-    segments: int
 
 
 def _parameter_grid(total: float, base_h: float, arcs: Sequence[_ArcRequest]):
@@ -352,15 +354,15 @@ def _parameter_grid(total: float, base_h: float, arcs: Sequence[_ArcRequest]):
     for i in order:
         arc = arcs[i]
         lo, hi = arc.center - arc.half_width, arc.center + arc.half_width
-        fine = 2.0 * arc.half_width / arc.segments
+        fine = 2.0 * arc.half_width / NECK_SEGMENTS
         if lo <= prev_end + 1e-12:
             raise InvalidParameterError("refined intervals overlap or touch the chart seam")
         gap = _fill_graded(prev_end, lo, prev_h, fine, base_h)
         nodes.append(gap[1:])
-        arc_nodes = np.linspace(lo, hi, arc.segments + 1)
+        arc_nodes = np.linspace(lo, hi, NECK_SEGMENTS + 1)
         start = sum(len(x) for x in nodes)
         nodes.append(arc_nodes[1:])
-        spans.append((i, start - 1, arc.segments + 1))
+        spans.append((i, start - 1, NECK_SEGMENTS + 1))
         prev_end, prev_h = hi, fine
     if prev_end >= total - 1e-12:
         raise InvalidParameterError("refined interval touches the chart seam")
@@ -382,7 +384,6 @@ class ArcSite:
     loop: int
     theta: float
     rho: float
-    segments: int
 
 
 @dataclass(frozen=True)
@@ -390,16 +391,16 @@ class HoleSite:
     """Interior attachment request: chart point and physical rim radius rho."""
     point: tuple[float, float]
     rho: float
-    segments: int
 
 
 @dataclass(frozen=True)
 class Interface:
-    """Ordered chart vertex chain where a neck glues on, with the local density."""
-    site: object  # the ArcSite or HoleSite this chain realizes
+    """Ordered chart vertex chain where a neck glues on, with the local density.
+
+    Builders return one interface per site, arcs first, each kind in site order.
+    """
     chart_ids: np.ndarray
     lam: float
-    kind: str  # "arc" | "rim"
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,6 +469,12 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep):
 # from the Delaunay stage, whose lifted-paraboloid predicates lose them
 COLLAR_RADIUS = 1e-3
 
+# below this chart half-width a boundary arc on a disk is refused: its patch
+# points come closer than Qhull resolves in the band.  Probed on two-disk,
+# catenoid+disk, Moebius+disk and three-disk chains at resolutions 0.02-0.1,
+# every build passed at rho >= 1.5e-6 and 11 of 16 lost points at rho 1e-6.
+MIN_ARC_HALF_WIDTH = 5e-6
+
 
 def placed_rim_radius(r_rim: float) -> float:
     """Chart radius at which the Delaunay stage sees a rim; clearances count from it."""
@@ -502,17 +509,18 @@ def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution
     Points are `head` (placed first), then the rims, the `background` points
     outside every patch (or `pinned`), then the patches.  `arcs` holds the
     (centre, spacing) of boundary-arc patches and `holes` the (centre, rim
-    radius, segments) of interior rims; `inside(q, s)` keeps patch points at
-    spacing s within the chart.  The Delaunay stage sees each rim at
+    radius) of interior rims of NECK_SEGMENTS segments; `inside(q, s)` keeps
+    patch points at spacing s within the chart.  The Delaunay stage sees each rim at
     COLLAR_RADIUS or more, and a structured log collar descends from there to
     the true rim.  On a disk chart, `rings` gives the (counts, offsets) of the
     centre and bulk rings that make up `background`, `head` being the boundary
     circle, and `_band_delaunay` triangulates; otherwise Qhull does.
     Returns the points, the triangles and each hole's true rim ids.
     """
-    rims = [(c, placed_rim_radius(r_rim), m) for c, r_rim, m in holes]
+    m = NECK_SEGMENTS
+    rims = [(c, placed_rim_radius(r_rim)) for c, r_rim in holes]
     patches = ([(c, h0, 1.9 * h0, 0.0) for c, h0 in arcs]
-               + [(c, TWO_PI * r / m, r + TWO_PI * r / m, r) for c, r, m in rims])
+               + [(c, TWO_PI * r / m, r + TWO_PI * r / m, r) for c, r in rims])
     patch_pts, exclusions = [], []  # exclusions: (centre, radius)
     for c, h0, r_start, r_hole in patches:
 
@@ -530,11 +538,11 @@ def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution
         far &= np.linalg.norm(background - c, axis=1) > rr
     if pinned is not None:
         far |= pinned
-    rim_pts = [_ring_points(c, r, m) for c, r, m in rims]
+    rim_pts = [_ring_points(c, r, m) for c, r in rims]
     sections = [head] + rim_pts + [background[far]] + patch_pts
     points = np.concatenate([s for s in sections if len(s)])
-    offsets = len(head) + np.cumsum([0] + [m for _, _, m in rims])
-    rim_ids = [np.arange(o, o + m) for o, (_, _, m) in zip(offsets, rims)]
+    offsets = len(head) + m * np.arange(len(rims) + 1)
+    rim_ids = [np.arange(o, o + m) for o in offsets[:-1]]
 
     if rings is None:
         triangles = _qhull_triangles(points)
@@ -552,7 +560,7 @@ def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution
 
     collar_pts, collar_tris, true_rim_ids = [], [], []
     n = len(points)
-    for (c, r_rim, m), ids in zip(holes, rim_ids):
+    for (c, r_rim), ids in zip(holes, rim_ids):
         if r_rim >= COLLAR_RADIUS:
             true_rim_ids.append(ids)
             continue
@@ -709,10 +717,12 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         p = np.array([math.cos(site.theta), math.sin(site.theta)])
         lam_p = float(base_lam(p[None])[0])
         w = site.rho / lam_p  # chart angle; arclength = angle on the unit circle
+        if w < MIN_ARC_HALF_WIDTH:
+            raise InvalidGluingError(f"boundary neck arc half-width {w:.3g} is below "
+                                     f"the meshable floor {MIN_ARC_HALF_WIDTH:g}")
         arc_meta.append((site, p, lam_p, w))
 
-    requests = [_ArcRequest(site.theta % TWO_PI, w, site.segments)
-                for site, p, lam_p, w in arc_meta]
+    requests = [_ArcRequest(site.theta % TWO_PI, w) for site, p, lam_p, w in arc_meta]
     angles, arc_index_lists = _parameter_grid(TWO_PI, resolution, requests)
     angles = angles[:-1]  # 2*pi duplicates the angle-0 node on a circle
     boundary_pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -743,8 +753,8 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     if arc_meta or rim_meta:
         points, triangles, rim_ids = _site_mesh(
             boundary_pts, bulk_pts,
-            [(p, 2.0 * w / site.segments) for site, p, lam_p, w in arc_meta],
-            [(p, r_rim, site.segments) for site, p, lam_p, r_rim in rim_meta],
+            [(p, 2.0 * w / NECK_SEGMENTS) for site, p, lam_p, w in arc_meta],
+            [(p, r_rim) for site, p, lam_p, r_rim in rim_meta],
             resolution, lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s,
             rings=(ring_counts, ring_offsets))
     else:
@@ -762,9 +772,9 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     for site, p, lam_p, _ in arc_meta + rim_meta:
         lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
 
-    interfaces = [Interface(site, np.asarray(idxs), lam_p, "arc")
+    interfaces = [Interface(np.asarray(idxs), lam_p)
                   for (site, p, lam_p, w), idxs in zip(arc_meta, arc_index_lists)]
-    interfaces += [Interface(site, ids, lam_p, "rim")
+    interfaces += [Interface(ids, lam_p)
                    for (site, p, lam_p, r_rim), ids in zip(rim_meta, rim_ids)]
     return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), lam_chart,
                      tuple(interfaces))
@@ -810,8 +820,8 @@ def _cylinder_component(T: float, density: float, resolution: float,
         if site.loop not in (0, 1):
             raise InvalidParameterError("cylinder has boundary loops 0 (t=0) and 1 (t=T)")
         w = site.rho / density
-        requests.append(_ArcRequest(site.theta % TWO_PI, w, site.segments))
-        fine_by_loop[site.loop] = min(fine_by_loop[site.loop], 2.0 * w / site.segments)
+        requests.append(_ArcRequest(site.theta % TWO_PI, w))
+        fine_by_loop[site.loop] = min(fine_by_loop[site.loop], 2.0 * w / NECK_SEGMENTS)
     th_nodes, arc_cols = _parameter_grid(TWO_PI, resolution, requests)
     t_nodes = _fill_graded(0.0, T, fine_by_loop[0], fine_by_loop[1], resolution)
     points, triangles, idx = _grid_mesh(t_nodes, th_nodes)
@@ -819,7 +829,7 @@ def _cylinder_component(T: float, density: float, resolution: float,
     interfaces = []
     for site, cols in zip(arc_sites, arc_cols):
         row = 0 if site.loop == 0 else len(t_nodes) - 1
-        interfaces.append(Interface(site, idx[row, np.asarray(cols)], density, "arc"))
+        interfaces.append(Interface(idx[row, np.asarray(cols)], density))
     return Component(points, triangles, seam, np.full(len(points), density),
                      tuple(interfaces))
 
@@ -846,13 +856,13 @@ def _mobius_component(T: float, density: float, resolution: float,
         center_h = theta - section * math.pi
         if center_h - w <= 0 or center_h + w >= math.pi:
             raise InvalidParameterError("attachment arc crosses a half-chart meridian")
-        half_requests.append(_ArcRequest(center_h, w, site.segments))
+        half_requests.append(_ArcRequest(center_h, w))
         site_half.append(section)
     half, arc_cols_half = _parameter_grid(math.pi, resolution, half_requests)
     half = half[:-1]  # the antipodal map needs theta and theta+pi on the same grid
     n_half = len(half)
     th_nodes = np.concatenate([half, half + math.pi, [TWO_PI]])
-    fine = min([resolution] + [2.0 * r.half_width / r.segments for r in half_requests])
+    fine = min([resolution] + [2.0 * r.half_width / NECK_SEGMENTS for r in half_requests])
     t_nodes = _fill_graded(0.0, T, resolution, fine, resolution)
     points, triangles, idx = _grid_mesh(t_nodes, th_nodes)
     seam = np.stack([idx[:, 0], idx[:, -1]], axis=1)
@@ -860,9 +870,9 @@ def _mobius_component(T: float, density: float, resolution: float,
                           idx[0, np.arange(n_half) + n_half]], axis=1)
     interfaces = []
     top = len(t_nodes) - 1
-    for site, cols, section in zip(arc_sites, arc_cols_half, site_half):
+    for cols, section in zip(arc_cols_half, site_half):
         cols = np.asarray(cols) + section * n_half
-        interfaces.append(Interface(site, idx[top, cols], density, "arc"))
+        interfaces.append(Interface(idx[top, cols], density))
     return Component(points, triangles, np.concatenate([seam, antipodal]),
                      np.full(len(points), density), tuple(interfaces))
 
@@ -908,7 +918,7 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
             raise InvalidGluingError("interior neck disk reaches the cylinder boundary")
         if not (reach < p[0] < TWO_PI - reach):
             raise InvalidGluingError("interior neck disk crosses the chart seam")
-        holes.append((p, r_rim, site.segments))
+        holes.append((p, r_rim))
 
     n_th = max(8, int(round(TWO_PI / resolution)))
     n_t = max(2, int(round(T / resolution)))
@@ -934,8 +944,7 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
         raise AssemblyError("cylinder seam columns do not match")
     seam = np.stack([left, right], axis=1)
 
-    interfaces = [Interface(site, ids, density, "rim")
-                  for site, ids in zip(hole_sites, rim_ids)]
+    interfaces = [Interface(ids, density) for ids in rim_ids]
     return Component(points, triangles, seam, np.full(len(points), density),
                      tuple(interfaces))
 

@@ -44,16 +44,12 @@ class Spectrum:
     cluster_rtol: float
     eigenvectors: np.ndarray | None = None   # boundary traces, shape (n_boundary, count)
     boundary_index: np.ndarray | None = None  # logical vertex ids of the trace rows
-    label: str = ""
 
     def multiplicity(self, k: int) -> int:
         for c in self.clusters:
             if k in c:
                 return len(c)
         raise InvalidParameterError(f"eigenvalue index {k} out of range")
-
-    def sigma(self, k: int) -> float:
-        return float(self.eigenvalues[k])
 
     def sigma_bar(self, k: int) -> float:
         return float(self.normalized[k])
@@ -63,7 +59,7 @@ class Spectrum:
 
 
 def make_spectrum(values, boundary_length, cluster_rtol=CLUSTER_RTOL_EXACT,
-                  eigenvectors=None, boundary_index=None, label="") -> Spectrum:
+                  eigenvectors=None, boundary_index=None) -> Spectrum:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InvalidParameterError("spectrum needs at least one eigenvalue")
@@ -90,7 +86,6 @@ def make_spectrum(values, boundary_length, cluster_rtol=CLUSTER_RTOL_EXACT,
         cluster_rtol=cluster_rtol,
         eigenvectors=eigenvectors,
         boundary_index=boundary_index,
-        label=label,
     )
 
 
@@ -101,18 +96,17 @@ def merge_spectra(parts: list[Spectrum] | tuple[Spectrum, ...]) -> Spectrum:
     values = np.sort(np.concatenate([p.eigenvalues for p in parts]))
     length = float(sum(p.boundary_length for p in parts))
     rtol = min(p.cluster_rtol for p in parts)
-    label = " + ".join(p.label for p in parts if p.label)
     if values.size == 0:
         # only possible when every part is the neutral element
-        return replace(parts[0], label=label)
-    return make_spectrum(values, length, cluster_rtol=rtol, label=label)
+        return parts[0]
+    return make_spectrum(values, length, cluster_rtol=rtol)
 
 
 def _make_empty() -> Spectrum:
     z = np.zeros(0)
     z.flags.writeable = False
     return Spectrum(eigenvalues=z, boundary_length=0.0, normalized=z,
-                    clusters=(), cluster_rtol=CLUSTER_RTOL_EXACT, label="")
+                    clusters=(), cluster_rtol=CLUSTER_RTOL_EXACT)
 
 
 EMPTY = _make_empty()  # the neutral element for merge_spectra

@@ -243,7 +243,9 @@ class TestSweepAndCompare:
                          "--resolution", "0.03"], tmp_path, monkeypatch)
         assert code in (0, 1)
         [report] = out.glob("sweep-two-disks-*.json")
-        assert len(json.loads(report.read_text())["rows"]) == 2
+        rows = json.loads(report.read_text())["rows"]
+        assert len(rows) == 2
+        assert rows[1]["failure"].startswith("InvalidGluingError")
 
 
 class TestBounds:

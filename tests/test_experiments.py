@@ -275,8 +275,8 @@ class TestNeckDiagnostic:
         assert row.neck_fractions == tuple(float(f) for f in loop[:3])
 
     def test_missing_vectors_rejected(self):
-        sweep = sk.glue_sweep([sk.UnitDisk()] * 2, 1, (0.1,), 0.1,
-                              record_vectors=False)
+        # interior sweeps record no traces, so they have no neck fractions
+        sweep = sk.interior_glue_sweep([sk.UnitDisk()] * 2, 1, (0.1,), 0.1)
         with pytest.raises(sk.InvalidParameterError):
             sk.neck_mass_diagnostic(sweep, 1)
 

@@ -5,9 +5,8 @@ import pytest
 
 import steklov as sk
 from steklov import gluing, meshes
-from steklov.gluing import (NECK_SEGMENTS, Attachment, GluedFamily, glue_interior,
-                            prepare_components)
-from steklov.meshes import HoleSite
+from steklov.gluing import Attachment, GluedFamily, glue, prepare_components
+from steklov.meshes import ArcSite, HoleSite
 from steklov.experiments import annulus_self_glued, chain_family
 
 TWO_PI = 2 * math.pi
@@ -54,6 +53,12 @@ class TestBoundaryGlue:
         with pytest.raises(sk.InvalidGluingError):
             sk.build_glued_mesh(fam, 0.08)
 
+    # arcs below the floor would lose points in Qhull; they are refused up front
+    @pytest.mark.parametrize("rho", [1e-6, 1e-7])
+    def test_arc_below_floor_rejected(self, rho):
+        with pytest.raises(sk.InvalidGluingError):
+            sk.build_glued_mesh(two_disks(rho), 0.03)
+
     def test_mixed_density_chain(self):
         fam = chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], 0.1)
         mesh = sk.build_glued_mesh(fam, 0.06)
@@ -85,9 +90,9 @@ class TestInteriorGlue:
         comps = prepare_components(family, 0.07)
         assert comps[0] is comps[1]
         # the shared component glues exactly like two separately built ones
-        site = (HoleSite((0.0, 0.0), 0.05, NECK_SEGMENTS),)
+        site = (HoleSite((0.0, 0.0), 0.05),)
         apart = [sk.build_spec_mesh(sk.UnitDisk(), 0.07, (), site) for _ in range(2)]
-        shared, separate = glue_interior(comps, family), glue_interior(apart, family)
+        shared, separate = glue(comps, family), glue(apart, family)
         for name in ("vertices", "triangles", "identifications", "logical",
                      "conformal_factor", "boundary_edge_chart"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
@@ -151,6 +156,21 @@ class TestUncommonConfigurations:
         assert len(mesh.boundary_loops) == 2
         assert sk.euler_characteristic(mesh) == 0
 
+    @pytest.mark.parametrize("kind, pair", [
+        ("boundary-square",
+         (Attachment(0, theta=0.5 * math.pi), Attachment(1, point=(0.0, 0.0)))),
+        ("interior-cylinder",
+         (Attachment(0, point=(0.0, 0.0)), Attachment(1, theta=1.5 * math.pi))),
+    ])
+    def test_attachment_kind_checked_before_meshing(self, kind, pair, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a chart was meshed before the attachment check")
+
+        monkeypatch.setattr(gluing, "build_spec_mesh", unexpected)
+        fam = GluedFamily((sk.UnitDisk(), sk.UnitDisk()), 0.05, (pair,), kind)
+        with pytest.raises(sk.InvalidParameterError):
+            sk.build_glued_mesh(fam, 0.1)
+
     def test_unknown_neck_kind(self):
         fam = GluedFamily((sk.UnitDisk(), sk.UnitDisk()), 0.1,
                           ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),),
@@ -164,6 +184,30 @@ class TestUncommonConfigurations:
             ((Attachment(0, theta=math.pi), Attachment(1, theta=1.5 * math.pi)),))
         with pytest.raises(sk.InvalidParameterError):
             sk.build_glued_mesh(fam, 0.1)
+
+
+class TestInterfaceOrder:
+    """`glue` takes interface i of a component for the component's i-th site."""
+
+    def test_disk_arcs_in_site_order(self):
+        thetas = (4.0, 1.0)  # descending, so not the order of the angle grid
+        sites = tuple(ArcSite(0, theta, 0.05) for theta in thetas)
+        comp = sk.build_spec_mesh(sk.UnitDisk(), 0.07, sites)
+        for iface, theta in zip(comp.interfaces, thetas):
+            x, y = comp.vertices[iface.chart_ids].mean(axis=0)
+            assert math.atan2(y, x) % TWO_PI == pytest.approx(theta, abs=1e-9)
+
+    @pytest.mark.parametrize("family, comp, points", [
+        (annulus_self_glued(1.0, 0.05), 0, [(0.5 * math.pi, 0.5), (1.5 * math.pi, 0.5)]),
+        (chain_family([sk.UnitDisk()] * 3, 1e-3, "interior-cylinder"), 1,
+         [(-0.35, 0.0), (0.35, 0.0)]),
+    ])
+    def test_rims_in_site_order(self, family, comp, points):
+        component = prepare_components(family, 0.07)[comp]
+        assert len(component.interfaces) == len(points)
+        for iface, point in zip(component.interfaces, points):
+            centroid = component.vertices[iface.chart_ids].mean(axis=0)
+            assert centroid == pytest.approx(point, abs=1e-9)
 
 
 class TestOneAssembly:

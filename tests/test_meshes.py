@@ -10,8 +10,8 @@ import pytest
 import steklov as sk
 from steklov import meshes
 from steklov.experiments import chain_family
-from steklov.meshes import (_ArcRequest, _fill_graded, _parameter_grid, _ring_delaunay,
-                            assemble_mesh)
+from steklov.meshes import (NECK_SEGMENTS, _ArcRequest, _fill_graded, _parameter_grid,
+                            _ring_delaunay, assemble_mesh)
 
 TWO_PI = 2 * math.pi
 
@@ -321,16 +321,16 @@ class TestGrids:
         assert requests and max(requests) <= 1e5
 
     def test_parameter_grid_pins_arcs(self):
-        arcs = [_ArcRequest(2.0, 0.1, 8)]
+        arcs = [_ArcRequest(2.0, 0.1)]
         grid, lists = _parameter_grid(TWO_PI, 0.3, arcs)
         arc_nodes = grid[lists[0]]
         assert arc_nodes[0] == pytest.approx(1.9)
         assert arc_nodes[-1] == pytest.approx(2.1)
-        assert len(arc_nodes) == 9
-        assert np.allclose(np.diff(arc_nodes), 0.2 / 8)
+        assert len(arc_nodes) == NECK_SEGMENTS + 1
+        assert np.allclose(np.diff(arc_nodes), 0.2 / NECK_SEGMENTS)
 
     def test_parameter_grid_rejects_overlap(self):
-        arcs = [_ArcRequest(1.0, 0.2, 4), _ArcRequest(1.3, 0.2, 4)]
+        arcs = [_ArcRequest(1.0, 0.2), _ArcRequest(1.3, 0.2)]
         with pytest.raises(sk.InvalidParameterError):
             _parameter_grid(TWO_PI, 0.3, arcs)
 
