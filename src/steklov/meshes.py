@@ -8,14 +8,19 @@ chart-only and the conformal factor enters solely through boundary lengths.
 
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`).  Disks
-and cylinders with neck sites share one site mesher (`_site_mesh`): graded
-patches, a Delaunay stage, rims cut open, and a structured log collar below
-chart radius 1e-3 for tiny rims.  On a disk the Delaunay stage is confined to
-a band of rings around the patches (`_band_delaunay`): the rings inside and
-outside it are merged, Qhull (`scipy.spatial`, imported only when needed)
-sees only the band, and a certificate on the split rings
-(`_split_ring_delaunay`) joins the pieces or sends the chart to one whole-chart
-Qhull call.  Cylinders, and disks too coarse for the ring merge, go to Qhull.
+and cylinders with neck sites share one site mesher (`_site_points`,
+`_attach_collars`): graded patches, a Delaunay stage, each site cut open at
+the ring that stage meets, and a structured collar inside that ring.  Interior
+rims below chart radius 1e-3 get a log collar; boundary arcs below a quarter
+of it get a half-collar of confocal half-ellipses ending on the circle
+(`_arc_site`).  On a disk the Delaunay stage keeps the site-free disk's
+ring-merged triangles away from the sites, and Qhull (`scipy.spatial`,
+imported only when needed) sees only the rest (`_band_delaunay`): a band of
+rings around interior sites (`_ring_split`), or the neighbourhoods of boundary
+arcs, outside which the circle keeps its uniform nodes (`_arc_split`).  A
+certificate on the interface (`_interface_delaunay`) joins the pieces or sends
+the chart to one whole-chart Qhull call; either route is logged at DEBUG.
+Cylinders, and disks too coarse for the ring merge, go to Qhull.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
 mesh is assembled once from its components' arrays; a component's own `mesh`
@@ -24,10 +29,11 @@ is assembled only when a plain surface asks for it.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +42,8 @@ from scipy.sparse.csgraph import connected_components
 from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
 
 TWO_PI = 2.0 * math.pi
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +443,14 @@ def _blend_to_site(lam_chart: np.ndarray, points: np.ndarray, center, lam_p: flo
     return lam_p * (1.0 - w) + lam_chart * w
 
 
-def _patch_rings(center, h0: float, resolution: float, r_start: float, keep):
+def _patch_rings(center, h0: float, resolution: float, r_start: float, keep,
+                 phase: float = 0.0):
     """Concentric graded point rings around a refinement center.
 
     Spacing grows ~0.42 * r from h0 up to the background resolution; `keep`
-    filters candidate points (inside the domain, outside other exclusions).
-    Returns the points and the exclusion radius the patch covers.
+    filters candidate points (inside the domain, outside other exclusions),
+    and `phase` turns every ring.  Returns the points and the exclusion
+    radius the patch covers.
     """
     pts = []
     r = r_start
@@ -449,7 +459,7 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep):
         s = min(resolution, max(h0, 0.42 * r))
         n = max(8, int(round(TWO_PI * r / s)))
         offs = (ring % 2) * math.pi / n
-        ang = offs + TWO_PI * np.arange(n) / n
+        ang = offs + TWO_PI * np.arange(n) / n + phase
         q = np.asarray(center) + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         mask = keep(q, s)
         if np.any(mask):
@@ -462,18 +472,13 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep):
 
 
 # ---------------------------------------------------------------------------
-# neck sites: graded patches, rims cut open, log collars
+# neck sites: graded patches, rims and arcs cut open, collars
 # ---------------------------------------------------------------------------
 
-# below this rim radius a structured collar keeps the tiniest triangles away
-# from the Delaunay stage, whose lifted-paraboloid predicates lose them
+# below this radius a structured collar keeps the tiniest triangles away from
+# the Delaunay stage, whose lifted-paraboloid predicates lose them
 COLLAR_RADIUS = 1e-3
-
-# below this chart half-width a boundary arc on a disk is refused: its patch
-# points come closer than Qhull resolves in the band.  Probed on two-disk,
-# catenoid+disk, Moebius+disk and three-disk chains at resolutions 0.02-0.1,
-# every build passed at rho >= 1.5e-6 and 11 of 16 lost points at rho 1e-6.
-MIN_ARC_HALF_WIDTH = 5e-6
+COLLAR_GROWTH = 1.3  # radius ratio between consecutive collar rings
 
 
 def placed_rim_radius(r_rim: float) -> float:
@@ -481,17 +486,31 @@ def placed_rim_radius(r_rim: float) -> float:
     return max(r_rim, COLLAR_RADIUS)
 
 
+def _unit(angles: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
 def _ring_points(center, radius: float, m: int) -> np.ndarray:
-    ang = TWO_PI * np.arange(m) / m
-    return np.asarray(center) + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return np.asarray(center) + radius * _unit(TWO_PI * np.arange(m) / m)
 
 
-def _ring_strips(rings: np.ndarray) -> np.ndarray:
-    """Two triangles per cell between consecutive closed rings (rows of vertex ids)."""
+def _ring_strips(rings: np.ndarray, closed: bool = True) -> np.ndarray:
+    """Two triangles per cell between consecutive rings (rows of vertex ids).
+
+    Closed rings wrap around.  Open ones, which end on the boundary circle, do
+    not; their cells split along the diagonal that keeps the two end cells of
+    the innermost strip from joining three nodes of the circle.
+    """
     a, d = rings[:-1], rings[1:]
     b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
-    return np.concatenate([np.stack([a, b, c], axis=2),
-                           np.stack([a, c, d], axis=2)], axis=1).reshape(-1, 3)
+    if closed:
+        return np.concatenate([np.stack([a, b, c], axis=2),
+                               np.stack([a, c, d], axis=2)], axis=1).reshape(-1, 3)
+    a, b, c, d = (x[:, :-1] for x in (a, b, c, d))
+    first = (np.arange(a.shape[1]) < a.shape[1] // 2)[:, None]
+    one = np.where(first, np.stack([a, b, c], axis=2), np.stack([a, b, d], axis=2))
+    two = np.where(first, np.stack([a, c, d], axis=2), np.stack([b, c, d], axis=2))
+    return np.concatenate([one, two], axis=1).reshape(-1, 3)
 
 
 def _qhull_triangles(points: np.ndarray) -> np.ndarray:
@@ -502,79 +521,143 @@ def _qhull_triangles(points: np.ndarray) -> np.ndarray:
     return tri.simplices
 
 
-def _site_mesh(head: np.ndarray, background: np.ndarray, arcs, holes, resolution: float,
-               inside, pinned: np.ndarray | None = None, rings=None):
-    """Chart triangulation refined around neck sites, with a hole cut at each rim.
+@dataclass(frozen=True, eq=False)
+class _Site:
+    """A neck site as the site mesher sees it.
 
-    Points are `head` (placed first), then the rims, the `background` points
-    outside every patch (or `pinned`), then the patches.  `arcs` holds the
-    (centre, spacing) of boundary-arc patches and `holes` the (centre, rim
-    radius) of interior rims of NECK_SEGMENTS segments; `inside(q, s)` keeps
-    patch points at spacing s within the chart.  The Delaunay stage sees each rim at
-    COLLAR_RADIUS or more, and a structured log collar descends from there to
-    the true rim.  On a disk chart, `rings` gives the (counts, offsets) of the
-    centre and bulk rings that make up `background`, `head` being the boundary
-    circle, and `_band_delaunay` triangulates; otherwise Qhull does.
-    Returns the points, the triangles and each hole's true rim ids.
+    `outer` is the ring of points the Delaunay stage meets; `collar` (rings,
+    nodes, 2) holds the structured rings inside it, from the site's true rim
+    or arc outwards, and may be empty (the true one is then `outer`).  The
+    graded patch around `centre` starts at radius `r_start` with spacing
+    `h0`, turned by `phase`, and keeps its points outside radius `r_hole`.
+    """
+    centre: np.ndarray
+    collar: np.ndarray
+    outer: np.ndarray
+    closed: bool
+    h0: float
+    r_start: float
+    r_hole: float
+    phase: float = 0.0
+
+
+def _hole_site(centre: np.ndarray, r_rim: float) -> _Site:
+    """An interior rim of NECK_SEGMENTS segments.  Below COLLAR_RADIUS the
+    Delaunay stage sees it at COLLAR_RADIUS, and a log collar descends to it."""
+    m = NECK_SEGMENTS
+    r = placed_rim_radius(r_rim)
+    radii = []
+    if r_rim < COLLAR_RADIUS:
+        n_rings = max(2, int(math.ceil(math.log(COLLAR_RADIUS / r_rim)
+                                       / math.log(COLLAR_GROWTH))))
+        radii = np.geomspace(r_rim, COLLAR_RADIUS, n_rings + 1)[:-1]
+    collar = np.array([_ring_points(centre, rr, m) for rr in radii]).reshape(-1, m, 2)
+    h0 = TWO_PI * r / m
+    return _Site(centre, collar, _ring_points(centre, r, m), True, h0, r + h0, r)
+
+
+def _arc_site(centre: np.ndarray, theta: float, w: float) -> tuple[_Site, float]:
+    """A boundary arc of chart half-angle w centred at angle theta on the unit circle.
+
+    The arc has NECK_SEGMENTS + 1 nodes, equally spaced.  An arc below
+    COLLAR_RADIUS / 4 gets a half-collar.  In a coordinate z = x + iy along
+    the arc (x) and inward (y), its rings are the confocal half-ellipses
+    z = w cosh(mu + i nu) about the arc's ends, for mu in log-collar steps up
+    to a reach of COLLAR_RADIUS, carried onto the disk by z -> exp(i (theta +
+    z)).  That map is conformal and takes the real line onto the unit circle,
+    so every ring ends on the circle.  Along a ring, nu moves from the arc's
+    own nodes (mu = 0) to equal steps by mu = 2, where the ellipses are near
+    circles.  The outer ring keeps every other node, so that the Delaunay
+    stage meets it as it meets a rim, at a spacing of pi * COLLAR_RADIUS / 8.
+    Returns the site and the half-angle of the span it takes on the circle.
     """
     m = NECK_SEGMENTS
-    rims = [(c, placed_rim_radius(r_rim)) for c, r_rim in holes]
-    patches = ([(c, h0, 1.9 * h0, 0.0) for c, h0 in arcs]
-               + [(c, TWO_PI * r / m, r + TWO_PI * r / m, r) for c, r in rims])
-    patch_pts, exclusions = [], []  # exclusions: (centre, radius)
-    for c, h0, r_start, r_hole in patches:
+    x = np.linspace(-1.0, 1.0, m + 1)
+    mu = np.zeros(1)
+    if w < COLLAR_RADIUS / 4.0:
+        mu_end = math.acosh(COLLAR_RADIUS / w)
+        mu = np.linspace(0.0, mu_end,
+                         max(2, math.ceil(mu_end / math.log(COLLAR_GROWTH))) + 1)
+    s = _smoothstep(mu / 2.0)[:, None]
+    nu = (1.0 - s) * np.arccos(x) + s * (0.5 * math.pi) * (1.0 - x)
+    q = np.exp(1j * (theta + w * np.cosh(mu[:, None] + 1j * nu)))
+    rings = np.stack([q.real, q.imag], axis=-1)
+    if len(mu) == 1:
+        h0 = 2.0 * w / m
+        return _Site(centre, rings[:0], rings[0], False, h0, 1.9 * h0, 0.0, theta), w
+    h0 = TWO_PI * COLLAR_RADIUS / m
+    site = _Site(centre, rings[:-1], rings[-1, ::2], False, h0, COLLAR_RADIUS + h0,
+                 COLLAR_RADIUS, theta)
+    return site, w * math.cosh(mu[-1])
 
-        def keep(q, s, _c=c, _r=r_hole):
+
+def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site],
+                 resolution: float, inside, pinned: np.ndarray | None = None):
+    """Points of a chart refined around neck sites, for the Delaunay stage.
+
+    Points are `head` (placed first), then each site's outer ring, the
+    `background` points outside every patch (or `pinned`), then the patches;
+    `inside(q, s)` keeps patch points at spacing s within the chart.  Returns
+    the points, the id of each background point (-1 where a patch dropped it),
+    the ids of each site's outer ring, and the (centre, radius) disk each patch
+    covers.
+    """
+    patch_pts, exclusions = [], []
+    for site in sites:
+
+        def keep(q, s, _c=site.centre, _r=site.r_hole):
             ok = inside(q, s) & (np.linalg.norm(q - _c, axis=1) > _r + 0.45 * s)
             for e, rr in exclusions:
                 ok &= np.linalg.norm(q - e, axis=1) > 0.8 * rr
             return ok
 
-        pts, r_excl = _patch_rings(c, h0, resolution, r_start, keep)
+        pts, r_excl = _patch_rings(site.centre, site.h0, resolution, site.r_start, keep,
+                                   site.phase)
         patch_pts.append(pts)
-        exclusions.append((c, r_excl + r_hole))
+        exclusions.append((site.centre, r_excl + site.r_hole))
     far = np.ones(len(background), dtype=bool)
     for c, rr in exclusions:
         far &= np.linalg.norm(background - c, axis=1) > rr
     if pinned is not None:
         far |= pinned
-    rim_pts = [_ring_points(c, r, m) for c, r in rims]
-    sections = [head] + rim_pts + [background[far]] + patch_pts
+    outer = [site.outer for site in sites]
+    sections = [head] + outer + [background[far]] + patch_pts
     points = np.concatenate([s for s in sections if len(s)])
-    offsets = len(head) + m * np.arange(len(rims) + 1)
-    rim_ids = [np.arange(o, o + m) for o in offsets[:-1]]
+    ends = len(head) + np.cumsum([0] + [len(r) for r in outer])
+    outer_ids = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    background_ids = np.where(far, ends[-1] + np.cumsum(far) - 1, -1)
+    return points, background_ids, outer_ids, exclusions
 
-    if rings is None:
-        triangles = _qhull_triangles(points)
-    else:
-        ring_counts, ring_offsets = rings
-        first = np.cumsum([0] + ring_counts[:-1])  # of each ring in `background`
-        # the rings the band split keeps are whole, so they lie at consecutive ids
-        kept_id = offsets[-1] + np.cumsum(far) - 1
-        triangles = _band_delaunay(points, np.append(kept_id[first], 0),
-                                   np.array(ring_counts + [len(head)]),
-                                   np.array(ring_offsets + [0.0]),
-                                   exclusions, uniform_boundary=not arcs)
-    for ids in rim_ids:
+
+def _attach_collars(points: np.ndarray, triangles: np.ndarray, sites: Sequence[_Site],
+                    outer_ids):
+    """Cut each site open at its outer ring and fill its collar inside.
+
+    Returns the points, the triangles and the ids of each site's true rim or
+    arc.
+    """
+    for ids in outer_ids:
         triangles = triangles[~np.isin(triangles, ids).all(axis=1)]
-
-    collar_pts, collar_tris, true_rim_ids = [], [], []
+    pieces, strips, true_ids = [points], [triangles], []
     n = len(points)
-    for (c, r_rim), ids in zip(holes, rim_ids):
-        if r_rim >= COLLAR_RADIUS:
-            true_rim_ids.append(ids)
+    for site, ids in zip(sites, outer_ids):
+        k = site.collar.shape[0] * site.collar.shape[1]
+        if not k:
+            true_ids.append(ids)
             continue
-        n_rings = max(2, int(math.ceil(math.log(COLLAR_RADIUS / r_rim) / math.log(1.3))))
-        radii = np.geomspace(r_rim, COLLAR_RADIUS, n_rings + 1)[:-1]
-        collar_pts += [_ring_points(c, r, m) for r in radii]
-        rings = np.vstack([np.arange(n, n + n_rings * m).reshape(n_rings, m), ids])
-        collar_tris.append(_ring_strips(rings))
-        true_rim_ids.append(rings[0])
-        n += n_rings * m
-    if collar_pts:
-        points = np.concatenate([points] + collar_pts)
-        triangles = np.concatenate([triangles] + collar_tris)
-    return points, triangles, true_rim_ids
+        rings = np.arange(n, n + k).reshape(site.collar.shape[:2])
+        pieces.append(site.collar.reshape(-1, 2))
+        if rings.shape[1] == len(ids):
+            strips.append(_ring_strips(np.vstack([rings, ids]), site.closed))
+        else:  # an open ring meeting an outer ring of every other node
+            fine = rings[-1]
+            strips += [_ring_strips(rings, site.closed),
+                       np.stack([fine[:-2:2], fine[1::2], ids[:-1]], axis=1),
+                       np.stack([fine[1::2], ids[1:], ids[:-1]], axis=1),
+                       np.stack([fine[1::2], fine[2::2], ids[1:]], axis=1)]
+        n += k
+        true_ids.append(rings[0])
+    return np.concatenate(pieces), np.concatenate(strips), true_ids
 
 
 # ---------------------------------------------------------------------------
@@ -633,75 +716,211 @@ def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     return np.concatenate([outward, inward])
 
 
-def _split_ring_delaunay(points: np.ndarray, ring_ids: np.ndarray, band: np.ndarray,
-                         piece: np.ndarray) -> bool:
-    """Whether each edge of a split ring bounds one triangle on each side and passes
-    `_ring_delaunay`'s test, so that the two triangulations join into one Delaunay
-    triangulation (an edge that is locally Delaunay everywhere makes it global)."""
-    m = len(ring_ids)
-    pos = np.full(len(points), -1)
-    pos[ring_ids] = np.arange(m)
+def _edge_keys(tris: np.ndarray, n: int) -> np.ndarray:
+    """Key lo * n + hi of each triangle edge; edge c joins corners c and c+1."""
+    nxt = np.roll(tris, -1, axis=1)
+    return np.minimum(tris, nxt) * n + np.maximum(tris, nxt)
+
+
+def _interface_delaunay(points: np.ndarray, edges: np.ndarray, band: np.ndarray,
+                        piece: np.ndarray) -> bool:
+    """Whether each interface edge bounds one triangle of `band` and one of `piece`
+    and passes `_ring_delaunay`'s test, so that the two triangulations join into one
+    Delaunay triangulation (an edge that is locally Delaunay everywhere makes it global)."""
+    n = len(points)
+    key = _edge_keys(edges, n)[:, 0]
+    order = np.argsort(key)
+    key, edges = key[order], edges[order]
+    on = np.zeros(n, dtype=bool)
+    on[edges] = True
     apexes = []
     for tris in (band, piece):
-        a = pos[tris]
-        b = np.roll(a, -1, axis=1)  # edge c joins corners c and c+1, opposite corner c+2
-        fwd = (a >= 0) & (b >= 0) & ((b - a) % m == 1)
-        back = (a >= 0) & (b >= 0) & ((a - b) % m == 1)
-        t, c = np.nonzero(fwd | back)
-        edge = np.where(fwd[t, c], a[t, c], b[t, c])
-        if not np.array_equal(np.bincount(edge, minlength=m), np.ones(m, dtype=np.int64)):
+        tris = tris[on[tris].sum(axis=1) >= 2]
+        keys = _edge_keys(tris, n)
+        t, c = np.nonzero(np.isin(keys, key))
+        pos = np.searchsorted(key, keys[t, c])
+        if not np.array_equal(np.bincount(pos, minlength=len(key)),
+                              np.ones(len(key), dtype=np.int64)):
             return False
-        apex = np.empty(m, dtype=np.int64)
-        apex[edge] = tris[t, (c + 2) % 3]
+        apex = np.empty(len(key), dtype=np.int64)
+        apex[pos] = tris[t, (c + 2) % 3]
         apexes.append(apex)
-    nxt = np.roll(ring_ids, -1)
-    cot_sum = (_cotangents(points, apexes[0], ring_ids, nxt)
-               + _cotangents(points, apexes[1], ring_ids, nxt))
+    p, q = edges[:, 0], edges[:, 1]
+    cot_sum = _cotangents(points, apexes[0], p, q) + _cotangents(points, apexes[1], p, q)
     return bool(np.all(cot_sum >= -1e-12))
 
 
-def _band_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                   offsets: np.ndarray, exclusions, uniform_boundary: bool) -> np.ndarray:
-    """Delaunay triangulation of a disk chart whose neck patches cut a band of rings.
+def _drop_pockets(tris: np.ndarray, iface: np.ndarray, n: int) -> np.ndarray:
+    """The triangles joined, across edges off the interface, to a vertex off it.
+
+    Qhull fills the convex hull of its points; the part beyond the interface
+    (the pockets) is spanned by interface vertices alone.
+    """
+    keys = _edge_keys(tris, n).ravel()
+    cross = ~np.isin(keys, _edge_keys(iface, n)[:, 0])
+    tri = np.repeat(np.arange(len(tris)), 3)[cross]
+    keys = keys[cross]
+    order = np.argsort(keys, kind="stable")
+    keys, tri = keys[order], tri[order]
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    graph = sp.coo_matrix((np.ones(len(same)), (tri[same], tri[same + 1])),
+                          shape=(len(tris), len(tris)))
+    labels = connected_components(graph, directed=False)[1]
+    on = np.zeros(n, dtype=bool)
+    on[iface] = True
+    return tris[np.isin(labels, labels[~on[tris].all(axis=1)])]
+
+
+def _band_delaunay(points: np.ndarray, piece: np.ndarray, iface: np.ndarray) -> np.ndarray:
+    """Delaunay triangulation of a chart part of which is known: `piece` holds
+    Delaunay triangles on some of the points, and meets the rest of the chart
+    along the edges `iface`.
+
+    Qhull sees only the points off the piece and the interface vertices (the
+    band), and its triangles beyond the interface are dropped.  The interface
+    must pass `_interface_delaunay`; otherwise Qhull triangulates the whole
+    chart.
+    """
+    off = np.zeros(len(points), dtype=bool)
+    off[piece] = True
+    off[iface] = False
+    band_ids = np.flatnonzero(~off)
+    logger.debug("Delaunay band: Qhull on %d of %d points", len(band_ids), len(points))
+    band = _drop_pockets(band_ids[_qhull_triangles(points[band_ids])], iface, len(points))
+    if not _interface_delaunay(points, iface, band, piece):
+        logger.debug("whole-chart Qhull: certificate failed")
+        return _qhull_triangles(points)
+    return np.concatenate([band, piece])
+
+
+def _ring_split(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                offsets: np.ndarray, exclusions):
+    """Ring-merged inner disk and outer annulus of a disk chart with interior sites.
 
     Ring i of the chart (0: the centre, last: the boundary circle) lies at
     radius i / (len(counts) - 1); `exclusions` holds the (centre, radius) of
-    the disks the patches cover.  The band runs between split rings that every
-    exclusion disk clears by two ring spacings.  The inner disk is ring-merged,
-    the outer annulus too when the boundary is the uniform ring, and Qhull runs
-    on the band's points and split rings only (dropping its triangles spanned
-    by one split ring).  The pieces must pass `_split_ring_delaunay`; otherwise
-    Qhull triangulates the whole chart.
+    the disks the patches cover.  The pieces end at split rings that every
+    exclusion disk clears by two ring spacings.  Returns the pieces'
+    triangles and the split rings' edges, or None (whole-chart Qhull) when no
+    ring clears the sites or a merge fails.
     """
     nr = len(counts) - 1
     near = min(float(np.linalg.norm(c)) - rr for c, rr in exclusions)
     far = max(float(np.linalg.norm(c)) + rr for c, rr in exclusions)
     lo = int(math.floor(near * nr)) - 2  # outer ring of the inner disk
     hi = int(math.ceil(far * nr)) + 2  # inner ring of the outer annulus
-    splits, pieces, off_band = [], [], []
+    splits, pieces = [], []
     if lo >= 1:
         splits.append(lo)
         pieces.append(_ring_delaunay(points, starts[:lo + 1], counts[:lo + 1],
                                      offsets[:lo + 1]))
-        off_band += range(lo)
-    if uniform_boundary and hi < nr:
+    if hi < nr:
         splits.append(hi)
         pieces.append(_ring_delaunay(points, starts[hi:], counts[hi:], offsets[hi:]))
-        off_band += range(hi + 1, nr + 1)
-    if not splits or any(p is None for p in pieces):
-        return _qhull_triangles(points)
-    in_band = np.ones(len(points), dtype=bool)
-    for i in off_band:
-        in_band[starts[i]:starts[i] + counts[i]] = False
-    band_ids = np.flatnonzero(in_band)
-    band = band_ids[_qhull_triangles(points[band_ids])]
-    ring_ids = [starts[i] + np.arange(counts[i]) for i in splits]
-    for ids in ring_ids:
-        band = band[~np.isin(band, ids).all(axis=1)]
-    if not all(_split_ring_delaunay(points, ids, band, piece)
-               for ids, piece in zip(ring_ids, pieces)):
-        return _qhull_triangles(points)
-    return np.concatenate([band] + pieces)
+    if not pieces or any(p is None for p in pieces):
+        logger.debug("whole-chart Qhull: %s",
+                     "ring merge failed" if pieces else "no ring clears the sites")
+        return None
+    rings = [starts[i] + np.arange(counts[i]) for i in splits]
+    return (np.concatenate(pieces),
+            np.concatenate([np.stack([r, np.roll(r, -1)], axis=1) for r in rings]))
+
+
+def _disk_boundary(grid: np.ndarray, blocks):
+    """Boundary angles of a disk whose arc sites pin `blocks` of the circle.
+
+    `grid` holds the uniform circle's angles and `blocks` the (start, end, end
+    spacing) of each arc site's span, whose nodes the site places.  Between
+    blocks the uniform nodes stay, except within three steps of a block, where
+    a graded fill runs from the block's end spacing to the uniform one.
+    Returns the angles of the nodes outside the blocks and the index among
+    them of each uniform node (-1 where a fill replaced it).
+    """
+    n = len(grid)
+    du = TWO_PI / n
+    blocks = sorted(blocks)
+    parts, where, count = [], np.full(n, -1), 0
+    for i, (_, hi, h) in enumerate(blocks):
+        nxt, _, h_nxt = blocks[(i + 1) % len(blocks)]
+        nxt += TWO_PI if i + 1 == len(blocks) else 0.0
+        if nxt <= hi:
+            raise InvalidGluingError("boundary neck arcs overlap")
+        ks = np.arange(math.ceil(hi / du + 3.0), math.floor(nxt / du - 3.0) + 1)
+        if len(ks):
+            fills = [_fill_graded(hi, ks[0] * du, h, du, du)[1:-1], grid[ks % n],
+                     _fill_graded(ks[-1] * du, nxt, du, h_nxt, du)[1:-1]]
+            where[ks % n] = count + len(fills[0]) + np.arange(len(ks))
+        else:
+            fills = [_fill_graded(hi, nxt, h, h_nxt, du)[1:-1]]
+        parts += fills
+        count += sum(len(f) for f in fills)
+    return np.concatenate(parts), where
+
+
+class _DiskLayout(NamedTuple):
+    """The site-free disk's points, the boundary circle first, then the centre
+    and the bulk rings, with the rest of their `_ring_delaunay` arguments."""
+    points: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+
+
+def _disk_layout(resolution: float, turn: float) -> _DiskLayout:
+    """Uniform circle and concentric bulk rings, all turned by `turn`."""
+    n_b = max(8, int(round(TWO_PI / resolution)))
+    nr = max(3, int(round(1.0 / resolution)))
+    rings = [np.zeros((1, 2))]
+    counts, offsets = [1], [turn]  # the centre, then the bulk rings
+    for i in range(1, nr):
+        r = i / nr
+        n = max(6, int(round(TWO_PI * r / resolution)))
+        offs = (i % 2) * math.pi / n
+        rings.append(r * _unit(offs + TWO_PI * np.arange(n) / n + turn))
+        counts.append(n)
+        offsets.append(offs + turn)
+    circle = _unit(np.linspace(0.0, TWO_PI, n_b + 1)[:-1] + turn)
+    return _DiskLayout(np.concatenate([circle] + rings),
+                       np.append(n_b + np.cumsum([0] + counts[:-1]), 0),
+                       np.array(counts + [n_b]), np.array(offsets + [turn]))
+
+
+def _arc_split(points: np.ndarray, layout: _DiskLayout, actual: np.ndarray, n_front: int,
+               exclusions, margin: float):
+    """The site-free disk's ring-merged triangles that a disk with arc sites keeps.
+
+    `actual` maps the layout's vertices to `points` (-1 where a site replaced
+    them); the first `n_front` points are the boundary nodes and the sites'
+    outer rings.  A vertex is clear when it is kept and lies more than
+    `margin` beyond every patch's exclusion disk and away from every front
+    point off the uniform circle.  The triangles on clear vertices are kept,
+    so Qhull sees only the sites' neighbourhoods.  Returns them and the edges
+    they share with the rest, or None when the ring merge fails.
+    """
+    tris = _ring_delaunay(*layout)
+    if tris is None:
+        logger.debug("whole-chart Qhull: ring merge failed")
+        return None
+    xy = layout.points
+    clear = actual >= 0
+    for c, rr in exclusions:
+        clear &= np.linalg.norm(xy - c, axis=1) > rr + margin
+    n_circle = layout.counts[-1]
+    off_circle = np.ones(n_front, dtype=bool)
+    on_circle = actual[:n_circle]
+    off_circle[on_circle[on_circle >= 0]] = False
+    fixed = points[:n_front][off_circle]
+    outer = np.flatnonzero(clear & (np.linalg.norm(xy, axis=1) > 1.0 - margin))
+    gap = np.linalg.norm(xy[outer, None] - fixed[None], axis=2).min(axis=1)
+    clear[outer[gap <= margin]] = False
+    kept = clear[tris].all(axis=1)
+    n = len(xy)
+    keys, count = np.unique(_edge_keys(tris[~kept], n), return_counts=True)
+    a, b = keys // n, keys % n
+    # an edge of one other triangle on two clear vertices borders the kept
+    # ones, unless it lies on the circle
+    shared = (count == 1) & clear[a] & clear[b] & ((a >= n_circle) | (b >= n_circle))
+    return actual[tris[kept]], actual[np.stack([a[shared], b[shared]], axis=1)]
 
 
 def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
@@ -716,16 +935,8 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
             raise InvalidParameterError("disk has a single boundary loop")
         p = np.array([math.cos(site.theta), math.sin(site.theta)])
         lam_p = float(base_lam(p[None])[0])
-        w = site.rho / lam_p  # chart angle; arclength = angle on the unit circle
-        if w < MIN_ARC_HALF_WIDTH:
-            raise InvalidGluingError(f"boundary neck arc half-width {w:.3g} is below "
-                                     f"the meshable floor {MIN_ARC_HALF_WIDTH:g}")
-        arc_meta.append((site, p, lam_p, w))
-
-    requests = [_ArcRequest(site.theta % TWO_PI, w) for site, p, lam_p, w in arc_meta]
-    angles, arc_index_lists = _parameter_grid(TWO_PI, resolution, requests)
-    angles = angles[:-1]  # 2*pi duplicates the angle-0 node on a circle
-    boundary_pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # chart angle; arclength = angle on the unit circle
+        arc_meta.append((site, p, lam_p, site.rho / lam_p))
 
     rim_meta = []
     for site in hole_sites:
@@ -736,48 +947,49 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
             raise InvalidGluingError("interior neck disk reaches the boundary")
         rim_meta.append((site, p, lam_p, r_rim))
 
-    nr = max(3, int(round(1.0 / resolution)))
-    bulk = [np.zeros((1, 2))]
-    ring_counts, ring_offsets = [1], [0.0]  # the centre, then the bulk rings
-    for i in range(1, nr):
-        r = i / nr
-        n = max(6, int(round(TWO_PI * r / resolution)))
-        offs = (i % 2) * math.pi / n
-        ang = offs + TWO_PI * np.arange(n) / n
-        bulk.append(r * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        ring_counts.append(n)
-        ring_offsets.append(offs)
-    bulk_pts = np.concatenate(bulk)
-
-    rim_ids = []
-    if arc_meta or rim_meta:
-        points, triangles, rim_ids = _site_mesh(
-            boundary_pts, bulk_pts,
-            [(p, 2.0 * w / NECK_SEGMENTS) for site, p, lam_p, w in arc_meta],
-            [(p, r_rim) for site, p, lam_p, r_rim in rim_meta],
-            resolution, lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s,
-            rings=(ring_counts, ring_offsets))
-    else:
-        # points are the boundary ring, then the centre and the bulk rings
-        points = np.concatenate([boundary_pts, bulk_pts])
-        n_boundary = len(boundary_pts)
-        starts = n_boundary + np.cumsum([0] + ring_counts[:-1])
-        triangles = _ring_delaunay(points, np.append(starts, 0),
-                                   np.array(ring_counts + [n_boundary]),
-                                   np.array(ring_offsets + [0.0]))
+    # turned to put the first arc on a circle node: a disk with one arc then
+    # meshes alike at every angle
+    turn = arc_sites[0].theta if arc_sites else 0.0
+    layout = _disk_layout(resolution, turn)
+    n_b = layout.counts[-1]
+    if not arc_meta and not rim_meta:
+        points, true_ids = layout.points, []
+        triangles = _ring_delaunay(*layout)
         if triangles is None:
             triangles = _qhull_triangles(points)
+    else:
+        sites, blocks = [], []
+        for site, p, lam_p, w in arc_meta:
+            arc, half = _arc_site(p, site.theta, w)
+            sites.append(arc)
+            mid = (site.theta - turn) % TWO_PI
+            blocks.append((mid - half, mid + half, arc.h0))
+        sites += [_hole_site(p, r_rim) for site, p, lam_p, r_rim in rim_meta]
+        head, head_ids = layout.points[:n_b], np.arange(n_b)
+        if blocks:
+            angles, head_ids = _disk_boundary(np.linspace(0.0, TWO_PI, n_b + 1)[:-1], blocks)
+            head = _unit(angles + turn)
+        points, background_ids, outer_ids, exclusions = _site_points(
+            head, layout.points[n_b:], sites, resolution,
+            lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s)
+        if blocks:
+            split = _arc_split(points, layout, np.concatenate([head_ids, background_ids]),
+                               outer_ids[-1][-1] + 1, exclusions, 2.0 / (len(layout.counts) - 1))
+        else:
+            split = _ring_split(points, np.append(background_ids[layout.starts[:-1] - n_b], 0),
+                                layout.counts, layout.offsets, exclusions)
+        triangles = _qhull_triangles(points) if split is None else \
+            _band_delaunay(points, *split)
+        points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
 
     lam_chart = base_lam(points)
     for site, p, lam_p, _ in arc_meta + rim_meta:
         lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
 
-    interfaces = [Interface(np.asarray(idxs), lam_p)
-                  for (site, p, lam_p, w), idxs in zip(arc_meta, arc_index_lists)]
-    interfaces += [Interface(ids, lam_p)
-                   for (site, p, lam_p, r_rim), ids in zip(rim_meta, rim_ids)]
+    interfaces = tuple(Interface(ids, lam_p)
+                       for (site, p, lam_p, _), ids in zip(arc_meta + rim_meta, true_ids))
     return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), lam_chart,
-                     tuple(interfaces))
+                     interfaces)
 
 
 def build_disk_mesh(resolution: float) -> SurfaceMesh:
@@ -918,7 +1130,7 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
             raise InvalidGluingError("interior neck disk reaches the cylinder boundary")
         if not (reach < p[0] < TWO_PI - reach):
             raise InvalidGluingError("interior neck disk crosses the chart seam")
-        holes.append((p, r_rim))
+        holes.append(_hole_site(p, r_rim))
 
     n_th = max(8, int(round(TWO_PI / resolution)))
     n_t = max(2, int(round(T / resolution)))
@@ -932,8 +1144,10 @@ def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
 
     # the seam columns must survive with identical t-grids on both sides
     seam_cols = (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI)
-    points, triangles, rim_ids = _site_mesh(np.zeros((0, 2)), base, (), holes, resolution,
-                                            inside, pinned=seam_cols)
+    points, _, outer_ids, _ = _site_points(np.zeros((0, 2)), base, holes, resolution, inside,
+                                           pinned=seam_cols)
+    points, triangles, rim_ids = _attach_collars(points, _qhull_triangles(points), holes,
+                                                 outer_ids)
 
     # identify the chart seam: vertices at theta=0 and theta=2*pi share t values
     left = np.where(points[:, 0] == 0.0)[0]

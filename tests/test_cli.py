@@ -238,14 +238,22 @@ class TestSweepAndCompare:
         assert not any("failure" in row for row in payload["rows"])
 
     def test_tiny_rho_ends_with_a_report(self, tmp_path, monkeypatch):
-        # rho 1e-7 is a domain failure of its row, not an unbounded grading
-        code, out = run(["sweep", "--preset", "two-disks", "--rho", "0.1,1e-7",
-                         "--resolution", "0.03"], tmp_path, monkeypatch)
-        assert code in (0, 1)
+        # rho 2.0 exceeds the clearance quarter of 1.57: a failed row, still a report
+        code, out = run(["sweep", "--preset", "two-disks", "--rho", "2.0,0.1",
+                         "--resolution", "0.05"], tmp_path, monkeypatch, "a")
+        assert code == 1
         [report] = out.glob("sweep-two-disks-*.json")
         rows = json.loads(report.read_text())["rows"]
         assert len(rows) == 2
-        assert rows[1]["failure"].startswith("InvalidGluingError")
+        assert rows[0]["failure"].startswith("InvalidGluingError")
+        assert "failure" not in rows[1]
+        # rho 1e-7 meshes on the arcs' half-collars
+        code, out = run(["sweep", "--preset", "two-disks", "--rho", "0.1,1e-7",
+                         "--resolution", "0.03"], tmp_path, monkeypatch, "b")
+        [report] = out.glob("sweep-two-disks-*.json")
+        rows = json.loads(report.read_text())["rows"]
+        assert len(rows) == 2 and not any("failure" in row for row in rows)
+        assert code == 0
 
 
 class TestBounds:

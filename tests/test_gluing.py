@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steklov as sk
 from steklov import gluing, meshes
@@ -53,11 +55,37 @@ class TestBoundaryGlue:
         with pytest.raises(sk.InvalidGluingError):
             sk.build_glued_mesh(fam, 0.08)
 
-    # arcs below the floor would lose points in Qhull; they are refused up front
+    # arcs this small once lost points in Qhull; a half-collar now carries them
     @pytest.mark.parametrize("rho", [1e-6, 1e-7])
-    def test_arc_below_floor_rejected(self, rho):
+    def test_tiny_arcs_build(self, rho):
+        family = two_disks(rho)
+        for comp in prepare_components(family, 0.03):
+            assert [len(i.chart_ids) for i in comp.interfaces] == [meshes.NECK_SEGMENTS + 1]
+        mesh = glue(prepare_components(family, 0.03), family)
+        assert sk.validate_mesh(mesh) == []
+        assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, abs=1e-2)
+
+    def test_overlapping_half_collars_rejected(self):
+        # 1e-4 apart passes the clearance check at rho 1e-10, but the two arcs'
+        # half-collars reach 1e-3 along the circle
+        fam = GluedFamily(
+            (sk.UnitDisk(), sk.UnitDisk()), 1e-10,
+            ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
+             (Attachment(0, theta=1.0 + 1e-4), Attachment(1, theta=4.0))))
         with pytest.raises(sk.InvalidGluingError):
-            sk.build_glued_mesh(two_disks(rho), 0.03)
+            sk.build_glued_mesh(fam, 0.05)
+
+    # the disk's angle origin is no seam: arcs on it mesh as anywhere else
+    @pytest.mark.parametrize("theta", [0.0, 0.05, TWO_PI - 0.05], ids=["0", "0.05", "2pi-0.05"])
+    def test_disk_arc_at_any_angle(self, theta):
+        def sigma_bar(angle):
+            fam = GluedFamily((sk.UnitDisk(), sk.UnitDisk()), 0.1,
+                              ((Attachment(0, theta=angle), Attachment(1, theta=0.5 * math.pi)),))
+            mesh = sk.build_glued_mesh(fam, 0.05)
+            assert sk.validate_mesh(mesh) == []
+            return sk.steklov_spectrum(mesh, 4).normalized[1:4]
+
+        assert sigma_bar(theta) == pytest.approx(sigma_bar(math.pi), rel=1e-3)
 
     def test_mixed_density_chain(self):
         fam = chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], 0.1)
@@ -248,3 +276,24 @@ class TestCleanliness:
         lam = mesh.conformal_factor[mesh.logical]
         for a, b in mesh.identifications:
             assert lam[a] == pytest.approx(lam[b], rel=1e-9)
+
+
+class TestBoundaryNeckProperties:
+    """Boundary-neck chains of unit disks at any rho down to 1e-10 and any angle."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([2, 3]),
+           log_rho=st.floats(-10.0, -1.0),
+           resolution=st.floats(0.03, 0.1),
+           angles=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=4, max_size=4),
+           turn=st.floats(1.0, TWO_PI - 1.0))
+    def test_chains_build(self, n, log_rho, resolution, angles, turn):
+        # the middle disk's second arc keeps 1 rad from its first
+        thetas = [angles[0], angles[1], (angles[1] + turn) % TWO_PI, angles[3]]
+        pairs = [(Attachment(i, theta=thetas[2 * i]), Attachment(i + 1, theta=thetas[2 * i + 1]))
+                 for i in range(n - 1)]
+        family = GluedFamily((sk.UnitDisk(),) * n, 10.0 ** log_rho, tuple(pairs))
+        mesh = sk.build_glued_mesh(family, resolution)  # no AssemblyError
+        assert sk.validate_mesh(mesh) == []
+        assert len(mesh.boundary_loops) == 1
+        assert sk.boundary_length(mesh) == pytest.approx(TWO_PI * n, rel=0.02)

@@ -1,3 +1,5 @@
+import hashlib
+import logging
 import math
 import os
 import subprocess
@@ -9,9 +11,9 @@ import pytest
 
 import steklov as sk
 from steklov import meshes
-from steklov.experiments import chain_family
-from steklov.meshes import (NECK_SEGMENTS, _ArcRequest, _fill_graded, _parameter_grid,
-                            _ring_delaunay, assemble_mesh)
+from steklov.experiments import annulus_self_glued, chain_family
+from steklov.meshes import (COLLAR_RADIUS, NECK_SEGMENTS, _ArcRequest, _fill_graded,
+                            _parameter_grid, _ring_delaunay, assemble_mesh)
 
 TWO_PI = 2 * math.pi
 
@@ -111,6 +113,71 @@ class TestRingDelaunayDisk:
         assert abs(sk.assemble_stiffness(mesh) - _qhull_stiffness(points)).max() == 0.0
 
 
+# sha256 prefixes of the (little-endian float64 / int64) bytes of vertices,
+# triangles and identifications; meshes with no arc site must stay bitwise
+PINNED_MESHES = {
+    "disk 0.03": (lambda: sk.build_disk_mesh(0.03),
+                  ("77c82e616083f18f", "ea5196df09d1eac5", "e3b0c44298fc1c14")),
+    "two-disk interior 1e-9": (
+        lambda: sk.build_glued_mesh(
+            chain_family([sk.UnitDisk()] * 2, 1e-9, "interior-cylinder"), 0.03),
+        ("f01e0e217a3653c5", "b6da4a5a7da2b7b4", "8f33870193513c68")),
+    "self-glued cylinder 1e-3": (
+        lambda: sk.build_glued_mesh(annulus_self_glued(1.0, 1e-3), 0.05),
+        ("d526b7bc1e2d2fdb", "95426e360e6b9147", "548e72f1e8c64742")),
+    "Moebius 0.5": (lambda: sk.build_mobius_mesh(0.5, 0.05),
+                    ("b8c221dc38c71c9d", "d022fe0521c66a26", "5c10961b224cba1a")),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MESHES))
+def test_meshes_without_arc_sites_are_pinned(case):
+    build, digests = PINNED_MESHES[case]
+    mesh = build()
+    got = tuple(hashlib.sha256(getattr(mesh, name).tobytes()).hexdigest()[:16]
+                for name in ("vertices", "triangles", "identifications"))
+    assert got == digests
+
+
+class TestArcSite:
+    """Boundary arcs: equally spaced arc nodes, and a half-collar below COLLAR_RADIUS / 4."""
+
+    @pytest.mark.parametrize("w", [0.1, 1e-4, 1e-10])
+    def test_rings_end_on_the_circle(self, w):
+        theta = 2.5
+        centre = np.array([math.cos(theta), math.sin(theta)])
+        site, half = meshes._arc_site(centre, theta, w)
+        arc = site.collar[0] if len(site.collar) else site.outer
+        assert len(arc) == NECK_SEGMENTS + 1
+        angles = np.unwrap(np.arctan2(arc[:, 1], arc[:, 0]))
+        assert angles == pytest.approx(np.linspace(theta - w, theta + w, NECK_SEGMENTS + 1),
+                                       rel=0, abs=1e-15)
+        ends = [site.outer[[0, -1]]] + [ring[[0, -1]] for ring in site.collar]
+        assert np.linalg.norm(np.concatenate(ends), axis=1) == pytest.approx(1.0, abs=1e-15)
+        if w < COLLAR_RADIUS / 4:
+            # the Delaunay stage meets a near-circle of 8 segments at the collar radius
+            assert len(site.outer) == NECK_SEGMENTS // 2 + 1
+            reach = np.linalg.norm(site.outer - centre, axis=1)
+            assert reach == pytest.approx(COLLAR_RADIUS, rel=0.05)
+            assert half == pytest.approx(COLLAR_RADIUS, rel=1e-12)
+            depth = 1.0 - np.linalg.norm(np.concatenate(list(site.collar)), axis=1)
+            assert depth.min() >= 0.0
+        else:
+            assert len(site.collar) == 0 and half == w
+
+    @pytest.mark.parametrize("rho", [1e-4, 1e-10])
+    def test_collared_disk_is_valid(self, rho):
+        comp = sk.build_spec_mesh(sk.UnitDisk(), 0.05, (meshes.ArcSite(0, 1.0, rho),))
+        assert sk.validate_mesh(comp.mesh) == []
+        assert len(comp.mesh.boundary_loops) == 1
+        assert sk.boundary_length(comp.mesh) == pytest.approx(TWO_PI, rel=1e-3)
+        [iface] = comp.interfaces
+        assert len(iface.chart_ids) == NECK_SEGMENTS + 1
+        chord = np.linalg.norm(comp.vertices[iface.chart_ids[-1]]
+                               - comp.vertices[iface.chart_ids[0]])
+        assert chord == pytest.approx(2.0 * rho, rel=1e-4)
+
+
 def _chain(n, rho, kind="boundary-square"):
     return chain_family([sk.UnitDisk()] * n, rho, kind)
 
@@ -138,8 +205,24 @@ def _qhull_sizes(monkeypatch):
     return sizes
 
 
+def _check_certificate_fallback(case, monkeypatch, caplog):
+    family, resolution = BAND_CASES[case]
+    monkeypatch.setattr(meshes, "_interface_delaunay", lambda *args: False)
+    sizes = _qhull_sizes(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="steklov.meshes"):
+        fallback = sk.build_glued_mesh(family, resolution)
+    # per distinct component, the band's Qhull call, then the whole chart's
+    failed = [r.getMessage() for r in caplog.records].count(
+        "whole-chart Qhull: certificate failed")
+    assert failed > 0 and len(sizes) == 2 * failed
+    assert all(band < whole for band, whole in zip(sizes[::2], sizes[1::2]))
+    monkeypatch.setattr(meshes, "_band_delaunay", _whole_chart_delaunay)
+    whole = sk.build_glued_mesh(family, resolution)
+    assert np.array_equal(fallback.triangles, whole.triangles)
+
+
 class TestBandDelaunay:
-    """Disks with neck sites: Qhull on a band of rings, ring merges inside and outside."""
+    """Disks with neck sites: Qhull on a band near the sites, ring merges elsewhere."""
 
     @pytest.fixture(scope="class", params=list(BAND_CASES))
     def pair(self, request):
@@ -167,23 +250,31 @@ class TestBandDelaunay:
         assert band.tags == whole.tags
         assert band.n_triangles == whole.n_triangles
 
-    def test_qhull_sees_only_the_band(self, pair):
+    def test_qhull_sees_only_the_band(self, pair, request):
         *_, (band_sizes, whole_sizes) = pair
         # one call per distinct component; coarse charts leave wide bands (0.5 of
         # the points at resolution 0.05), fine ones narrow bands (0.06 at 0.03)
         assert len(band_sizes) == len(whole_sizes) > 0
         assert all(b < 0.6 * w for b, w in zip(band_sizes, whole_sizes))
+        if request.node.callspec.id.startswith("two-disk boundary"):
+            # arc sites: only their neighbourhoods, not the outer annulus
+            assert max(band_sizes) <= 400
 
-    def test_certificate_failure_falls_back_to_whole_chart_qhull(self, monkeypatch):
-        family, resolution = BAND_CASES["two-disk interior 1e-2"]
-        monkeypatch.setattr(meshes, "_split_ring_delaunay", lambda *args: False)
-        sizes = _qhull_sizes(monkeypatch)
-        fallback = sk.build_glued_mesh(family, resolution)
-        # the band's Qhull call, then the whole chart's
-        assert len(sizes) == 2 and sizes[0] < sizes[1]
-        monkeypatch.setattr(meshes, "_band_delaunay", _whole_chart_delaunay)
-        whole = sk.build_glued_mesh(family, resolution)
-        assert np.array_equal(fallback.triangles, whole.triangles)
+    @pytest.mark.parametrize("case", list(BAND_CASES))
+    def test_band_cases_never_fall_back(self, case, caplog):
+        family, resolution = BAND_CASES[case]
+        with caplog.at_level(logging.DEBUG, logger="steklov.meshes"):
+            sk.build_glued_mesh(family, resolution)
+        messages = [record.getMessage() for record in caplog.records]
+        assert any(m.startswith("Delaunay band: Qhull on") for m in messages)
+        assert not [m for m in messages if m.startswith("whole-chart Qhull")]
+
+    def test_certificate_failure_falls_back_to_whole_chart_qhull(self, monkeypatch, caplog):
+        _check_certificate_fallback("two-disk interior 1e-2", monkeypatch, caplog)
+
+    def test_arc_certificate_failure_falls_back_to_whole_chart_qhull(self, monkeypatch,
+                                                                      caplog):
+        _check_certificate_fallback("two-disk boundary 0.025", monkeypatch, caplog)
 
     def test_certificate_checks_the_opposite_angles(self):
         m = 8
@@ -193,12 +284,13 @@ class TestBandDelaunay:
         inside = np.stack([ids, np.roll(ids, -1), np.full(m, m)], axis=1)  # fan to the centre
         outside = np.stack([ids, np.roll(ids, -1), m + 1 + ids], axis=1)
         mid = ang + math.pi / m
+        edges = np.stack([ids, np.roll(ids, -1)], axis=1)
         for radius, delaunay in ((2.0, True), (1.02, False)):
             apex = radius * np.stack([np.cos(mid), np.sin(mid)], axis=1)
             points = np.concatenate([ring, [[0.0, 0.0]], apex])
-            assert meshes._split_ring_delaunay(points, ids, outside, inside) is delaunay
+            assert meshes._interface_delaunay(points, edges, outside, inside) is delaunay
         # an edge missing from one side fails as well
-        assert not meshes._split_ring_delaunay(points, ids, outside[1:], inside)
+        assert not meshes._interface_delaunay(points, edges, outside[1:], inside)
 
 
 def test_scipy_spatial_loads_only_for_qhull_meshes():
