@@ -29,6 +29,7 @@ interior factorization.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ RESIDUAL_RTOL = 1e-10
 PENCIL_SHIFT = -0.5  # below the spectrum, so K - s M_b is positive definite
 # SuperLU on SPD matrices: diagonal pivots are stable and keep the symmetric ordering
 _SPD_FACTOR = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+logger = logging.getLogger(__name__)
 
 
 def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
@@ -220,7 +223,8 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
     n_boundary finite eigenvalues, so a `count` too close to that for a
     Lanczos basis goes through the dense DtN instead.  When `count` splits a
     degenerate pair, the last Ritz vector is a mixture of the pair and misses
-    the residual contract; the solve then asks once for two more pairs.
+    the residual contract; the solve then asks once for two more pairs.  The
+    retry and the dense route are logged at DEBUG.
     """
     b = _boundary_index(mesh)
     n_b = len(b)
@@ -228,6 +232,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
         raise InvalidParameterError(
             f"count must lie in [1, {n_b}] (boundary degrees of freedom)")
     if not _lanczos_fits(count, n_b):
+        logger.debug("dense DtN: %d pairs of %d leave no room for Lanczos", count, n_b)
         return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
     mass = boundary_mass_vector(mesh)
     if np.any(mass[b] <= 0):
@@ -272,7 +277,10 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
     w, u, rel = lowest_pairs(count)
     if np.any(rel > RESIDUAL_RTOL):
         if not _lanczos_fits(count + 2, n_b):
+            logger.debug("dense DtN: residual %.2e, and %d pairs of %d leave no room for "
+                         "Lanczos", rel.max(), count + 2, n_b)
             return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
+        logger.debug("Lanczos retry: %d pairs, residual %.2e", count + 2, rel.max())
         w, u, rel = lowest_pairs(count + 2)
     if np.any(rel > RESIDUAL_RTOL):
         raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")

@@ -7,20 +7,22 @@ lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
 chart-only and the conformal factor enters solely through boundary lengths.
 
 Site-free disks put their points on concentric rings, and their Delaunay
-triangulation comes from merging consecutive rings (`_ring_delaunay`).  Disks
-and cylinders with neck sites share one site mesher (`_site_points`,
-`_attach_collars`): graded patches, a Delaunay stage, each site cut open at
-the ring that stage meets, and a structured collar inside that ring.  Interior
-rims below chart radius 1e-3 get a log collar; boundary arcs below a quarter
-of it get a half-collar of confocal half-ellipses ending on the circle
-(`_arc_site`).  On a disk the Delaunay stage keeps the site-free disk's
-ring-merged triangles away from the sites, and Qhull (`scipy.spatial`,
+triangulation comes from merging consecutive rings (`_ring_delaunay`).  Every
+chart with neck sites, disk, cylinder or Moebius band, goes through one site
+mesher (`_site_points`, `_attach_collars`): graded patches, a Delaunay stage,
+each site cut open at the ring that stage meets, and a structured collar inside
+that ring.  Interior rims below chart radius 1e-3 get a log collar; boundary
+arcs below a quarter of it get a half-collar of confocal half-ellipses ending
+on the boundary (`_arc_site`), and the boundary circle or row is graded around
+each arc (`_disk_boundary`).  On a disk the Delaunay stage keeps the site-free
+disk's ring-merged triangles away from the sites, and Qhull (`scipy.spatial`,
 imported only when needed) sees only the rest (`_band_delaunay`): a band of
 rings around interior sites (`_ring_split`), or the neighbourhoods of boundary
 arcs, outside which the circle keeps its uniform nodes (`_arc_split`).  A
 certificate on the interface (`_interface_delaunay`) joins the pieces or sends
 the chart to one whole-chart Qhull call; either route is logged at DEBUG.
-Cylinders, and disks too coarse for the ring merge, go to Qhull.
+Cylinders and Moebius bands with sites, and disks too coarse for the ring
+merge, go to whole-chart Qhull.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
 mesh is assembled once from its components' arrays; a component's own `mesh`
@@ -244,13 +246,18 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
     )
 
 
-def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
+def _checked_factor(mesh: SurfaceMesh, lam_logical) -> np.ndarray:
+    """A conformal factor given per logical vertex, refused unless finite and positive."""
     lam = np.asarray(lam_logical, dtype=float)
     if lam.shape != (mesh.n_logical,):
         raise InvalidParameterError("conformal factor must have one value per logical vertex")
-    if np.any(lam <= 0):
-        raise InvalidParameterError("conformal factor must be positive")
-    return replace(mesh, conformal_factor=_freeze(lam.copy()))
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise InvalidParameterError("conformal factor must be finite and positive")
+    return lam
+
+
+def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
+    return replace(mesh, conformal_factor=_freeze(_checked_factor(mesh, lam_logical).copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +272,7 @@ def boundary_edge_lengths(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
     uv = mesh.boundary_edge_chart
     if len(uv) == 0:
         return np.zeros(0)
-    lam = mesh.conformal_factor if conformal is None else np.asarray(conformal, float)
+    lam = mesh.conformal_factor if conformal is None else _checked_factor(mesh, conformal)
     chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
     return chord * lam[mesh.logical[uv]].mean(axis=1)
 
@@ -340,46 +347,6 @@ def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float,
 
 
 NECK_SEGMENTS = 16  # segments along a boundary neck's arc and around an interior rim
-
-
-@dataclass(frozen=True)
-class _ArcRequest:
-    """A pinned subdivision of NECK_SEGMENTS equal steps inside a 1-D parameter interval."""
-    center: float
-    half_width: float
-
-
-def _parameter_grid(total: float, base_h: float, arcs: Sequence[_ArcRequest]):
-    """Grid on [0, total] honoring pinned arcs; returns (nodes, per-arc index lists)."""
-    if not arcs:
-        n = max(8, int(round(total / base_h)))
-        return np.linspace(0.0, total, n + 1), []
-    order = sorted(range(len(arcs)), key=lambda i: arcs[i].center)
-    prev_end = 0.0
-    nodes = [np.array([0.0])]
-    spans = []
-    prev_h = base_h
-    for i in order:
-        arc = arcs[i]
-        lo, hi = arc.center - arc.half_width, arc.center + arc.half_width
-        fine = 2.0 * arc.half_width / NECK_SEGMENTS
-        if lo <= prev_end + 1e-12:
-            raise InvalidParameterError("refined intervals overlap or touch the chart seam")
-        gap = _fill_graded(prev_end, lo, prev_h, fine, base_h)
-        nodes.append(gap[1:])
-        arc_nodes = np.linspace(lo, hi, NECK_SEGMENTS + 1)
-        start = sum(len(x) for x in nodes)
-        nodes.append(arc_nodes[1:])
-        spans.append((i, start - 1, NECK_SEGMENTS + 1))
-        prev_end, prev_h = hi, fine
-    if prev_end >= total - 1e-12:
-        raise InvalidParameterError("refined interval touches the chart seam")
-    nodes.append(_fill_graded(prev_end, total, prev_h, base_h, base_h)[1:])
-    grid = np.concatenate(nodes)
-    index_lists = [None] * len(arcs)
-    for i, start, length in spans:
-        index_lists[i] = np.arange(start, start + length)
-    return grid, index_lists
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +523,23 @@ def _hole_site(centre: np.ndarray, r_rim: float) -> _Site:
     return _Site(centre, collar, _ring_points(centre, r, m), True, h0, r + h0, r)
 
 
-def _arc_site(centre: np.ndarray, theta: float, w: float) -> tuple[_Site, float]:
-    """A boundary arc of chart half-angle w centred at angle theta on the unit circle.
+def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site, float]:
+    """A boundary arc of chart half-length w centred on `centre`.
 
-    The arc has NECK_SEGMENTS + 1 nodes, equally spaced.  An arc below
-    COLLAR_RADIUS / 4 gets a half-collar.  In a coordinate z = x + iy along
-    the arc (x) and inward (y), its rings are the confocal half-ellipses
-    z = w cosh(mu + i nu) about the arc's ends, for mu in log-collar steps up
-    to a reach of COLLAR_RADIUS, carried onto the disk by z -> exp(i (theta +
-    z)).  That map is conformal and takes the real line onto the unit circle,
-    so every ring ends on the circle.  Along a ring, nu moves from the arc's
-    own nodes (mu = 0) to equal steps by mu = 2, where the ellipses are near
-    circles.  The outer ring keeps every other node, so that the Delaunay
-    stage meets it as it meets a rim, at a spacing of pi * COLLAR_RADIUS / 8.
-    Returns the site and the half-angle of the span it takes on the circle.
+    In a coordinate z = x + iy along the arc (x) and inward (y), the chart
+    boundary is the real line, and `carry` maps z onto the chart as complex
+    x + iy chart coordinates: z -> exp(i (theta + z)) on the unit disk, z ->
+    (theta + x, t0 +- y) on a grid chart's boundary row.  The arc has
+    NECK_SEGMENTS + 1 nodes, equally spaced.  An arc below COLLAR_RADIUS / 4
+    gets a half-collar: the confocal half-ellipses z = w cosh(mu + i nu) about
+    the arc's ends, for mu in log-collar steps up to a reach of COLLAR_RADIUS,
+    whose ends lie on the real line, so that every ring ends on the boundary.
+    Along a ring, nu moves from the arc's own nodes (mu = 0) to equal steps by
+    mu = 2, where the ellipses are near circles.  The outer ring keeps every
+    other node, so that the Delaunay stage meets it as it meets a rim, at a
+    spacing of pi * COLLAR_RADIUS / 8.  The patch's rings are turned to the
+    outward `normal`.  Returns the site and the half-length of the span it
+    takes on the boundary.
     """
     m = NECK_SEGMENTS
     x = np.linspace(-1.0, 1.0, m + 1)
@@ -580,14 +550,16 @@ def _arc_site(centre: np.ndarray, theta: float, w: float) -> tuple[_Site, float]
                          max(2, math.ceil(mu_end / math.log(COLLAR_GROWTH))) + 1)
     s = _smoothstep(mu / 2.0)[:, None]
     nu = (1.0 - s) * np.arccos(x) + s * (0.5 * math.pi) * (1.0 - x)
-    q = np.exp(1j * (theta + w * np.cosh(mu[:, None] + 1j * nu)))
+    z = w * np.cosh(mu[:, None] + 1j * nu)
+    z.imag[:, 0] = 0.0  # sin(nu) at nu = pi is not 0 in floating point
+    q = carry(z)
     rings = np.stack([q.real, q.imag], axis=-1)
     if len(mu) == 1:
         h0 = 2.0 * w / m
-        return _Site(centre, rings[:0], rings[0], False, h0, 1.9 * h0, 0.0, theta), w
+        return _Site(centre, rings[:0], rings[0], False, h0, 1.9 * h0, 0.0, normal), w
     h0 = TWO_PI * COLLAR_RADIUS / m
     site = _Site(centre, rings[:-1], rings[-1, ::2], False, h0, COLLAR_RADIUS + h0,
-                 COLLAR_RADIUS, theta)
+                 COLLAR_RADIUS, normal)
     return site, w * math.cosh(mu[-1])
 
 
@@ -827,7 +799,8 @@ def _ring_split(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
 
 
 def _disk_boundary(grid: np.ndarray, blocks):
-    """Boundary angles of a disk whose arc sites pin `blocks` of the circle.
+    """Boundary angles of a circle (a disk's, or a grid chart's row) whose arc
+    sites pin `blocks` of it.
 
     `grid` holds the uniform circle's angles and `blocks` the (start, end, end
     spacing) of each arc site's span, whose nodes the site places.  Between
@@ -844,7 +817,7 @@ def _disk_boundary(grid: np.ndarray, blocks):
         nxt, _, h_nxt = blocks[(i + 1) % len(blocks)]
         nxt += TWO_PI if i + 1 == len(blocks) else 0.0
         if nxt <= hi:
-            raise InvalidGluingError("boundary neck arcs overlap")
+            raise InvalidGluingError("boundary neck arcs overlap each other or the chart seam")
         ks = np.arange(math.ceil(hi / du + 3.0), math.floor(nxt / du - 3.0) + 1)
         if len(ks):
             fills = [_fill_graded(hi, ks[0] * du, h, du, du)[1:-1], grid[ks % n],
@@ -960,7 +933,7 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     else:
         sites, blocks = [], []
         for site, p, lam_p, w in arc_meta:
-            arc, half = _arc_site(p, site.theta, w)
+            arc, half = _arc_site(p, w, lambda z: np.exp(1j * (site.theta + z)), site.theta)
             sites.append(arc)
             mid = (site.theta - turn) % TWO_PI
             blocks.append((mid - half, mid + half, arc.h0))
@@ -1013,80 +986,104 @@ def _grid_triangles(n_rows: int, n_cols: int):
     return triangles, idx
 
 
-def _grid_mesh(t_nodes: np.ndarray, th_nodes: np.ndarray):
-    """Tensor-product triangulation of [t] x [theta]; returns (points, triangles, idx)."""
-    tt, hh = np.meshgrid(t_nodes, th_nodes, indexing="ij")
-    points = np.stack([hh.ravel(), tt.ravel()], axis=1)  # chart x = theta, y = t
-    triangles, idx = _grid_triangles(len(t_nodes), len(th_nodes))
-    return points, triangles, idx
+def _grid_identifications(points: np.ndarray, mobius: bool) -> np.ndarray:
+    """The theta seam's pairs (theta = 0 ~ 2 pi, in t order) and, on a Moebius
+    band, the t = 0 row's antipodal pairs (theta ~ theta + pi, in theta order)."""
+    def line(on, along):
+        ids = np.flatnonzero(on)
+        return ids[np.argsort(points[ids, along])]
+
+    left, right = line(points[:, 0] == 0.0, 1), line(points[:, 0] == TWO_PI, 1)
+    if len(left) != len(right) or not np.allclose(points[left, 1], points[right, 1]):
+        raise AssemblyError("grid seam columns do not match")
+    pairs = [np.stack([left, right], axis=1)]
+    if mobius:
+        bottom = line((points[:, 1] == 0.0) & (points[:, 0] < TWO_PI), 0)
+        half = len(bottom) // 2
+        if not np.allclose(points[bottom[half:], 0] - points[bottom[:half], 0], math.pi):
+            raise AssemblyError("Moebius antipodal row does not match")
+        pairs.append(np.stack([bottom[:half], bottom[half:]], axis=1))
+    return np.concatenate(pairs)
 
 
-def _cylinder_component(T: float, density: float, resolution: float,
-                        arc_sites: Sequence[ArcSite] = ()) -> Component:
+def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
+                    hole_sites: Sequence[HoleSite] = ()) -> Component:
+    """Flat cylinder or Moebius band on the chart (theta, t) in [0, 2 pi] x [0, T].
+
+    A plain chart is a tensor grid.  With neck sites, the site mesher carves a
+    uniform grid around each site, and Qhull triangulates the chart.  The
+    cylinder's loop 0 is its t = 0 row and loop 1 its t = T row; the Moebius
+    band's one loop is its t = T row, and its t = 0 row is the antipodal seam.
+    A row with arcs is graded around them as the disk's circle is, with the
+    theta seam held as a block of its own, so an arc may not cross it.
+    """
+    T, density = spec.T, spec.boundary_density
+    mobius = isinstance(spec, MobiusCylinder)
     if T <= 0:
-        raise InvalidParameterError("cylinder height T must be positive")
+        raise InvalidParameterError("chart height T must be positive")
     if density <= 0:
         raise InvalidParameterError("boundary density must be positive")
-    requests, fine_by_loop = [], {0: resolution, 1: resolution}
+    if mobius:  # the antipodal map needs theta and theta + pi on the same grid
+        half = np.linspace(0.0, math.pi, max(8, int(round(math.pi / resolution))) + 1)[:-1]
+        theta = np.concatenate([half, half + math.pi, [TWO_PI]])
+    else:
+        theta = np.linspace(0.0, TWO_PI, max(8, int(round(TWO_PI / resolution))) + 1)
+    plain = not arc_sites and not hole_sites
+    t = (_fill_graded(0.0, T, resolution, resolution, resolution) if plain
+         else np.linspace(0.0, T, max(2, int(round(T / resolution))) + 1))
+    grid_th, grid_t = np.meshgrid(theta, t)
+    base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)  # chart x = theta, y = t
+    if plain:
+        return Component(base, _grid_triangles(len(t), len(theta))[0],
+                         _grid_identifications(base, mobius), np.full(len(base), density), ())
+
+    du = TWO_PI / (len(theta) - 1)
+    sites, rows = [], {}
     for site in arc_sites:
-        if site.loop not in (0, 1):
-            raise InvalidParameterError("cylinder has boundary loops 0 (t=0) and 1 (t=T)")
-        w = site.rho / density
-        requests.append(_ArcRequest(site.theta % TWO_PI, w))
-        fine_by_loop[site.loop] = min(fine_by_loop[site.loop], 2.0 * w / NECK_SEGMENTS)
-    th_nodes, arc_cols = _parameter_grid(TWO_PI, resolution, requests)
-    t_nodes = _fill_graded(0.0, T, fine_by_loop[0], fine_by_loop[1], resolution)
-    points, triangles, idx = _grid_mesh(t_nodes, th_nodes)
-    seam = np.stack([idx[:, 0], idx[:, -1]], axis=1)
-    interfaces = []
-    for site, cols in zip(arc_sites, arc_cols):
-        row = 0 if site.loop == 0 else len(t_nodes) - 1
-        interfaces.append(Interface(idx[row, np.asarray(cols)], density))
-    return Component(points, triangles, seam, np.full(len(points), density),
-                     tuple(interfaces))
+        if site.loop not in ((0,) if mobius else (0, 1)):
+            raise InvalidParameterError("the cylinder has boundary loops 0 (t=0) and 1 (t=T), "
+                                        "the Moebius band loop 0 (t=T)")
+        th = site.theta % TWO_PI
+        t0, inward = (0.0, 1.0) if site.loop == 0 and not mobius else (T, -1.0)
+        arc, span = _arc_site(np.array([th, t0]), site.rho / density,
+                              lambda z: th + z.real + 1j * (t0 + inward * z.imag),
+                              -inward * 0.5 * math.pi)
+        sites.append(arc)
+        rows.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
+    for site in hole_sites:
+        p = np.asarray(site.point, dtype=float)  # chart (theta, t)
+        r_rim = site.rho / density
+        reach = 2.0 * placed_rim_radius(r_rim)
+        if not (reach < p[1] < T - reach):
+            raise InvalidGluingError("interior neck disk reaches the chart's boundary rows")
+        if not (reach < p[0] < TWO_PI - reach):
+            raise InvalidGluingError("interior neck disk crosses the chart seam")
+        sites.append(_hole_site(p, r_rim))
+
+    head = [np.zeros((0, 2))]
+    for t0, blocks in rows.items():
+        angles = np.concatenate([[0.0], _disk_boundary(theta[:-1], blocks)[0], [TWO_PI]])
+        head.append(np.stack([angles, np.full(len(angles), t0)], axis=1))
+    base = base[~np.isin(base[:, 1], list(rows))]
+
+    def inside(q, s):
+        return ((q[:, 1] > 0.45 * s) & (q[:, 1] < T - 0.45 * s)
+                & (q[:, 0] > 0.45 * s) & (q[:, 0] < TWO_PI - 0.45 * s))
+
+    # the seam columns and boundary rows keep every grid node: the pairings need them
+    edge = (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI) | (base[:, 1] == 0.0) | (base[:, 1] == T)
+    points, _, outer_ids, _ = _site_points(np.concatenate(head), base, sites, resolution,
+                                           inside, pinned=edge)
+    points, triangles, true_ids = _attach_collars(points, _qhull_triangles(points), sites,
+                                                  outer_ids)
+    return Component(points, triangles, _grid_identifications(points, mobius),
+                     np.full(len(points), density),
+                     tuple(Interface(ids, density) for ids in true_ids))
 
 
 def build_cylinder_mesh(T: float, rho_b: float = 1.0, resolution: float = 0.05) -> SurfaceMesh:
     """Flat cylinder [0, T] x S^1 with two boundary circles and lambda = rho_b."""
     return build_spec_mesh(FlatCylinder(T, rho_b), resolution).mesh
-
-
-def _mobius_component(T: float, density: float, resolution: float,
-                      arc_sites: Sequence[ArcSite] = ()) -> Component:
-    if T <= 0:
-        raise InvalidParameterError("Moebius chart height T must be positive")
-    if density <= 0:
-        raise InvalidParameterError("boundary density must be positive")
-    half_requests = []
-    site_half = []
-    for site in arc_sites:
-        if site.loop != 0:
-            raise InvalidParameterError("Moebius band has a single boundary loop (t=T)")
-        w = site.rho / density
-        theta = site.theta % TWO_PI
-        section = int(theta // math.pi)  # the arc must stay inside one half-chart
-        center_h = theta - section * math.pi
-        if center_h - w <= 0 or center_h + w >= math.pi:
-            raise InvalidParameterError("attachment arc crosses a half-chart meridian")
-        half_requests.append(_ArcRequest(center_h, w))
-        site_half.append(section)
-    half, arc_cols_half = _parameter_grid(math.pi, resolution, half_requests)
-    half = half[:-1]  # the antipodal map needs theta and theta+pi on the same grid
-    n_half = len(half)
-    th_nodes = np.concatenate([half, half + math.pi, [TWO_PI]])
-    fine = min([resolution] + [2.0 * r.half_width / NECK_SEGMENTS for r in half_requests])
-    t_nodes = _fill_graded(0.0, T, resolution, fine, resolution)
-    points, triangles, idx = _grid_mesh(t_nodes, th_nodes)
-    seam = np.stack([idx[:, 0], idx[:, -1]], axis=1)
-    antipodal = np.stack([idx[0, np.arange(n_half)],
-                          idx[0, np.arange(n_half) + n_half]], axis=1)
-    interfaces = []
-    top = len(t_nodes) - 1
-    for cols, section in zip(arc_cols_half, site_half):
-        cols = np.asarray(cols) + section * n_half
-        interfaces.append(Interface(idx[top, cols], density))
-    return Component(points, triangles, np.concatenate([seam, antipodal]),
-                     np.full(len(points), density), tuple(interfaces))
 
 
 def build_mobius_mesh(T: float, resolution: float = 0.05,
@@ -1103,64 +1100,9 @@ def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     if isinstance(spec, UnitDisk):
         return _disk_component(resolution, arc_sites, hole_sites,
                                field=spec.conformal_factor_field)
-    if isinstance(spec, FlatCylinder):
-        if hole_sites:
-            return _cylinder_holes_component(spec, resolution, arc_sites, hole_sites)
-        return _cylinder_component(spec.T, spec.boundary_density, resolution, arc_sites)
-    if isinstance(spec, MobiusCylinder):
-        if hole_sites:
-            raise InvalidParameterError("interior gluing on the Moebius band is not supported")
-        return _mobius_component(spec.T, spec.boundary_density, resolution, arc_sites)
+    if isinstance(spec, (FlatCylinder, MobiusCylinder)):
+        return _grid_component(spec, resolution, arc_sites, hole_sites)
     raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")
-
-
-def _cylinder_holes_component(spec: FlatCylinder, resolution: float,
-                              arc_sites: Sequence[ArcSite],
-                              hole_sites: Sequence[HoleSite]) -> Component:
-    """Cylinder with interior holes: a base grid carved around each site."""
-    if arc_sites:
-        raise InvalidParameterError("mixed boundary and interior sites are not supported")
-    T, density = spec.T, spec.boundary_density
-    holes = []
-    for site in hole_sites:
-        p = np.asarray(site.point, dtype=float)  # chart (theta, t)
-        r_rim = site.rho / density
-        reach = 2.0 * placed_rim_radius(r_rim)
-        if not (reach < p[1] < T - reach):
-            raise InvalidGluingError("interior neck disk reaches the cylinder boundary")
-        if not (reach < p[0] < TWO_PI - reach):
-            raise InvalidGluingError("interior neck disk crosses the chart seam")
-        holes.append(_hole_site(p, r_rim))
-
-    n_th = max(8, int(round(TWO_PI / resolution)))
-    n_t = max(2, int(round(T / resolution)))
-    grid_th, grid_t = np.meshgrid(np.linspace(0.0, TWO_PI, n_th + 1),
-                                  np.linspace(0.0, T, n_t + 1))
-    base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)
-
-    def inside(q, s):
-        return ((q[:, 1] > 0.45 * s) & (q[:, 1] < T - 0.45 * s)
-                & (q[:, 0] > 0.45 * s) & (q[:, 0] < TWO_PI - 0.45 * s))
-
-    # the seam columns must survive with identical t-grids on both sides
-    seam_cols = (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI)
-    points, _, outer_ids, _ = _site_points(np.zeros((0, 2)), base, holes, resolution, inside,
-                                           pinned=seam_cols)
-    points, triangles, rim_ids = _attach_collars(points, _qhull_triangles(points), holes,
-                                                 outer_ids)
-
-    # identify the chart seam: vertices at theta=0 and theta=2*pi share t values
-    left = np.where(points[:, 0] == 0.0)[0]
-    right = np.where(points[:, 0] == TWO_PI)[0]
-    left = left[np.argsort(points[left, 1])]
-    right = right[np.argsort(points[right, 1])]
-    if len(left) != len(right) or not np.allclose(points[left, 1], points[right, 1]):
-        raise AssemblyError("cylinder seam columns do not match")
-    seam = np.stack([left, right], axis=1)
-
-    interfaces = [Interface(ids, density) for ids in rim_ids]
-    return Component(points, triangles, seam, np.full(len(points), density),
-                     tuple(interfaces))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -251,6 +252,11 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("dense Schur reduction called")
 
 
+def _routes(caplog):
+    """The routes `steklov_spectrum` logged, by the text before each message's colon."""
+    return [r.getMessage().split(":")[0] for r in caplog.records if r.name == "steklov.dtn"]
+
+
 @pytest.fixture(scope="module")
 def boundary_neck_mesh():
     family = sk.chain_family([sk.UnitDisk(), sk.UnitDisk()], 0.025, BOUNDARY_NECK)
@@ -318,7 +324,7 @@ class TestPencil:
         pytest.param(21, 1, "dense", id="retry-too-large-for-lanczos"),
         pytest.param(8, 2, "error", id="retry-misses-too"),
     ])
-    def test_residual_miss_retries_once(self, coarse_disk_mesh, monkeypatch,
+    def test_residual_miss_retries_once(self, coarse_disk_mesh, monkeypatch, caplog,
                                         count, failing_runs, outcome):
         # coarse disk: 63 boundary DOFs, so 21 pairs fit a Lanczos basis but 23 do not
         wanted = []
@@ -329,28 +335,40 @@ class TestPencil:
             return theta, (y + 1e-3 if len(wanted) <= failing_runs else y)
 
         monkeypatch.setattr(dtn, "eigsh", spoiled_eigsh)
+        caplog.set_level(logging.DEBUG, logger="steklov.dtn")
         if outcome == "error":
             with pytest.raises(sk.SolverError):
                 sk.steklov_spectrum(coarse_disk_mesh, count)
             assert wanted == [count, count + 2]
+            assert _routes(caplog) == ["Lanczos retry"]
             return
         spec = sk.steklov_spectrum(coarse_disk_mesh, count)
+        routes = _routes(caplog)
         dense = build_dtn(coarse_disk_mesh).spectrum(count)
         if outcome == "dense":
             assert wanted == [count]
+            assert routes == ["dense DtN"]
             assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
         else:
             assert wanted == [count, count + 2]
+            assert routes == ["Lanczos retry"]
             scale = np.max(dense.eigenvalues)
             assert np.allclose(spec.eigenvalues, dense.eigenvalues, rtol=1e-12,
                                atol=1e-12 * scale)
 
-    def test_full_count_takes_dense_route(self, coarse_disk_mesh, monkeypatch):
+    def test_full_count_takes_dense_route(self, coarse_disk_mesh, monkeypatch, caplog):
         n_b = len(build_dtn(coarse_disk_mesh).boundary_index)
         dense = build_dtn(coarse_disk_mesh).spectrum(n_b)
         monkeypatch.setattr(dtn, "eigsh", _forbidden)
+        caplog.set_level(logging.DEBUG, logger="steklov.dtn")
         spec = sk.steklov_spectrum(coarse_disk_mesh, n_b)
+        assert _routes(caplog) == ["dense DtN"]
         assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+
+    def test_first_attempt_logs_nothing(self, coarse_disk_mesh, caplog):
+        caplog.set_level(logging.DEBUG, logger="steklov.dtn")
+        sk.steklov_spectrum(coarse_disk_mesh, 8)
+        assert caplog.records == []
 
 
 def disk_and_cylinder(disk, cylinder):

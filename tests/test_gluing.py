@@ -206,12 +206,26 @@ class TestUncommonConfigurations:
         with pytest.raises(sk.InvalidParameterError):
             sk.build_glued_mesh(fam, 0.1)
 
-    def test_mobius_arc_must_avoid_meridians(self):
+    # the Moebius chart is no longer meshed as two half-charts
+    def test_mobius_arc_on_a_meridian_builds(self):
         fam = GluedFamily(
             (sk.MobiusCylinder(1.0), sk.UnitDisk()), 0.1,
             ((Attachment(0, theta=math.pi), Attachment(1, theta=1.5 * math.pi)),))
-        with pytest.raises(sk.InvalidParameterError):
-            sk.build_glued_mesh(fam, 0.1)
+        mesh = sk.build_glued_mesh(fam, 0.1)
+        assert sk.validate_mesh(mesh) == []
+        assert len(mesh.boundary_loops) == 1
+        assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, rel=1e-2)
+
+    def test_interior_neck_on_a_mobius_band(self):
+        fam = GluedFamily(
+            (sk.MobiusCylinder(1.0),), 0.05,
+            ((Attachment(0, point=(0.5 * math.pi, 0.5)),
+              Attachment(0, point=(1.5 * math.pi, 0.5))),),
+            "interior-cylinder")
+        mesh = sk.build_glued_mesh(fam, 0.07)
+        assert sk.validate_mesh(mesh) == []
+        assert sk.euler_characteristic(mesh) == -2
+        assert len(mesh.boundary_loops) == 1
 
 
 class TestInterfaceOrder:
@@ -297,3 +311,32 @@ class TestBoundaryNeckProperties:
         assert sk.validate_mesh(mesh) == []
         assert len(mesh.boundary_loops) == 1
         assert sk.boundary_length(mesh) == pytest.approx(TWO_PI * n, rel=0.02)
+
+
+class TestGridNeckProperties:
+    """A cylinder or Moebius band glued to a unit disk at any rho down to 1e-10."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(mobius=st.booleans(),
+           loop=st.sampled_from([0, 1]),
+           T=st.floats(0.3, 2.5),
+           density=st.floats(0.5, 2.0),
+           log_rho=st.floats(-10.0, -1.0),
+           resolution=st.floats(0.03, 0.1),
+           theta=st.floats(0.5, TWO_PI - 0.5),
+           disk_theta=st.floats(0.0, TWO_PI, exclude_max=True))
+    def test_arc_chains_build(self, mobius, loop, T, density, log_rho, resolution, theta,
+                              disk_theta):
+        spec = sk.MobiusCylinder(T, density) if mobius else sk.FlatCylinder(T, density)
+        loop = 0 if mobius else loop
+        family = GluedFamily((spec, sk.UnitDisk()), 10.0 ** log_rho,
+                             ((Attachment(0, loop=loop, theta=theta),
+                               Attachment(1, theta=disk_theta)),))
+        comps = prepare_components(family, resolution)
+        assert [len(c.interfaces[0].chart_ids) for c in comps] == [meshes.NECK_SEGMENTS + 1] * 2
+        mesh = glue(comps, family)
+        assert sk.validate_mesh(mesh) == []
+        loops = 1 if mobius else 2  # the disk's loop joins the arc's
+        assert len(mesh.boundary_loops) == loops
+        assert sk.boundary_length(mesh) == pytest.approx(TWO_PI * (loops * density + 1),
+                                                         rel=0.02)

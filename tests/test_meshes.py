@@ -12,8 +12,8 @@ import pytest
 import steklov as sk
 from steklov import meshes
 from steklov.experiments import annulus_self_glued, chain_family
-from steklov.meshes import (COLLAR_RADIUS, NECK_SEGMENTS, _ArcRequest, _fill_graded,
-                            _parameter_grid, _ring_delaunay, assemble_mesh)
+from steklov.meshes import (COLLAR_RADIUS, NECK_SEGMENTS, ArcSite, _fill_graded,
+                            _ring_delaunay, assemble_mesh)
 
 TWO_PI = 2 * math.pi
 
@@ -146,7 +146,7 @@ class TestArcSite:
     def test_rings_end_on_the_circle(self, w):
         theta = 2.5
         centre = np.array([math.cos(theta), math.sin(theta)])
-        site, half = meshes._arc_site(centre, theta, w)
+        site, half = meshes._arc_site(centre, w, lambda z: np.exp(1j * (theta + z)), theta)
         arc = site.collar[0] if len(site.collar) else site.outer
         assert len(arc) == NECK_SEGMENTS + 1
         angles = np.unwrap(np.arctan2(arc[:, 1], arc[:, 0]))
@@ -164,6 +164,23 @@ class TestArcSite:
             assert depth.min() >= 0.0
         else:
             assert len(site.collar) == 0 and half == w
+
+    @pytest.mark.parametrize("w", [0.1, 1e-4, 1e-10])
+    @pytest.mark.parametrize("t0, inward", [(0.0, 1.0), (1.3, -1.0)])
+    def test_rings_end_on_the_row(self, w, t0, inward):
+        theta = 2.5
+        site, half = meshes._arc_site(np.array([theta, t0]), w,
+                                      lambda z: theta + z.real + 1j * (t0 + inward * z.imag),
+                                      -inward * 0.5 * math.pi)
+        rings = list(site.collar) + [site.outer]  # from the arc outwards
+        arc = rings[0]
+        # exactly on the boundary row, which Qhull meets as a straight line
+        assert np.all(arc[:, 1] == t0)
+        assert all(np.array_equal(ring[[0, -1], 1], [t0, t0]) for ring in rings)
+        assert all(np.all(inward * (ring[1:-1, 1] - t0) > 0) for ring in rings[1:])
+        assert arc[:, 0] == pytest.approx(np.linspace(theta - w, theta + w, NECK_SEGMENTS + 1),
+                                          rel=0, abs=1e-15)
+        assert half == (pytest.approx(COLLAR_RADIUS, rel=1e-12) if w < COLLAR_RADIUS / 4 else w)
 
     @pytest.mark.parametrize("rho", [1e-4, 1e-10])
     def test_collared_disk_is_valid(self, rho):
@@ -377,6 +394,20 @@ class TestValidation:
             sk.with_conformal_factor(coarse_disk_mesh,
                                      np.zeros(coarse_disk_mesh.n_logical))
 
+    @pytest.mark.parametrize("entry", ["with_conformal_factor", "DtnOperator.spectrum"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative", "short"])
+    def test_bad_conformal_factor_refused(self, coarse_disk_mesh, entry, bad):
+        lam = np.ones(coarse_disk_mesh.n_logical)
+        if bad == "short":
+            lam = lam[:-1]
+        else:
+            lam[0] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad]
+        with pytest.raises(sk.InvalidParameterError):
+            if entry == "with_conformal_factor":
+                sk.with_conformal_factor(coarse_disk_mesh, lam)
+            else:
+                sk.build_dtn(coarse_disk_mesh).spectrum(3, conformal=lam)
+
     def test_assembly_rejects_unequal_identified_densities(self):
         from steklov.meshes import assemble_mesh
         from steklov.errors import AssemblyError
@@ -412,19 +443,33 @@ class TestGrids:
         sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 1e-5), 0.03)
         assert requests and max(requests) <= 1e5
 
-    def test_parameter_grid_pins_arcs(self):
-        arcs = [_ArcRequest(2.0, 0.1)]
-        grid, lists = _parameter_grid(TWO_PI, 0.3, arcs)
-        arc_nodes = grid[lists[0]]
-        assert arc_nodes[0] == pytest.approx(1.9)
-        assert arc_nodes[-1] == pytest.approx(2.1)
-        assert len(arc_nodes) == NECK_SEGMENTS + 1
-        assert np.allclose(np.diff(arc_nodes), 0.2 / NECK_SEGMENTS)
+    def test_grid_arcs_pin_equal_steps(self):
+        # arcs first, in site order, then the hole
+        comp = sk.build_spec_mesh(sk.FlatCylinder(1.0, 2.0), 0.1,
+                                  (ArcSite(1, 2.0, 0.2), ArcSite(0, 2.0, 0.2)),
+                                  (meshes.HoleSite((4.0, 0.5), 0.1),))
+        for iface, t0 in zip(comp.interfaces, (1.0, 0.0)):
+            arc = comp.vertices[iface.chart_ids]
+            assert np.all(arc[:, 1] == t0)
+            assert arc[:, 0] == pytest.approx(np.linspace(1.9, 2.1, NECK_SEGMENTS + 1))
+        rim = comp.vertices[comp.interfaces[2].chart_ids]
+        assert np.linalg.norm(rim - [4.0, 0.5], axis=1) == pytest.approx(0.05)
+        assert sk.validate_mesh(comp.mesh) == []
 
-    def test_parameter_grid_rejects_overlap(self):
-        arcs = [_ArcRequest(1.0, 0.2), _ArcRequest(1.3, 0.2)]
-        with pytest.raises(sk.InvalidParameterError):
-            _parameter_grid(TWO_PI, 0.3, arcs)
+    def test_overlapping_grid_arcs_rejected(self):
+        arcs = (ArcSite(0, 1.0, 0.2), ArcSite(0, 1.3, 0.2))
+        with pytest.raises(sk.InvalidGluingError):
+            sk.build_spec_mesh(sk.FlatCylinder(1.0), 0.1, arcs)
+        # the same arcs on the cylinder's two loops do not meet
+        assert len(sk.build_spec_mesh(sk.FlatCylinder(1.0), 0.1,
+                                      (arcs[0], replace(arcs[1], loop=1))).interfaces) == 2
+
+    @pytest.mark.parametrize("spec", [sk.FlatCylinder(1.0), sk.MobiusCylinder(1.0)],
+                             ids=["cylinder", "mobius"])
+    @pytest.mark.parametrize("theta", [0.0, 0.05, TWO_PI - 0.05], ids=["0", "0.05", "2pi-0.05"])
+    def test_grid_arc_across_the_seam_rejected(self, spec, theta):
+        with pytest.raises(sk.InvalidGluingError):
+            sk.build_spec_mesh(spec, 0.1, (ArcSite(0, theta, 0.1),))
 
 
 class TestAssemblyOrdering:
