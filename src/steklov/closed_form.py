@@ -94,7 +94,7 @@ def _finite_value(f, x: float) -> float:
 
 
 def _coth(t: float) -> float:
-    return 1.0 / math.tanh(t)
+    return 1.0 / math.tanh(t) if t else math.inf  # t underflowed to 0: the limit from above
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,11 @@ def _spectrum_from_branches(surface: str, T: float, rho_b: float, count: int) ->
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     head = _sorted_branch_values(surface, T, count - 1) if count > 1 else []
-    values = np.array([0.0] + [v for v, _ in head]) / rho_b
+    with np.errstate(over="ignore"):
+        values = np.array([0.0] + [v for v, _ in head]) / rho_b
     length = _unit_density_length(surface) * rho_b
+    if not (np.all(np.isfinite(values)) and math.isfinite(length)):
+        raise InvalidParameterError(f"T = {T} and density {rho_b} overflow the spectrum")
     return make_spectrum(values, length, cluster_rtol=CLUSTER_RTOL_EXACT)
 
 

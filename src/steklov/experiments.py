@@ -281,8 +281,8 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
     if kind == "hps-disk":
         res = resolution or 0.03
         mesh = build_disk_mesh(res)
+        b_idx = _require_pairs(k_max, mesh)
         op = build_dtn(mesh)
-        b_idx = op.boundary_index
         chart_of = _chart_representatives(mesh, b_idx)
         angles = np.arctan2(mesh.vertices[chart_of, 1], mesh.vertices[chart_of, 0])
         bound = lambda k: TWO_PI * k
@@ -301,7 +301,7 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
         for trial in range(trials):
             T = float(rng.uniform(0.6, 3.0))
             mesh = build_spec_mesh(FlatCylinder(T), res).mesh
-            b_idx = np.unique(np.concatenate(mesh.boundary_loops))
+            b_idx = _require_pairs(k_max, mesh)
             chart_of = _chart_representatives(mesh, b_idx)
             angles = mesh.vertices[chart_of, 0]  # chart x is theta
             lam = np.ones(mesh.n_logical)
@@ -320,6 +320,15 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
     return {"kind": kind, "trials": trials, "seed": seed, "k_max": k_max,
             "slack": slack, "rows": rows, "worst_ratio": worst,
             "verdict": "pass" if ok else "fail"}
+
+
+def _require_pairs(k_max: int, mesh: SurfaceMesh) -> np.ndarray:
+    """The mesh's boundary vertices, refused unless they carry k_max + 1 eigenpairs."""
+    b_idx = np.unique(np.concatenate(mesh.boundary_loops))
+    if k_max + 1 > len(b_idx):
+        raise InvalidParameterError(f"k_max + 1 = {k_max + 1} exceeds the mesh's "
+                                    f"{len(b_idx)} boundary degrees of freedom")
+    return b_idx
 
 
 def _chart_representatives(mesh: SurfaceMesh, logical_ids: np.ndarray) -> np.ndarray:

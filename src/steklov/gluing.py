@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
 from .meshes import (NECK_SEGMENTS, ArcSite, Component, FlatCylinder, HoleSite,
-                     MobiusCylinder, SurfaceMesh, UnitDisk, _grid_triangles,
-                     assemble_mesh, build_spec_mesh, placed_rim_radius)
+                     MobiusCylinder, SurfaceMesh, UnitDisk, _fan, _grid_cells,
+                     arc_collar, assemble_mesh, build_spec_mesh, placed_rim_radius)
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,13 +68,20 @@ def _density_at(spec, att: Attachment) -> float:
 
 
 def _check_boundary_clearance(family: GluedFamily) -> None:
-    """rho must stay below a quarter of the smallest attachment-arc clearance."""
+    """rho must stay below a quarter of the smallest attachment-arc clearance,
+    and no arc's span on a cylinder or Moebius band may cross its theta seam."""
     by_loop: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for a, b in family.pairs:
         for att in (a, b):
-            lam = _density_at(family.components[att.component], att)
-            by_loop.setdefault((att.component, att.loop), []).append(
-                (att.theta % TWO_PI, lam))
+            spec = family.components[att.component]
+            lam = _density_at(spec, att)
+            theta = att.theta % TWO_PI
+            if isinstance(spec, (FlatCylinder, MobiusCylinder)):
+                span = arc_collar(family.rho / lam)[1]
+                if theta - span <= 0.0 or theta + span >= TWO_PI:
+                    raise InvalidGluingError(
+                        f"boundary neck arc at theta={att.theta} crosses the chart seam")
+            by_loop.setdefault((att.component, att.loop), []).append((theta, lam))
     clearance = math.inf
     for (_c, _l), entries in by_loop.items():
         if len(entries) == 1:
@@ -127,8 +134,8 @@ def _graded_strip(rho: float, lam1: float, lam2: float, rows: int, cols: int,
     lo = y0 * chart_width
     ys = np.linspace(lo, lo + chart_width, cols + 1, axis=1)
     pts = np.stack([np.repeat(xs, cols + 1), ys.ravel()], axis=1)
-    tris, idx = _grid_triangles(rows + 1, cols + 1)
-    return pts, tris, np.repeat(rows_lam, cols + 1), idx
+    cells, idx = _grid_cells(rows + 1, cols + 1)
+    return pts, _fan(cells), np.repeat(rows_lam, cols + 1), idx
 
 
 def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:

@@ -7,22 +7,21 @@ lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
 chart-only and the conformal factor enters solely through boundary lengths.
 
 Site-free disks put their points on concentric rings, and their Delaunay
-triangulation comes from merging consecutive rings (`_ring_delaunay`).  Every
-chart with neck sites, disk, cylinder or Moebius band, goes through one site
-mesher (`_site_points`, `_attach_collars`): graded patches, a Delaunay stage,
-each site cut open at the ring that stage meets, and a structured collar inside
-that ring.  Interior rims below chart radius 1e-3 get a log collar; boundary
-arcs below a quarter of it get a half-collar of confocal half-ellipses ending
-on the boundary (`_arc_site`), and the boundary circle or row is graded around
-each arc (`_disk_boundary`).  On a disk the Delaunay stage keeps the site-free
-disk's ring-merged triangles away from the sites, and Qhull (`scipy.spatial`,
-imported only when needed) sees only the rest (`_band_delaunay`): a band of
-rings around interior sites (`_ring_split`), or the neighbourhoods of boundary
-arcs, outside which the circle keeps its uniform nodes (`_arc_split`).  A
-certificate on the interface (`_interface_delaunay`) joins the pieces or sends
-the chart to one whole-chart Qhull call; either route is logged at DEBUG.
-Cylinders and Moebius bands with sites, and disks too coarse for the ring
-merge, go to whole-chart Qhull.
+triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
+Qhull where the rings are too coarse to merge; site-free cylinders and Moebius
+bands are tensor grids.  Every chart with neck sites, disk, cylinder or
+Moebius band, goes through one site mesher (`_site_points`,
+`_attach_collars`): graded patches, a Delaunay stage, each site cut open at
+the ring that stage meets, and a structured collar inside that ring.  Interior
+rims below chart radius 1e-3 get a log collar; boundary arcs below a quarter
+of it get a half-collar of confocal half-ellipses ending on the boundary
+(`_arc_site`), and the boundary circle or row is graded around each arc
+(`_disk_boundary`).  The Delaunay stage keeps the site-free layout's triangles
+(the disk's ring merge, or the grid's cells) away from the sites
+(`_layout_split`), and Qhull (`scipy.spatial`, imported only when needed) sees
+only the sites' neighbourhoods (`_band_delaunay`).  A certificate on the
+interface (`_interface_delaunay`) joins the pieces or sends the chart to one
+whole-chart Qhull call; either route is logged at DEBUG.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
 mesh is assembled once from its components' arrays; a component's own `mesh`
@@ -523,6 +522,14 @@ def _hole_site(centre: np.ndarray, r_rim: float) -> _Site:
     return _Site(centre, collar, _ring_points(centre, r, m), True, h0, r + h0, r)
 
 
+def arc_collar(w: float) -> tuple[float, float]:
+    """mu of the outer half-ellipse of an arc of chart half-length w (0, no
+    half-collar, from COLLAR_RADIUS / 4 up; else a reach of COLLAR_RADIUS), and
+    the half-length w cosh(mu) of the span the arc takes on the boundary."""
+    mu = math.acosh(COLLAR_RADIUS / w) if w < COLLAR_RADIUS / 4.0 else 0.0
+    return mu, w * math.cosh(mu)
+
+
 def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site, float]:
     """A boundary arc of chart half-length w centred on `centre`.
 
@@ -543,9 +550,9 @@ def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site
     """
     m = NECK_SEGMENTS
     x = np.linspace(-1.0, 1.0, m + 1)
+    mu_end, half = arc_collar(w)
     mu = np.zeros(1)
-    if w < COLLAR_RADIUS / 4.0:
-        mu_end = math.acosh(COLLAR_RADIUS / w)
+    if mu_end:
         mu = np.linspace(0.0, mu_end,
                          max(2, math.ceil(mu_end / math.log(COLLAR_GROWTH))) + 1)
     s = _smoothstep(mu / 2.0)[:, None]
@@ -560,7 +567,7 @@ def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site
     h0 = TWO_PI * COLLAR_RADIUS / m
     site = _Site(centre, rings[:-1], rings[-1, ::2], False, h0, COLLAR_RADIUS + h0,
                  COLLAR_RADIUS, normal)
-    return site, w * math.cosh(mu[-1])
+    return site, half
 
 
 def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site],
@@ -649,9 +656,7 @@ def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     """Delaunay triangulation of points on concentric rings, by merging the rings.
 
     Ring r holds the vertices starts[r] + k at angles offsets[r] + 2*pi*k/counts[r];
-    ring 0 is the one-vertex centre or a full ring, which then bounds the
-    triangulation on the inside (its edges are left to the caller's Delaunay
-    test).  Each edge of ring r >= 1 takes as apex the
+    ring 0 is the one-vertex centre.  Each edge of ring r >= 1 takes as apex the
     vertex of ring r-1 nearest its bisector: of that ring's vertices it sees
     the edge under the largest angle, so the triangles between two rings are
     those of their Delaunay triangulation (Guibas-Stolfi merge, 1985).  Ring
@@ -674,15 +679,13 @@ def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     apex0 = apex[first[:-1]]
     key = base[ring - 1] + apex - apex0[ring - 1]
     mid = ring < len(counts) - 1
-    n_first = counts[0] if counts[0] > 1 else 0  # a full ring 0 has edges too
-    r = np.concatenate([np.zeros(n_first, dtype=np.int64), ring[mid]])
-    k = np.concatenate([np.arange(n_first), e[mid]])
+    r, k = ring[mid], e[mid]
     j = np.searchsorted(key, base[r] + (k - apex0[r]) % counts[r], side="right") - first[r]
     inward = np.stack([starts[r] + (k + 1) % counts[r], starts[r] + k,
                        starts[r + 1] + j % counts[r + 1]], axis=1)
     ring_edges = outward[mid, :2]
     cot_sum = (_cotangents(points, outward[mid, 2], ring_edges[:, 0], ring_edges[:, 1])
-               + _cotangents(points, inward[n_first:, 2], ring_edges[:, 0], ring_edges[:, 1]))
+               + _cotangents(points, inward[:, 2], ring_edges[:, 0], ring_edges[:, 1]))
     if np.any(cot_sum < -1e-12):  # ties (cocircular quads) sum to rounding noise
         return None
     return np.concatenate([outward, inward])
@@ -765,39 +768,6 @@ def _band_delaunay(points: np.ndarray, piece: np.ndarray, iface: np.ndarray) -> 
     return np.concatenate([band, piece])
 
 
-def _ring_split(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                offsets: np.ndarray, exclusions):
-    """Ring-merged inner disk and outer annulus of a disk chart with interior sites.
-
-    Ring i of the chart (0: the centre, last: the boundary circle) lies at
-    radius i / (len(counts) - 1); `exclusions` holds the (centre, radius) of
-    the disks the patches cover.  The pieces end at split rings that every
-    exclusion disk clears by two ring spacings.  Returns the pieces'
-    triangles and the split rings' edges, or None (whole-chart Qhull) when no
-    ring clears the sites or a merge fails.
-    """
-    nr = len(counts) - 1
-    near = min(float(np.linalg.norm(c)) - rr for c, rr in exclusions)
-    far = max(float(np.linalg.norm(c)) + rr for c, rr in exclusions)
-    lo = int(math.floor(near * nr)) - 2  # outer ring of the inner disk
-    hi = int(math.ceil(far * nr)) + 2  # inner ring of the outer annulus
-    splits, pieces = [], []
-    if lo >= 1:
-        splits.append(lo)
-        pieces.append(_ring_delaunay(points, starts[:lo + 1], counts[:lo + 1],
-                                     offsets[:lo + 1]))
-    if hi < nr:
-        splits.append(hi)
-        pieces.append(_ring_delaunay(points, starts[hi:], counts[hi:], offsets[hi:]))
-    if not pieces or any(p is None for p in pieces):
-        logger.debug("whole-chart Qhull: %s",
-                     "ring merge failed" if pieces else "no ring clears the sites")
-        return None
-    rings = [starts[i] + np.arange(counts[i]) for i in splits]
-    return (np.concatenate(pieces),
-            np.concatenate([np.stack([r, np.roll(r, -1)], axis=1) for r in rings]))
-
-
 def _disk_boundary(grid: np.ndarray, blocks):
     """Boundary angles of a circle (a disk's, or a grid chart's row) whose arc
     sites pin `blocks` of it.
@@ -843,57 +813,53 @@ def _disk_layout(resolution: float, turn: float) -> _DiskLayout:
     """Uniform circle and concentric bulk rings, all turned by `turn`."""
     n_b = max(8, int(round(TWO_PI / resolution)))
     nr = max(3, int(round(1.0 / resolution)))
-    rings = [np.zeros((1, 2))]
-    counts, offsets = [1], [turn]  # the centre, then the bulk rings
-    for i in range(1, nr):
-        r = i / nr
-        n = max(6, int(round(TWO_PI * r / resolution)))
-        offs = (i % 2) * math.pi / n
-        rings.append(r * _unit(offs + TWO_PI * np.arange(n) / n + turn))
-        counts.append(n)
-        offsets.append(offs + turn)
+    i = np.arange(1, nr)  # the bulk rings, at radii i / nr
+    n = np.maximum(6, np.round(TWO_PI * (i / nr) / resolution).astype(np.int64))
+    offs = (i % 2) * math.pi / n
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # node k of its ring
+    angles = np.repeat(offs, n) + TWO_PI * k / np.repeat(n, n) + turn
+    bulk = np.repeat(i / nr, n)[:, None] * _unit(angles)
     circle = _unit(np.linspace(0.0, TWO_PI, n_b + 1)[:-1] + turn)
-    return _DiskLayout(np.concatenate([circle] + rings),
-                       np.append(n_b + np.cumsum([0] + counts[:-1]), 0),
-                       np.array(counts + [n_b]), np.array(offsets + [turn]))
+    counts = np.append(1, n)  # the centre, then the bulk rings
+    return _DiskLayout(np.concatenate([circle, np.zeros((1, 2)), bulk]),
+                       np.append(n_b + np.cumsum(counts) - counts, 0),
+                       np.append(counts, n_b), np.concatenate([[turn], offs + turn, [turn]]))
 
 
-def _arc_split(points: np.ndarray, layout: _DiskLayout, actual: np.ndarray, n_front: int,
-               exclusions, margin: float):
-    """The site-free disk's ring-merged triangles that a disk with arc sites keeps.
+def _layout_split(points: np.ndarray, layout_xy: np.ndarray, cells: np.ndarray,
+                  actual: np.ndarray, exclusions, margin: float):
+    """The site-free layout's Delaunay triangles that a chart with neck sites keeps.
 
-    `actual` maps the layout's vertices to `points` (-1 where a site replaced
-    them); the first `n_front` points are the boundary nodes and the sites'
-    outer rings.  A vertex is clear when it is kept and lies more than
-    `margin` beyond every patch's exclusion disk and away from every front
-    point off the uniform circle.  The triangles on clear vertices are kept,
-    so Qhull sees only the sites' neighbourhoods.  Returns them and the edges
-    they share with the rest, or None when the ring merge fails.
+    The layout is the vertices `layout_xy` and its Delaunay `cells`:
+    triangles, or a grid's rectangles, whose cocircular corners are kept or
+    dropped together, so that Qhull never splits a kept cell's tie the other
+    way.  `actual` maps the layout's vertices to `points` (-1 where a site
+    dropped them).  A vertex is clear when it is kept, lies more than `margin`
+    beyond every patch's exclusion disk, and more than `margin` from every
+    point a site placed off the layout.  The triangles of the cells on clear
+    vertices are kept, so Qhull sees only the sites' neighbourhoods.  Returns
+    them and the edges they share with the dropped ones.
     """
-    tris = _ring_delaunay(*layout)
-    if tris is None:
-        logger.debug("whole-chart Qhull: ring merge failed")
-        return None
-    xy = layout.points
+    from scipy.spatial import cKDTree  # charts with sites call Qhull anyway
     clear = actual >= 0
+    # points placed off the layout; those inside a patch lie beyond margin anyway
+    fixed = np.delete(points, actual[clear], axis=0)
     for c, rr in exclusions:
-        clear &= np.linalg.norm(xy - c, axis=1) > rr + margin
-    n_circle = layout.counts[-1]
-    off_circle = np.ones(n_front, dtype=bool)
-    on_circle = actual[:n_circle]
-    off_circle[on_circle[on_circle >= 0]] = False
-    fixed = points[:n_front][off_circle]
-    outer = np.flatnonzero(clear & (np.linalg.norm(xy, axis=1) > 1.0 - margin))
-    gap = np.linalg.norm(xy[outer, None] - fixed[None], axis=2).min(axis=1)
-    clear[outer[gap <= margin]] = False
-    kept = clear[tris].all(axis=1)
-    n = len(xy)
-    keys, count = np.unique(_edge_keys(tris[~kept], n), return_counts=True)
-    a, b = keys // n, keys % n
-    # an edge of one other triangle on two clear vertices borders the kept
-    # ones, unless it lies on the circle
-    shared = (count == 1) & clear[a] & clear[b] & ((a >= n_circle) | (b >= n_circle))
-    return actual[tris[kept]], actual[np.stack([a[shared], b[shared]], axis=1)]
+        clear &= np.linalg.norm(layout_xy - c, axis=1) > rr + margin
+        fixed = fixed[np.linalg.norm(fixed - c, axis=1) > rr]
+    if len(fixed):  # only vertices in their bounding box, widened by margin, come near
+        lo, hi = fixed.min(axis=0) - margin, fixed.max(axis=0) + margin
+        ids = np.flatnonzero(clear & np.all((layout_xy >= lo) & (layout_xy <= hi), axis=1))
+        clear[ids[cKDTree(fixed).query(layout_xy[ids])[0] <= margin]] = False
+    tris = _fan(cells)
+    kept = np.tile(np.logical_and.reduce([clear[c] for c in cells.T]), cells.shape[1] - 2)
+    n = len(layout_xy)
+    dropped = tris.compress(~kept, axis=0)
+    near = np.zeros(n, dtype=bool)  # only kept triangles on these meet a dropped one
+    near[dropped] = True
+    border = tris.compress(kept & np.logical_or.reduce([near[c] for c in tris.T]), axis=0)
+    shared = np.intersect1d(_edge_keys(border, n), _edge_keys(dropped, n))
+    return actual[tris.compress(kept, axis=0)], actual[np.stack([shared // n, shared % n], 1)]
 
 
 def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
@@ -925,11 +891,11 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     turn = arc_sites[0].theta if arc_sites else 0.0
     layout = _disk_layout(resolution, turn)
     n_b = layout.counts[-1]
+    layout_tris = _ring_delaunay(*layout)
+    if layout_tris is None:  # coarse rings, which the Delaunay triangulation skips
+        layout_tris = _qhull_triangles(layout.points)
     if not arc_meta and not rim_meta:
-        points, true_ids = layout.points, []
-        triangles = _ring_delaunay(*layout)
-        if triangles is None:
-            triangles = _qhull_triangles(points)
+        points, triangles, true_ids = layout.points, layout_tris, []
     else:
         sites, blocks = [], []
         for site, p, lam_p, w in arc_meta:
@@ -945,14 +911,9 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         points, background_ids, outer_ids, exclusions = _site_points(
             head, layout.points[n_b:], sites, resolution,
             lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s)
-        if blocks:
-            split = _arc_split(points, layout, np.concatenate([head_ids, background_ids]),
-                               outer_ids[-1][-1] + 1, exclusions, 2.0 / (len(layout.counts) - 1))
-        else:
-            split = _ring_split(points, np.append(background_ids[layout.starts[:-1] - n_b], 0),
-                                layout.counts, layout.offsets, exclusions)
-        triangles = _qhull_triangles(points) if split is None else \
-            _band_delaunay(points, *split)
+        triangles = _band_delaunay(points, *_layout_split(
+            points, layout.points, layout_tris, np.concatenate([head_ids, background_ids]),
+            exclusions, 2.0 / (len(layout.counts) - 1)))
         points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
 
     lam_chart = base_lam(points)
@@ -974,16 +935,18 @@ def build_disk_mesh(resolution: float) -> SurfaceMesh:
 # cylinder and Moebius band
 # ---------------------------------------------------------------------------
 
-def _grid_triangles(n_rows: int, n_cols: int):
-    """Two triangles per cell of a row-major node grid; returns (triangles, idx)."""
+def _grid_cells(n_rows: int, n_cols: int):
+    """Cells (a, b, c, d), counterclockwise from the lower left, of a row-major
+    node grid; returns (cells, idx)."""
     idx = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
-    a = idx[:-1, :-1].ravel()
-    b = idx[:-1, 1:].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[1:, :-1].ravel()
-    triangles = np.concatenate([np.stack([a, b, c], axis=1),
-                                np.stack([a, c, d], axis=1)])
-    return triangles, idx
+    cells = np.stack([idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]], axis=-1)
+    return cells.reshape(-1, 4), idx
+
+
+def _fan(cells: np.ndarray) -> np.ndarray:
+    """Triangles (c_0, c_i, c_i+1) of convex cells, fan position first, then cell."""
+    return np.concatenate([np.stack([cells[:, 0], cells[:, i], cells[:, i + 1]], axis=1)
+                           for i in range(1, cells.shape[1] - 1)])
 
 
 def _grid_identifications(points: np.ndarray, mobius: bool) -> np.ndarray:
@@ -1011,7 +974,8 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     """Flat cylinder or Moebius band on the chart (theta, t) in [0, 2 pi] x [0, T].
 
     A plain chart is a tensor grid.  With neck sites, the site mesher carves a
-    uniform grid around each site, and Qhull triangulates the chart.  The
+    uniform grid around each site, and the grid's cells away from the sites
+    join Qhull's triangulation of the sites' neighbourhoods.  The
     cylinder's loop 0 is its t = 0 row and loop 1 its t = T row; the Moebius
     band's one loop is its t = T row, and its t = 0 row is the antipodal seam.
     A row with arcs is graded around them as the disk's circle is, with the
@@ -1034,7 +998,7 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     grid_th, grid_t = np.meshgrid(theta, t)
     base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)  # chart x = theta, y = t
     if plain:
-        return Component(base, _grid_triangles(len(t), len(theta))[0],
+        return Component(base, _fan(_grid_cells(len(t), len(theta))[0]),
                          _grid_identifications(base, mobius), np.full(len(base), density), ())
 
     du = TWO_PI / (len(theta) - 1)
@@ -1060,11 +1024,17 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
             raise InvalidGluingError("interior neck disk crosses the chart seam")
         sites.append(_hole_site(p, r_rim))
 
-    head = [np.zeros((0, 2))]
+    # the layout is the uniform base grid; `actual` maps its nodes to the points
+    cells, idx = _grid_cells(len(t), len(theta))
+    actual = np.full(len(base), -1)
+    head, n_head = [np.zeros((0, 2))], 0
     for t0, blocks in rows.items():
         angles = np.concatenate([[0.0], _disk_boundary(theta[:-1], blocks)[0], [TWO_PI]])
+        at = np.minimum(np.searchsorted(angles, theta), len(angles) - 1)  # nodes kept
+        actual[idx[t == t0][0]] = np.where(angles[at] == theta, n_head + at, -1)
         head.append(np.stack([angles, np.full(len(angles), t0)], axis=1))
-    base = base[~np.isin(base[:, 1], list(rows))]
+        n_head += len(angles)
+    on_rows = np.isin(base[:, 1], list(rows))
 
     def inside(q, s):
         return ((q[:, 1] > 0.45 * s) & (q[:, 1] < T - 0.45 * s)
@@ -1072,10 +1042,13 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
 
     # the seam columns and boundary rows keep every grid node: the pairings need them
     edge = (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI) | (base[:, 1] == 0.0) | (base[:, 1] == T)
-    points, _, outer_ids, _ = _site_points(np.concatenate(head), base, sites, resolution,
-                                           inside, pinned=edge)
-    points, triangles, true_ids = _attach_collars(points, _qhull_triangles(points), sites,
-                                                  outer_ids)
+    points, background_ids, outer_ids, exclusions = _site_points(
+        np.concatenate(head), base[~on_rows], sites, resolution, inside,
+        pinned=edge[~on_rows])
+    actual[~on_rows] = background_ids
+    triangles = _band_delaunay(points, *_layout_split(
+        points, base, cells, actual, exclusions, 2.0 * max(du, t[1])))  # two grid steps
+    points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
     return Component(points, triangles, _grid_identifications(points, mobius),
                      np.full(len(points), density),
                      tuple(Interface(ids, density) for ids in true_ids))

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import steklov.acceptance
 import steklov.cli
@@ -107,6 +114,9 @@ class TestSpectrum:
     pytest.param(["bounds", "--k-max", "0"], id="bounds-k-max-zero"),
     pytest.param(["bounds", "--trials", "0"], id="bounds-trials-zero"),
     pytest.param(["bounds", "--trials", "1", "--seed", "-1"], id="bounds-seed-negative"),
+    pytest.param(["bounds", "--k-max", "1000"], id="bounds-k-max-above-boundary-dofs"),
+    pytest.param(["spectrum", "--surface", "cylinder", "--T", "1",
+                  "--density", "1e-320"], id="density-subnormal"),
 ])
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     code, out = run(argv, tmp_path, monkeypatch)
@@ -139,6 +149,53 @@ def test_domain_error_exits_1_without_report(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: SolverError: injected failure\n"
     assert not out.exists()
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite value {token} in a report")
+
+
+# finite, zero, negative, non-finite and subnormal values alike
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([5e-324, 1e-320, -1e-320, 1e-300, 1e300]))
+
+
+class TestSpectrumArgumentProperties:
+    """`spectrum --method closed-form` over any --T, --density and --count: a
+    result with only finite values, or a usage error that writes nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(surface=st.sampled_from(["cylinder", "mobius"]), T=ANY_FLOAT,
+           density=st.none() | ANY_FLOAT, count=st.integers(-3, 40))
+    @example(surface="cylinder", T=float("nan"), density=None, count=8)
+    @example(surface="cylinder", T=1.0, density=float("inf"), count=8)
+    @example(surface="mobius", T=0.0, density=None, count=8)
+    @example(surface="cylinder", T=-1.0, density=None, count=8)
+    @example(surface="cylinder", T=1.0, density=1e-320, count=8)
+    @example(surface="mobius", T=1e-320, density=None, count=8)
+    def test_exit_0_with_finite_values_or_exit_2(self, surface, T, density, count):
+        argv = ["spectrum", "--surface", surface, "--method", "closed-form",
+                f"--T={T!r}", f"--count={count}"]
+        if density is not None:
+            argv.append(f"--density={density!r}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+                warnings.catch_warnings(record=True) as caught:
+            os.environ.pop("STEKLOV_OUT", None)
+            warnings.simplefilter("always")
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv + ["--out", str(out)])
+            written = sorted(out.iterdir()) if out.exists() else []
+            reports = [json.loads(p.read_text(), parse_constant=_reject_non_finite)
+                       for p in written]
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2), stderr.getvalue()
+        if code == 2:
+            assert written == [] and "usage error:" in stderr.getvalue()
+            return
+        assert len(reports) == 1 and len(reports[0]) == count
+        printed = stdout.getvalue().lower()
+        assert "nan" not in printed and "inf" not in printed
 
 
 class TestSweepAndCompare:

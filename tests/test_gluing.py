@@ -95,6 +95,30 @@ class TestBoundaryGlue:
         assert sk.validate_mesh(mesh) == []
         assert sk.boundary_length(mesh) == pytest.approx(want, rel=1e-2)
 
+    # a grid chart's theta seam is refused before any chart is meshed: an arc
+    # takes w = rho / density on each side, or its half-collar's reach 1e-3
+    @pytest.mark.parametrize("grid, rho, theta, refused", [
+        (sk.FlatCylinder(1.0), 0.05, 0.01, True),
+        (sk.MobiusCylinder(1.0), 0.05, 6.25, True),
+        (sk.FlatCylinder(1.0), 1e-8, 5e-4, True),
+        (sk.FlatCylinder(1.0), 0.05, 0.2, False),
+        (sk.MobiusCylinder(1.0), 1e-8, 2e-3, False),
+    ], ids=["cylinder-0.01", "mobius-6.25", "collar-5e-4", "cylinder-0.2", "collar-2e-3"])
+    def test_grid_arc_across_the_seam_refused_up_front(self, grid, rho, theta, refused,
+                                                        monkeypatch):
+        family = GluedFamily((sk.UnitDisk(), grid), rho,
+                             ((Attachment(0, theta=1.0), Attachment(1, theta=theta)),))
+        if not refused:
+            assert sk.validate_mesh(sk.build_glued_mesh(family, 0.1)) == []
+            return
+
+        def meshed(*args, **kwargs):
+            raise AssertionError("a chart was meshed before the seam check")
+
+        monkeypatch.setattr(gluing, "build_spec_mesh", meshed)
+        with pytest.raises(sk.InvalidGluingError, match="seam"):
+            sk.build_glued_mesh(family, 0.1)
+
 
 class TestInteriorGlue:
     def test_boundary_length_exactly_additive(self):
