@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import closed_form as cf
 from . import experiments as ex
@@ -49,7 +50,7 @@ def _dump_json(path: str, payload) -> None:
 
 def cmd_constants(args) -> int:
     out = _outdir(args)
-    constants = [c.as_dict() for c in cf.all_constants(10)]
+    constants = [asdict(c) for c in cf.all_constants(10)]
     if args.format == "csv":
         lines = ["name,equation,value,residual"]
         lines += [f"{c['name']},\"{c['equation']}\",{c['value']!r},{c['residual']!r}"
@@ -203,7 +204,7 @@ def cmd_compare(args) -> int:
     record = ex.noninvariant_comparison(args.surface, args.k)
     params = {"surface": args.surface, "k": args.k}
     paths = ex.write_report(_outdir(args), "compare", params,
-                            [record.as_dict()], record.verdict)
+                            [asdict(record)], record.verdict)
     print(f"{args.surface} k={args.k}: glued limit {record.glued_limit:.6f} vs "
           f"invariant supremum {record.invariant_supremum:.6f} "
           f"(margin {record.margin:+.6f})")

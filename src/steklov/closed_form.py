@@ -104,10 +104,6 @@ class Constant:
     value: float
     residual: float
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "equation": self.equation,
-                "value": self.value, "residual": self.residual}
-
 
 @lru_cache(maxsize=None)
 def constant_T10() -> Constant:
@@ -301,10 +297,6 @@ class SupremumResult:
     value: float          # supremum of sigma_bar_k over T
     maximizer_T: float | None
     achieved: bool
-
-    def as_dict(self) -> dict:
-        return {"surface": self.surface, "k": self.k, "value": self.value,
-                "maximizer_T": self.maximizer_T, "achieved": self.achieved}
 
 
 def _sigma_k_unit(surface: str, T: float, k: int) -> float:

@@ -163,6 +163,36 @@ def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     return dtn
 
 
+def _check_count(count: int, n_boundary: int) -> None:
+    if not (1 <= count <= n_boundary):
+        raise InvalidParameterError(
+            f"count must lie in [1, {n_boundary}] (boundary degrees of freedom)")
+
+
+def _boundary_mass(mesh: SurfaceMesh, b: np.ndarray, conformal=None) -> np.ndarray:
+    """`boundary_mass_vector`, refused unless positive on the boundary vertices b."""
+    mass = boundary_mass_vector(mesh, conformal)
+    if np.any(mass[b] <= 0):
+        raise AssemblyError("boundary vertex with nonpositive lumped mass")
+    return mass
+
+
+def _relative_residuals(A, u: np.ndarray, mass: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|A u - sigma M u| / |M u| of each eigenpair (sigma in w, u by columns)."""
+    mu = mass[:, None] * u
+    return np.linalg.norm(A @ u - mu * w[None, :], axis=0) / np.linalg.norm(mu, axis=0)
+
+
+def _contracted(w: np.ndarray, rel: np.ndarray, boundary_mass: np.ndarray,
+                traces: np.ndarray | None, b: np.ndarray) -> Spectrum:
+    """The eigenpairs as a Spectrum, refused unless every residual meets the contract;
+    `traces` are the boundary rows of the eigenvectors, None unless asked for."""
+    if np.any(rel > RESIDUAL_RTOL):
+        raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
+    return make_spectrum(w, float(np.sum(boundary_mass)), cluster_rtol=CLUSTER_RTOL_FEM,
+                         eigenvectors=traces, boundary_index=None if traces is None else b)
+
+
 @dataclass(frozen=True)
 class DtnOperator:
     """Discrete DtN of one mesh; reusable across boundary-density variations."""
@@ -173,12 +203,8 @@ class DtnOperator:
 
     def spectrum(self, count: int, conformal=None, want_vectors: bool = False) -> Spectrum:
         b = self.boundary_index
-        if not (1 <= count <= len(b)):
-            raise InvalidParameterError(
-                f"count must lie in [1, {len(b)}] (boundary degrees of freedom)")
-        mass = boundary_mass_vector(self.mesh, conformal)[b]
-        if np.any(mass <= 0):
-            raise AssemblyError("boundary vertex with nonpositive lumped mass")
+        _check_count(count, len(b))
+        mass = _boundary_mass(self.mesh, b, conformal)[b]
         s = 1.0 / np.sqrt(mass)
         H = self.matrix * np.outer(s, s)  # exactly symmetric: schur_dtn symmetrizes
         try:
@@ -186,16 +212,8 @@ class DtnOperator:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"dense eigensolve failed: {exc}") from exc
         vectors = s[:, None] * y
-        resid = self.matrix @ vectors - mass[:, None] * vectors * w[None, :]
-        denom = np.linalg.norm(mass[:, None] * vectors, axis=0)
-        rel = np.linalg.norm(resid, axis=0) / denom
-        if np.any(rel > RESIDUAL_RTOL):
-            raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
-        return make_spectrum(
-            w, float(np.sum(mass)), cluster_rtol=CLUSTER_RTOL_FEM,
-            eigenvectors=vectors if want_vectors else None,
-            boundary_index=b if want_vectors else None,
-        )
+        return _contracted(w, _relative_residuals(self.matrix, vectors, mass, w), mass,
+                           vectors if want_vectors else None, b)
 
 
 def build_dtn(mesh: SurfaceMesh) -> DtnOperator:
@@ -228,15 +246,11 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
     """
     b = _boundary_index(mesh)
     n_b = len(b)
-    if not (1 <= count <= n_b):
-        raise InvalidParameterError(
-            f"count must lie in [1, {n_b}] (boundary degrees of freedom)")
+    _check_count(count, n_b)
     if not _lanczos_fits(count, n_b):
         logger.debug("dense DtN: %d pairs of %d leave no room for Lanczos", count, n_b)
         return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
-    mass = boundary_mass_vector(mesh)
-    if np.any(mass[b] <= 0):
-        raise AssemblyError("boundary vertex with nonpositive lumped mass")
+    mass = _boundary_mass(mesh, b)
     K = assemble_stiffness(mesh)
     K = _ground(K, _grounding_pins(K, b))
     try:
@@ -274,8 +288,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
         w = PENCIL_SHIFT + 1.0 / theta
         u = lu.solve(lifted(h[:, None] * y)) / theta
         u = u / np.sqrt(np.einsum("ij,i,ij->j", u, mass, u))
-        resid = np.linalg.norm(K @ u - (mass[:, None] * u) * w[None, :], axis=0)
-        return w, u, resid / np.linalg.norm(mass[:, None] * u, axis=0)
+        return w, u, _relative_residuals(K, u, mass, w)
 
     w, u, rel = lowest_pairs(count)
     if np.any(rel > RESIDUAL_RTOL):
@@ -285,13 +298,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
             return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
         logger.debug("Lanczos retry: %d pairs, residual %.2e", count + 2, rel.max())
         w, u, rel = lowest_pairs(count + 2)
-    if np.any(rel > RESIDUAL_RTOL):
-        raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
-    return make_spectrum(
-        w, float(np.sum(mass[b])), cluster_rtol=CLUSTER_RTOL_FEM,
-        eigenvectors=u[b] if want_vectors else None,
-        boundary_index=b if want_vectors else None,
-    )
+    return _contracted(w, rel, mass[b], u[b] if want_vectors else None, b)
 
 
 __all__ = [

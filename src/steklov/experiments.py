@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_form as cf
-from .dtn import assemble_stiffness, build_dtn, steklov_spectrum
+from .dtn import _boundary_index, assemble_stiffness, build_dtn, steklov_spectrum
 from .errors import InvalidParameterError, ResolutionError, SteklovError
 from .gluing import (BOUNDARY_NECK, INTERIOR_NECK, Attachment, GluedFamily,
                      build_glued_mesh)
@@ -201,13 +201,6 @@ class ComparisonRecord:
     verdict: str
     chain_check: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {"surface_kind": self.surface_kind, "k": self.k,
-                "glued_limit": self.glued_limit,
-                "invariant_supremum": self.invariant_supremum,
-                "margin": self.margin, "verdict": self.verdict,
-                "chain_check": self.chain_check}
-
 
 def glued_limit_spectrum(surface_kind: str, k: int, count: int = 40) -> Spectrum:
     """Closed-form spectrum of (critical surface) + (k-1) unit disks, disjoint."""
@@ -324,7 +317,7 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
 
 def _require_pairs(k_max: int, mesh: SurfaceMesh) -> np.ndarray:
     """The mesh's boundary vertices, refused unless they carry k_max + 1 eigenpairs."""
-    b_idx = np.unique(np.concatenate(mesh.boundary_loops))
+    b_idx = _boundary_index(mesh)
     if k_max + 1 > len(b_idx):
         raise InvalidParameterError(f"k_max + 1 = {k_max + 1} exceeds the mesh's "
                                     f"{len(b_idx)} boundary degrees of freedom")

@@ -6,10 +6,12 @@ two sides become new boundary, so the total boundary length is unchanged.
 Interior necks are thin flat cylinders (circumference 2*pi*rho, length 2*rho)
 replacing a pair of removed disks, leaving the boundary untouched.
 
-`prepare_components` checks the family and meshes each component with one
-neck site per attachment; every mesh builder returns one interface per site,
-in site order.  `glue` joins all necks in one pass, taking each attachment's
-interface by that position, and assembles the glued mesh once.
+`prepare_components` checks the neck kind and has `meshes.place_sites` place
+every component's sites, which makes every refusal before any chart is
+meshed.  It then meshes each component with one neck site per attachment;
+every mesh builder returns one interface per site, in site order.  `glue`
+joins all necks in one pass, taking each attachment's interface by that
+position, and assembles the glued mesh once.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
+from .errors import AssemblyError, InvalidParameterError
 from .meshes import (NECK_SEGMENTS, ArcSite, Component, FlatCylinder, HoleSite,
                      MobiusCylinder, SurfaceMesh, UnitDisk, _fan, _grid_cells,
-                     arc_collar, assemble_mesh, build_spec_mesh, placed_rim_radius)
+                     assemble_mesh, build_spec_mesh, place_sites)
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,66 +55,6 @@ class GluedFamily:
 
 
 MetricSpec = UnitDisk | FlatCylinder | MobiusCylinder | GluedFamily
-
-
-def _density_at(spec, att: Attachment) -> float:
-    if isinstance(spec, UnitDisk):
-        if spec.conformal_factor_field is None:
-            return 1.0
-        if att.interior:
-            return float(spec.conformal_factor_field(*att.point))
-        return float(spec.conformal_factor_field(math.cos(att.theta), math.sin(att.theta)))
-    if isinstance(spec, (FlatCylinder, MobiusCylinder)):
-        return spec.boundary_density
-    raise InvalidParameterError(f"cannot attach to {type(spec).__name__}")
-
-
-def _check_boundary_clearance(family: GluedFamily) -> None:
-    """rho must stay below a quarter of the smallest attachment-arc clearance,
-    and no arc's span on a cylinder or Moebius band may cross its theta seam."""
-    by_loop: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for a, b in family.pairs:
-        for att in (a, b):
-            spec = family.components[att.component]
-            lam = _density_at(spec, att)
-            theta = att.theta % TWO_PI
-            if isinstance(spec, (FlatCylinder, MobiusCylinder)):
-                span = arc_collar(family.rho / lam)[1]
-                if theta - span <= 0.0 or theta + span >= TWO_PI:
-                    raise InvalidGluingError(
-                        f"boundary neck arc at theta={att.theta} crosses the chart seam")
-            by_loop.setdefault((att.component, att.loop), []).append((theta, lam))
-    clearance = math.inf
-    for (_c, _l), entries in by_loop.items():
-        if len(entries) == 1:
-            clearance = min(clearance, TWO_PI * entries[0][1])
-            continue
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                d = abs(entries[i][0] - entries[j][0])
-                d = min(d, TWO_PI - d)
-                clearance = min(clearance, d * min(entries[i][1], entries[j][1]))
-    if not family.rho < clearance / 4.0:
-        raise InvalidGluingError(
-            f"rho={family.rho} exceeds a quarter of the attachment clearance {clearance}")
-
-
-def _check_interior_clearance(family: GluedFamily) -> None:
-    by_comp: dict[int, list[tuple[np.ndarray, float]]] = {}
-    for a, b in family.pairs:
-        for att in (a, b):
-            lam = _density_at(family.components[att.component], att)
-            by_comp.setdefault(att.component, []).append(
-                (np.asarray(att.point, float), lam))
-    for comp, entries in by_comp.items():
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                pi, li = entries[i]
-                pj, lj = entries[j]
-                r_i = placed_rim_radius(family.rho / li)
-                r_j = placed_rim_radius(family.rho / lj)
-                if np.linalg.norm(pi - pj) <= 4.0 * (r_i + r_j):
-                    raise InvalidGluingError("interior neck disks too close together")
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +149,22 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
     if any(att.interior != interior for pair in family.pairs for att in pair):
         where = "interior" if interior else "boundary"
         raise InvalidParameterError(f"{family.neck_kind} necks need {where} attachments")
-    if interior:
-        _check_interior_clearance(family)
-    else:
-        _check_boundary_clearance(family)
-    sites: list[list] = [[] for _ in family.components]
+    sites = [([], []) for _ in family.components]  # (arcs, holes) of each component
     for pair in family.pairs:
         for att in pair:
-            sites[att.component].append(
-                HoleSite(tuple(att.point), family.rho) if interior
-                else ArcSite(att.loop, att.theta, family.rho))
+            arcs, holes = sites[att.component]
+            if interior:
+                holes.append(HoleSite(tuple(att.point), family.rho))
+            else:
+                arcs.append(ArcSite(att.loop, att.theta, family.rho))
+    for spec, (arcs, holes) in zip(family.components, sites):
+        place_sites(spec, arcs, holes)  # every refusal comes before any chart is meshed
     built: dict = {}  # equal specs with equal sites mesh identically: build each once
     comps = []
-    for spec, own in zip(family.components, sites):
-        key = (spec, tuple(own))
+    for spec, (arcs, holes) in zip(family.components, sites):
+        key = (spec, tuple(arcs), tuple(holes))
         if key not in built:
-            built[key] = (build_spec_mesh(spec, resolution, (), key[1]) if interior
-                          else build_spec_mesh(spec, resolution, key[1]))
+            built[key] = build_spec_mesh(spec, resolution, *key[1:])
         comps.append(built[key])
     return comps
 

@@ -9,18 +9,20 @@ chart-only and the conformal factor enters solely through boundary lengths.
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
 Qhull where the rings are too coarse to merge; site-free cylinders and Moebius
-bands are tensor grids.  Every chart with neck sites, disk, cylinder or
-Moebius band, goes through one site mesher (`_site_points`,
-`_attach_collars`): graded patches, a Delaunay stage, each site cut open at
-the ring that stage meets, and a structured collar inside that ring.  Interior
-rims below chart radius 1e-3 get a log collar; boundary arcs below a quarter
-of it get a half-collar of confocal half-ellipses ending on the boundary
-(`_arc_site`), and the boundary circle or row is graded around each arc
-(`_disk_boundary`).  The Delaunay stage keeps the site-free layout's triangles
-(the disk's ring merge, or the grid's cells) away from the sites
-(`_layout_split`), and Qhull (`scipy.spatial`, imported only when needed) sees
-only the sites' neighbourhoods (`_band_delaunay`).  A certificate on the
-interface (`_interface_delaunay`) joins the pieces or sends the chart to one
+bands are tensor grids.  `place_sites` places every neck site on its chart
+and makes every refusal of one, before anything is meshed.  Every chart with
+neck sites, disk, cylinder or Moebius band, goes through one site mesher
+(`_site_points`, `_attach_collars`): graded patches clear of every site, a
+Delaunay stage, each site cut open at the ring that stage meets, and a
+structured collar inside that ring.  Interior rims below chart radius 1e-3
+get a log collar; boundary arcs below a quarter of it get a half-collar of
+confocal half-ellipses ending on the boundary (`_arc_site`), and the boundary
+circle or row is graded around each arc (`_disk_boundary`).  The Delaunay
+stage keeps the site-free layout's triangles (the disk's ring merge, or the
+grid's cells) away from the sites (`_layout_split`), and Qhull
+(`scipy.spatial`, imported only when needed) sees only the sites'
+neighbourhoods (`_band_delaunay`).  A certificate on the interface
+(`_interface_delaunay`) joins the pieces or sends the chart to one
 whole-chart Qhull call; either route is logged at DEBUG.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
@@ -570,6 +572,92 @@ def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site
     return site, half
 
 
+class Placement(NamedTuple):
+    """A neck site on its chart: the chart centre, the conformal factor there,
+    and the chart size rho / lam (an arc's half-length or a rim's radius)."""
+    centre: np.ndarray
+    lam: float
+    size: float
+
+
+def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
+                hole_sites: Sequence[HoleSite] = ()) -> list[Placement]:
+    """Place a chart's neck sites, arcs first and each kind in site order.
+
+    Every refusal of a site is made here, before anything is meshed.
+    `InvalidParameterError`: an unknown chart, a T or boundary density that
+    is not positive, an arc on a loop the chart lacks.  `InvalidGluingError`:
+    rho not below a quarter of an arc's clearance on its loop (the angle to
+    the nearest other arc there times the smaller lam, or 2 pi lam alone);
+    arc spans (`arc_collar`) that overlap each other or a grid chart's theta
+    seam; a rim whose placed radius, doubled, reaches the chart's boundary,
+    rows or seam; two rims closer than 4 (r_i + r_j) at their placed radii.
+    """
+    if isinstance(spec, UnitDisk):
+        field = spec.conformal_factor_field
+        lam_at = (lambda p: 1.0) if field is None else (lambda p: float(field(*p)))
+        arcs = [np.array([math.cos(s.theta), math.sin(s.theta)]) for s in arc_sites]
+        loops, seam = (0,), []
+        # the circle's angles count from the first arc, as `_disk_component` turns them
+        origin = arc_sites[0].theta if arc_sites else 0.0
+
+        def reaches(p, reach):
+            return np.linalg.norm(p) + reach >= 1.0
+    elif isinstance(spec, (FlatCylinder, MobiusCylinder)):
+        T, density = spec.T, spec.boundary_density
+        if T <= 0:
+            raise InvalidParameterError("chart height T must be positive")
+        if density <= 0:
+            raise InvalidParameterError("boundary density must be positive")
+        mobius = isinstance(spec, MobiusCylinder)
+        lam_at = lambda p: density
+        arcs = [np.array([s.theta % TWO_PI, 0.0 if s.loop == 0 and not mobius else T])
+                for s in arc_sites]
+        loops, seam, origin = ((0,) if mobius else (0, 1)), [(0.0, 0.0)], 0.0
+
+        def reaches(p, reach):
+            return not (reach < p[1] < T - reach and reach < p[0] < TWO_PI - reach)
+    else:
+        raise InvalidParameterError(f"cannot place neck sites on {type(spec).__name__}")
+    for site in arc_sites:
+        if site.loop not in loops:
+            raise InvalidParameterError(f"{type(spec).__name__} has boundary loops {loops}")
+    centres = arcs + [np.asarray(s.point, dtype=float) for s in hole_sites]
+    lams = [lam_at(c) for c in centres]
+    placed = [Placement(c, lam, site.rho / lam)
+              for site, c, lam in zip([*arc_sites, *hole_sites], centres, lams)]
+
+    by_loop: dict[int, list] = {}
+    for site, p in zip(arc_sites, placed):
+        by_loop.setdefault(site.loop, []).append((site, p))
+    for on in by_loop.values():
+        gaps = [(TWO_PI * on[0][1].lam, on[0][0].rho)] if len(on) == 1 else []
+        for i, (a, pa) in enumerate(on):
+            for b, pb in on[i + 1:]:
+                d = abs(a.theta % TWO_PI - b.theta % TWO_PI)
+                gaps.append((min(d, TWO_PI - d) * min(pa.lam, pb.lam), max(a.rho, b.rho)))
+        if any(not rho < gap / 4.0 for gap, rho in gaps):
+            raise InvalidGluingError("rho is not below a quarter of the attachment clearance")
+        spans = list(seam)
+        for site, p in on:
+            mid, half = (site.theta - origin) % TWO_PI, arc_collar(p.size)[1]
+            spans.append((mid - half, mid + half))
+        spans.sort()  # as `_disk_boundary` takes them, the first again after the last
+        if any(nxt <= hi for (_, hi), (nxt, _) in
+               zip(spans, spans[1:] + [(spans[0][0] + TWO_PI, 0.0)])):
+            raise InvalidGluingError("boundary neck arcs overlap each other or the chart seam")
+
+    rims = placed[len(arc_sites):]
+    for i, a in enumerate(rims):
+        if reaches(a.centre, 2.0 * placed_rim_radius(a.size)):
+            raise InvalidGluingError("interior neck disk reaches the chart's boundary or seam")
+        for b in rims[i + 1:]:
+            if np.linalg.norm(a.centre - b.centre) <= 4.0 * (placed_rim_radius(a.size)
+                                                             + placed_rim_radius(b.size)):
+                raise InvalidGluingError("interior neck disks too close together")
+    return placed
+
+
 def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site],
                  resolution: float, inside, pinned: np.ndarray | None = None):
     """Points of a chart refined around neck sites, for the Delaunay stage.
@@ -582,14 +670,16 @@ def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site
     covers.
     """
     patch_pts, exclusions = [], []
+
+    def keep(q, s):  # clear of every site's hole and of the earlier patches
+        ok = inside(q, s)
+        for other in sites:
+            ok &= np.linalg.norm(q - other.centre, axis=1) > other.r_hole + 0.45 * s
+        for e, rr in exclusions:
+            ok &= np.linalg.norm(q - e, axis=1) > 0.8 * rr
+        return ok
+
     for site in sites:
-
-        def keep(q, s, _c=site.centre, _r=site.r_hole):
-            ok = inside(q, s) & (np.linalg.norm(q - _c, axis=1) > _r + 0.45 * s)
-            for e, rr in exclusions:
-                ok &= np.linalg.norm(q - e, axis=1) > 0.8 * rr
-            return ok
-
         pts, r_excl = _patch_rings(site.centre, site.h0, resolution, site.r_start, keep,
                                    site.phase)
         patch_pts.append(pts)
@@ -862,29 +952,12 @@ def _layout_split(points: np.ndarray, layout_xy: np.ndarray, cells: np.ndarray,
     return actual[tris.compress(kept, axis=0)], actual[np.stack([shared // n, shared % n], 1)]
 
 
-def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
-                    hole_sites: Sequence[HoleSite] = (),
-                    field: Callable[[float, float], float] | None = None) -> Component:
+def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSite] = (),
+                    hole_sites: Sequence[HoleSite] = ()) -> Component:
+    placed = place_sites(spec, arc_sites, hole_sites)
+    field = spec.conformal_factor_field
     base_lam = (lambda xy: np.ones(len(xy))) if field is None else \
         (lambda xy: np.array([field(x, y) for x, y in xy]))
-
-    arc_meta = []
-    for site in arc_sites:
-        if site.loop != 0:
-            raise InvalidParameterError("disk has a single boundary loop")
-        p = np.array([math.cos(site.theta), math.sin(site.theta)])
-        lam_p = float(base_lam(p[None])[0])
-        # chart angle; arclength = angle on the unit circle
-        arc_meta.append((site, p, lam_p, site.rho / lam_p))
-
-    rim_meta = []
-    for site in hole_sites:
-        p = np.asarray(site.point, dtype=float)
-        lam_p = float(base_lam(p[None])[0])
-        r_rim = site.rho / lam_p
-        if np.linalg.norm(p) + 2.0 * placed_rim_radius(r_rim) >= 1.0:
-            raise InvalidGluingError("interior neck disk reaches the boundary")
-        rim_meta.append((site, p, lam_p, r_rim))
 
     # turned to put the first arc on a circle node: a disk with one arc then
     # meshes alike at every angle
@@ -894,16 +967,16 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
     layout_tris = _ring_delaunay(*layout)
     if layout_tris is None:  # coarse rings, which the Delaunay triangulation skips
         layout_tris = _qhull_triangles(layout.points)
-    if not arc_meta and not rim_meta:
+    if not placed:
         points, triangles, true_ids = layout.points, layout_tris, []
     else:
         sites, blocks = [], []
-        for site, p, lam_p, w in arc_meta:
+        for site, (p, _, w) in zip(arc_sites, placed):  # w: chart angle = arclength
             arc, half = _arc_site(p, w, lambda z: np.exp(1j * (site.theta + z)), site.theta)
             sites.append(arc)
             mid = (site.theta - turn) % TWO_PI
             blocks.append((mid - half, mid + half, arc.h0))
-        sites += [_hole_site(p, r_rim) for site, p, lam_p, r_rim in rim_meta]
+        sites += [_hole_site(p, r_rim) for p, _, r_rim in placed[len(arc_sites):]]
         head, head_ids = layout.points[:n_b], np.arange(n_b)
         if blocks:
             angles, head_ids = _disk_boundary(np.linspace(0.0, TWO_PI, n_b + 1)[:-1], blocks)
@@ -917,11 +990,10 @@ def _disk_component(resolution: float, arc_sites: Sequence[ArcSite] = (),
         points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
 
     lam_chart = base_lam(points)
-    for site, p, lam_p, _ in arc_meta + rim_meta:
+    for site, (p, lam_p, _) in zip([*arc_sites, *hole_sites], placed):
         lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
 
-    interfaces = tuple(Interface(ids, lam_p)
-                       for (site, p, lam_p, _), ids in zip(arc_meta + rim_meta, true_ids))
+    interfaces = tuple(Interface(ids, lam_p) for (_, lam_p, _), ids in zip(placed, true_ids))
     return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), lam_chart,
                      interfaces)
 
@@ -981,48 +1053,32 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     A row with arcs is graded around them as the disk's circle is, with the
     theta seam held as a block of its own, so an arc may not cross it.
     """
+    placed = place_sites(spec, arc_sites, hole_sites)
     T, density = spec.T, spec.boundary_density
     mobius = isinstance(spec, MobiusCylinder)
-    if T <= 0:
-        raise InvalidParameterError("chart height T must be positive")
-    if density <= 0:
-        raise InvalidParameterError("boundary density must be positive")
     if mobius:  # the antipodal map needs theta and theta + pi on the same grid
         half = np.linspace(0.0, math.pi, max(8, int(round(math.pi / resolution))) + 1)[:-1]
         theta = np.concatenate([half, half + math.pi, [TWO_PI]])
     else:
         theta = np.linspace(0.0, TWO_PI, max(8, int(round(TWO_PI / resolution))) + 1)
-    plain = not arc_sites and not hole_sites
-    t = (_fill_graded(0.0, T, resolution, resolution, resolution) if plain
+    t = (_fill_graded(0.0, T, resolution, resolution, resolution) if not placed
          else np.linspace(0.0, T, max(2, int(round(T / resolution))) + 1))
     grid_th, grid_t = np.meshgrid(theta, t)
     base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)  # chart x = theta, y = t
-    if plain:
+    if not placed:
         return Component(base, _fan(_grid_cells(len(t), len(theta))[0]),
                          _grid_identifications(base, mobius), np.full(len(base), density), ())
 
     du = TWO_PI / (len(theta) - 1)
     sites, rows = [], {}
-    for site in arc_sites:
-        if site.loop not in ((0,) if mobius else (0, 1)):
-            raise InvalidParameterError("the cylinder has boundary loops 0 (t=0) and 1 (t=T), "
-                                        "the Moebius band loop 0 (t=T)")
-        th = site.theta % TWO_PI
-        t0, inward = (0.0, 1.0) if site.loop == 0 and not mobius else (T, -1.0)
-        arc, span = _arc_site(np.array([th, t0]), site.rho / density,
-                              lambda z: th + z.real + 1j * (t0 + inward * z.imag),
+    for centre, _, w in placed[:len(arc_sites)]:
+        th, t0 = centre  # a site's (theta, t), t0 its boundary row
+        inward = 1.0 if t0 == 0.0 else -1.0
+        arc, span = _arc_site(centre, w, lambda z: th + z.real + 1j * (t0 + inward * z.imag),
                               -inward * 0.5 * math.pi)
         sites.append(arc)
         rows.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
-    for site in hole_sites:
-        p = np.asarray(site.point, dtype=float)  # chart (theta, t)
-        r_rim = site.rho / density
-        reach = 2.0 * placed_rim_radius(r_rim)
-        if not (reach < p[1] < T - reach):
-            raise InvalidGluingError("interior neck disk reaches the chart's boundary rows")
-        if not (reach < p[0] < TWO_PI - reach):
-            raise InvalidGluingError("interior neck disk crosses the chart seam")
-        sites.append(_hole_site(p, r_rim))
+    sites += [_hole_site(p, r_rim) for p, _, r_rim in placed[len(arc_sites):]]
 
     # the layout is the uniform base grid; `actual` maps its nodes to the points
     cells, idx = _grid_cells(len(t), len(theta))
@@ -1071,8 +1127,7 @@ def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     if not (0.0 < resolution < 1.0):
         raise InvalidParameterError("resolution must lie in (0, 1)")
     if isinstance(spec, UnitDisk):
-        return _disk_component(resolution, arc_sites, hole_sites,
-                               field=spec.conformal_factor_field)
+        return _disk_component(spec, resolution, arc_sites, hole_sites)
     if isinstance(spec, (FlatCylinder, MobiusCylinder)):
         return _grid_component(spec, resolution, arc_sites, hole_sites)
     raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")

@@ -113,15 +113,10 @@ EMPTY = _make_empty()  # the neutral element for merge_spectra
 
 
 def spectrum_rows(spec: Spectrum) -> list[dict]:
-    rows = []
-    for k in range(spec.eigenvalues.size):
-        rows.append({
-            "k": k,
-            "sigma": float(spec.eigenvalues[k]),
-            "sigma_bar": float(spec.normalized[k]),
-            "multiplicity": spec.multiplicity(k),
-        })
-    return rows
+    multiplicity = [len(c) for c in spec.clusters for _ in c]  # clusters run in k order
+    return [{"k": k, "sigma": float(spec.eigenvalues[k]),
+             "sigma_bar": float(spec.normalized[k]), "multiplicity": multiplicity[k]}
+            for k in range(spec.eigenvalues.size)]
 
 
 def spectrum_csv(spec: Spectrum) -> str:

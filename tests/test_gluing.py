@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steklov as sk
@@ -364,3 +365,128 @@ class TestGridNeckProperties:
         assert len(mesh.boundary_loops) == loops
         assert sk.boundary_length(mesh) == pytest.approx(TWO_PI * (loops * density + 1),
                                                          rel=0.02)
+
+
+# families the parent refused only after meshing the charts before the bad one
+LATE_REFUSALS = {
+    "half-collars 1e-4 apart": (GluedFamily(
+        (sk.UnitDisk(), sk.UnitDisk()), 1e-10,
+        ((Attachment(0, theta=4.0), Attachment(1, theta=1.0)),
+         (Attachment(0, theta=1.0), Attachment(1, theta=1.0 + 1e-4)))), sk.InvalidGluingError),
+    "rim at (0.999, 0)": (GluedFamily(
+        (sk.UnitDisk(), sk.UnitDisk()), 1e-3,
+        ((Attachment(0, point=(0.0, 0.0)), Attachment(1, point=(0.999, 0.0))),),
+        "interior-cylinder"), sk.InvalidGluingError),
+    "disk arc on loop 1": (GluedFamily(
+        (sk.UnitDisk(), sk.UnitDisk()), 0.05,
+        ((Attachment(0, theta=1.0), Attachment(1, loop=1, theta=1.0)),)),
+        sk.InvalidParameterError),
+    "cylinder rim at t = 0.001": (GluedFamily(
+        (sk.UnitDisk(), sk.FlatCylinder(1.0)), 1e-3,
+        ((Attachment(0, point=(0.0, 0.0)), Attachment(1, point=(1.0, 0.001))),),
+        "interior-cylinder"), sk.InvalidGluingError),
+    "cylinder arc on loop 2": (GluedFamily(
+        (sk.UnitDisk(), sk.FlatCylinder(1.0)), 0.05,
+        ((Attachment(0, theta=1.0), Attachment(1, loop=2, theta=1.0)),)),
+        sk.InvalidParameterError),
+}
+
+
+REFUSALS = (sk.InvalidGluingError, sk.InvalidParameterError)
+
+
+def _build_refusing_up_front(family, resolution):
+    """The glued mesh; a refusal must come before any chart is meshed."""
+    with mock.patch.object(gluing, "build_spec_mesh", wraps=gluing.build_spec_mesh) as meshed:
+        try:
+            return sk.build_glued_mesh(family, resolution)
+        except REFUSALS:
+            assert meshed.call_count == 0, "refused after a chart was meshed"
+            raise
+
+
+@st.composite
+def gluing_families(draw):
+    """Disks, cylinders and Moebius bands on either neck kind, rho log-uniform in
+    [1e-10, 0.3], with arcs clustered near one angle or a seam and rims near the
+    edges."""
+    interior = draw(st.booleans())
+    chart = st.one_of(st.just(sk.UnitDisk()),
+                      st.builds(sk.FlatCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)),
+                      st.builds(sk.MobiusCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)))
+    specs = draw(st.lists(chart, min_size=1, max_size=3))
+    rho = 10.0 ** draw(st.floats(-10.0, math.log10(0.3)))
+    centre = draw(st.floats(0.0, TWO_PI))
+    # an angle near the cluster's centre, near the grid charts' seam, or anywhere
+    near = st.one_of(st.floats(-3e-3, 3e-3).map(lambda d: centre + d), st.floats(-3e-3, 3e-3),
+                     st.floats(0.0, TWO_PI))
+    edge = st.floats(-3.5, -0.5).map(lambda e: 10.0 ** e)  # a distance to an edge
+
+    def attachment():
+        c = draw(st.integers(0, len(specs) - 1))
+        spec = specs[c]
+        if not interior:
+            loop = draw(st.integers(0, 1)) if isinstance(spec, sk.FlatCylinder) else 0
+            return Attachment(c, loop=loop, theta=draw(near) % TWO_PI)
+        if isinstance(spec, sk.UnitDisk):
+            r = 1.0 - draw(st.one_of(edge, st.floats(0.1, 1.0)))
+            a = draw(near)
+            return Attachment(c, point=(r * math.cos(a), r * math.sin(a)))
+        x = draw(st.one_of(edge, edge.map(lambda e: TWO_PI - e), st.floats(0.0, TWO_PI)))
+        y = draw(st.one_of(edge, edge.map(lambda e: spec.T - e), st.floats(0.0, spec.T)))
+        return Attachment(c, point=(x, y))
+
+    pairs = tuple((attachment(), attachment()) for _ in range(draw(st.integers(1, 2))))
+    return GluedFamily(tuple(specs), rho, pairs,
+                       "interior-cylinder" if interior else "boundary-square")
+
+
+class TestGluingFamilyProperties:
+    """Every family builds a valid mesh, or is refused before any chart is meshed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=gluing_families(), resolution=st.floats(0.06, 0.1))
+    @example(family=LATE_REFUSALS["half-collars 1e-4 apart"][0], resolution=0.05)
+    @example(family=LATE_REFUSALS["rim at (0.999, 0)"][0], resolution=0.05)
+    @example(family=LATE_REFUSALS["disk arc on loop 1"][0], resolution=0.05)
+    @example(family=LATE_REFUSALS["cylinder rim at t = 0.001"][0], resolution=0.05)
+    @example(family=LATE_REFUSALS["cylinder arc on loop 2"][0], resolution=0.05)
+    def test_builds_or_is_refused_before_meshing(self, family, resolution):
+        try:
+            mesh = _build_refusing_up_front(family, resolution)
+        except REFUSALS:
+            return
+        assert sk.validate_mesh(mesh) == []
+
+    @pytest.mark.parametrize("case", list(LATE_REFUSALS))
+    def test_late_refusals_come_first(self, case):
+        family, error = LATE_REFUSALS[case]
+        with pytest.raises(error):
+            _build_refusing_up_front(family, 0.05)
+
+
+class TestPlacement:
+    """`meshes.place_sites` refuses sites for direct builds as for glued ones."""
+
+    @pytest.mark.parametrize("arcs, holes", [
+        ((ArcSite(0, 1.0, 2.0),), ()),  # rho above a quarter of the clearance 2 pi
+        ((), (HoleSite((3.0, 0.5), 1e-7), HoleSite((3.0001, 0.5), 1e-7))),
+    ], ids=["rho-2-arc", "close-rims"])
+    def test_direct_builds_keep_the_glued_rules(self, arcs, holes):
+        spec = sk.UnitDisk() if arcs else sk.FlatCylinder(1.0)
+        with pytest.raises(sk.InvalidGluingError):
+            sk.build_spec_mesh(spec, 0.05, arcs, holes)
+
+    # a patch once kept points inside a later site's rim or arc, and assembly
+    # then found an edge on three triangles
+    @pytest.mark.parametrize("d", [11.7e-3, 12.5e-3, 13.3e-3, 25.2e-3, 26.7e-3])
+    def test_patches_avoid_every_rim(self, d):
+        rims = (HoleSite((0.0, 0.0), 1e-7), HoleSite((d, 0.0), 1e-7))
+        assert sk.validate_mesh(sk.build_spec_mesh(sk.UnitDisk(), 0.05, (), rims).mesh) == []
+
+    @pytest.mark.parametrize("gap", [2.05e-3, 2.35e-3, 2.65e-3])
+    def test_patches_avoid_every_arc(self, gap):
+        arcs = (ArcSite(0, 1.0, 1e-7), ArcSite(0, 1.0 + gap, 1e-7))
+        comp = sk.build_spec_mesh(sk.UnitDisk(), 0.05, arcs)
+        assert sk.validate_mesh(comp.mesh) == []
+        assert sk.boundary_length(comp.mesh) == pytest.approx(TWO_PI, rel=1e-3)

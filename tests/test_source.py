@@ -14,3 +14,18 @@ def test_library_does_not_print(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "print"]
     assert calls == [], f"print() at {path.name} lines {calls}"
+
+
+def _raised_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+# one owner for neck-site refusals: `meshes.place_sites` and the mesher's own guard
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "meshes.py"],
+                         ids=lambda p: p.name)
+def test_only_meshes_refuses_gluings(path):
+    assert "InvalidGluingError" not in set(_raised_names(ast.parse(path.read_text())))
