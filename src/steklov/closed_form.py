@@ -16,7 +16,10 @@ t-profile parity to match the mode parity, leaving
 
 and no linear branch (t is not invariant under the deck map).  These formulas
 are validated against the finite-element oracle in the test suite before any
-experiment relies on them.
+experiment relies on them.  Every branch rises or falls in T, so the supremum
+over T of sigma_bar_k = sigma_k L is a branch crossing, solved exactly, or the
+T -> infinity limit (`invariant_supremum`).  A spectrum holds at most
+MAX_COUNT eigenvalues.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import BracketError, InvalidParameterError, SolverError
 from .meshes import FlatCylinder, MobiusCylinder
-from .spectra import CLUSTER_RTOL_EXACT, Spectrum, make_spectrum
+from .spectra import CLUSTER_RTOL_EXACT, Spectrum, check_count, make_spectrum
 
 ROOT_TOL = 1e-14
 SQRT3 = math.sqrt(3.0)
@@ -228,13 +231,15 @@ def _sorted_branch_values(surface: str, T: float, count: int):
     return head
 
 
+MAX_COUNT = 1_000_000  # eigenvalues one closed-form spectrum may hold
+
+
 def _spectrum_from_branches(surface: str, T: float, rho_b: float, count: int) -> Spectrum:
     if T <= 0:
         raise InvalidParameterError("chart height T must be positive")
     if rho_b <= 0:
         raise InvalidParameterError("boundary density must be positive")
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    check_count(count, MAX_COUNT, "closed-form budget")
     head = _sorted_branch_values(surface, T, count - 1) if count > 1 else []
     with np.errstate(over="ignore"):
         values = np.array([0.0] + [v for v, _ in head]) / rho_b
@@ -256,8 +261,7 @@ def mobius_spectrum(T: float, count: int = 10, rho_b: float = 1.0) -> Spectrum:
 
 def disk_spectrum(count: int = 10) -> Spectrum:
     """Classical unit-disk Steklov spectrum 0, 1, 1, 2, 2, ... with L = 2*pi."""
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    check_count(count, MAX_COUNT, "closed-form budget")
     values = np.array([(j + 1) // 2 for j in range(count)], dtype=float)
     return make_spectrum(values, 2.0 * math.pi)
 
@@ -299,87 +303,49 @@ class SupremumResult:
     achieved: bool
 
 
-def _sigma_k_unit(surface: str, T: float, k: int) -> float:
-    return _sorted_branch_values(surface, T, k)[-1][0]
-
-
 def _limit_sigma_k(surface: str, k: int) -> float:
     """lim_{T->inf} sigma_k(T): sorted limits of the branch values."""
-    n_max = k + 8
-    vals = []
-    for br in _branches(surface, n_max):
-        vals.extend([br.limit()] * br.multiplicity)
-    vals.sort()
-    return vals[k - 1]
-
-
-SUPREMUM_GRID_SIZE = 220  # log-spaced T in [10^-2.5, 10^3] that locate the envelope's kink
+    return sorted(br.limit() for br in _branches(surface, k + 8)
+                  for _ in range(br.multiplicity))[k - 1]
 
 
 def invariant_supremum(surface: str, k: int) -> SupremumResult:
     """sup over T of sigma_bar_k for the circle-invariant family.
 
-    The envelope T -> sigma_k(T) is a minimum over monotone branches, so its
-    maximum is either at a branch crossing (located on a coarse log grid,
-    narrowed by golden section, then polished by a root solve on the two
-    active branches) or approached as T -> infinity, in which case the
-    supremum equals the analytic branch limit and is reported as not achieved.
+    sigma_k(T) is the k-th smallest branch value, and every branch rises or
+    falls in T, so where sigma_k is largest a rising and a falling branch
+    cross at the k-th value.  At fixed T the tanh and the coth family each
+    grow with the mode, and 2/T lies below every n coth(nT/2) (x coth x > 1),
+    so the copies below a crossing are the two crossing families' lower modes,
+    plus 2/T below a coth branch.  The highest crossing that holds the k-th
+    value is the supremum, solved exactly; where none beats the T -> infinity
+    limit, the supremum is that limit, reported as not achieved.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
+    branches = _branches(surface, k + 8)
+    lower, seen = {}, {}  # copies in a branch's family at lower modes
+    for br in branches:
+        lower[br] = seen.get(br.kind, 0)
+        seen[br.kind] = lower[br] + br.multiplicity
+    best, T_best = _limit_sigma_k(surface, k), None
+    for up in (br for br in branches if br.increasing):
+        for down in (br for br in branches if not br.increasing):
+            below = lower[up] + lower[down]
+            if below >= k:  # and at every higher falling mode
+                break
+            if down.kind == ODD:
+                below += seen.get(ZERO_LINEAR, 0)
+            if not (below < k <= below + up.multiplicity + down.multiplicity
+                    and up.limit() > down.limit()):  # not the k-th value, or no crossing
+                continue
+            # tanh x < x < coth x puts up below down at T = 1 / (2m); at T = 1e3, up is
+            # its limit m in floating point, above down's limit p or 2/T
+            T = solve_bracketed_root(lambda T: up.value(T) - down.value(T), 0.5 / up.mode, 1e3)
+            if up.value(T) > best:
+                best, T_best = up.value(T), T
     length = _unit_density_length(surface)
-    grid = np.logspace(-2.5, 3.0, SUPREMUM_GRID_SIZE)
-    env = np.array([_sigma_k_unit(surface, T, k) for T in grid])
-    limit = _limit_sigma_k(surface, k)
-    best = env.max()
-    if best <= limit * (1.0 + 1e-9):
-        return SupremumResult(surface, k, length * limit, None, False)
-
-    i = int(np.argmax(env))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, SUPREMUM_GRID_SIZE - 1)]
-    f = lambda T: _sigma_k_unit(surface, T, k)
-    T_hat = _golden_max(f, lo, hi)
-
-    # identify the two branches meeting at the kink and solve the crossing
-    sig = f(T_hat)
-    n_max = k + 8
-    active = [br for br in _branches(surface, n_max)
-              if abs(br.value(T_hat) - sig) <= 1e-5 * sig]
-    rising = [br for br in active if br.increasing]
-    falling = [br for br in active if not br.increasing]
-    if not rising or not falling:
-        raise BracketError(f"no branch crossing located near T={T_hat}")
-    up, down = rising[0], falling[0]
-    diff = lambda T: up.value(T) - down.value(T)
-    a, b = T_hat, T_hat
-    for _ in range(200):
-        if diff(a) <= 0:
-            break
-        a *= 0.8
-    for _ in range(200):
-        if diff(b) >= 0:
-            break
-        b *= 1.25
-    T_star = solve_bracketed_root(diff, a, b)
-    return SupremumResult(surface, k, length * up.value(T_star), T_star, True)
-
-
-def _golden_max(f, a: float, b: float, iters: int = 90) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
+    return SupremumResult(surface, k, length * best, T_best, T_best is not None)
 
 
 # ---------------------------------------------------------------------------

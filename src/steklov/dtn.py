@@ -41,7 +41,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
 from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
                      SolverError)
 from .meshes import SurfaceMesh, boundary_edge_lengths
-from .spectra import CLUSTER_RTOL_FEM, Spectrum, make_spectrum
+from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum
 
 RESIDUAL_RTOL = 1e-10
 PENCIL_SHIFT = -0.5  # below the spectrum, so K - s M_b is positive definite
@@ -163,12 +163,6 @@ def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     return dtn
 
 
-def _check_count(count: int, n_boundary: int) -> None:
-    if not (1 <= count <= n_boundary):
-        raise InvalidParameterError(
-            f"count must lie in [1, {n_boundary}] (boundary degrees of freedom)")
-
-
 def _boundary_mass(mesh: SurfaceMesh, b: np.ndarray, conformal=None) -> np.ndarray:
     """`boundary_mass_vector`, refused unless positive on the boundary vertices b."""
     mass = boundary_mass_vector(mesh, conformal)
@@ -203,7 +197,7 @@ class DtnOperator:
 
     def spectrum(self, count: int, conformal=None, want_vectors: bool = False) -> Spectrum:
         b = self.boundary_index
-        _check_count(count, len(b))
+        check_count(count, len(b), "boundary degrees of freedom")
         mass = _boundary_mass(self.mesh, b, conformal)[b]
         s = 1.0 / np.sqrt(mass)
         H = self.matrix * np.outer(s, s)  # exactly symmetric: schur_dtn symmetrizes
@@ -246,7 +240,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
     """
     b = _boundary_index(mesh)
     n_b = len(b)
-    _check_count(count, n_b)
+    check_count(count, n_b, "boundary degrees of freedom")
     if not _lanczos_fits(count, n_b):
         logger.debug("dense DtN: %d pairs of %d leave no room for Lanczos", count, n_b)
         return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
@@ -276,9 +270,10 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
         """The `count` lowest pairs of a Lanczos run for `wanted` pairs, with residuals."""
         # a fixed start vector keeps reruns bit-identical (ARPACK's own seed moves on)
         v0 = np.random.default_rng(0).standard_normal(n_b)
-        # tol stays at ARPACK's default, machine precision: at 1e-11 the rho = 1e-9
-        # interior neck loses copies of its 4-fold sigma ~ 1 cluster, while every
-        # residual still passes (TestPencil::test_eigenvalues_match_dense)
+        # single-vector Lanczos finds a repeated eigenvalue's copies only through
+        # rounding, so tol stays at machine precision, ARPACK's default: on the two-disk
+        # rho = 1e-9 interior neck, every residual passes, yet tol 1e-14 loses a copy of
+        # the 4-fold sigma ~ 1 at resolution 0.05 (TestPencil), and 1e-11 one at 0.03
         try:
             theta, y = eigsh(op, k=wanted, which="LA", v0=v0)
         except ArpackError as exc:

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import AssemblyError, InvalidParameterError
 from .meshes import (NECK_SEGMENTS, ArcSite, Component, FlatCylinder, HoleSite,
                      MobiusCylinder, SurfaceMesh, UnitDisk, _fan, _grid_cells,
-                     assemble_mesh, build_spec_mesh, place_sites)
+                     assemble_mesh, build_spec_mesh, check_mesh_budget,
+                     place_sites)
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,6 +160,7 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
                 arcs.append(ArcSite(att.loop, att.theta, family.rho))
     for spec, (arcs, holes) in zip(family.components, sites):
         place_sites(spec, arcs, holes)  # every refusal comes before any chart is meshed
+    check_mesh_budget(family.components, resolution)
     built: dict = {}  # equal specs with equal sites mesh identically: build each once
     comps = []
     for spec, (arcs, holes) in zip(family.components, sites):

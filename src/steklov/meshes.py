@@ -23,7 +23,8 @@ grid's cells) away from the sites (`_layout_split`), and Qhull
 (`scipy.spatial`, imported only when needed) sees only the sites'
 neighbourhoods (`_band_delaunay`).  A certificate on the interface
 (`_interface_delaunay`) joins the pieces or sends the chart to one
-whole-chart Qhull call; either route is logged at DEBUG.
+whole-chart Qhull call; either route is logged at DEBUG.  `check_mesh_budget`
+refuses, before anything is built, meshes estimated above MAX_MESH_VERTICES.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
 mesh is assembled once from its components' arrays; a component's own `mesh`
@@ -404,10 +405,10 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
 
 
 def _blend_to_site(lam_chart: np.ndarray, points: np.ndarray, center, lam_p: float,
-                   r_flat: float) -> np.ndarray:
-    """Flatten the conformal factor to lam_p inside r_flat, untouched outside 2*r_flat."""
+                   r_flat: float, r_out: float) -> np.ndarray:
+    """Flatten the conformal factor to lam_p inside r_flat, untouched outside r_out."""
     d = np.linalg.norm(points - np.asarray(center), axis=1)
-    w = _smoothstep((d - r_flat) / max(r_flat, 1e-300))
+    w = _smoothstep((d - r_flat) / (r_out - r_flat))
     return lam_p * (1.0 - w) + lam_chart * w
 
 
@@ -605,9 +606,9 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
             return np.linalg.norm(p) + reach >= 1.0
     elif isinstance(spec, (FlatCylinder, MobiusCylinder)):
         T, density = spec.T, spec.boundary_density
-        if T <= 0:
+        if not T > 0:
             raise InvalidParameterError("chart height T must be positive")
-        if density <= 0:
+        if not density > 0:
             raise InvalidParameterError("boundary density must be positive")
         mobius = isinstance(spec, MobiusCylinder)
         lam_at = lambda p: density
@@ -989,9 +990,15 @@ def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSi
             exclusions, 2.0 / (len(layout.counts) - 1)))
         points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
 
+    # a site's blend ends at 2 sqrt(rho) / lam_p, or halfway to the nearest other
+    # site, so that no blend reaches another's interface; it is flat over the
+    # inner half of that, and at least over the site's own interface
     lam_chart = base_lam(points)
-    for site, (p, lam_p, _) in zip([*arc_sites, *hole_sites], placed):
-        lam_chart = _blend_to_site(lam_chart, points, p, lam_p, math.sqrt(site.rho) / lam_p)
+    centres = np.array([p.centre for p in placed])
+    for i, (site, (p, lam_p, size)) in enumerate(zip([*arc_sites, *hole_sites], placed)):
+        gap = np.delete(np.linalg.norm(centres - p, axis=1), i).min(initial=math.inf)
+        r_out = min(2.0 * math.sqrt(site.rho) / lam_p, gap / 2.0)
+        lam_chart = _blend_to_site(lam_chart, points, p, lam_p, max(r_out / 2.0, size), r_out)
 
     interfaces = tuple(Interface(ids, lam_p) for (_, lam_p, _), ids in zip(placed, true_ids))
     return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), lam_chart,
@@ -1121,16 +1128,30 @@ def build_mobius_mesh(T: float, resolution: float = 0.05,
     return build_spec_mesh(MobiusCylinder(T, rho_b), resolution).mesh
 
 
+MAX_MESH_VERTICES = 1_000_000  # 50x the finest mesh of any test, criterion or preset
+
+
+def check_mesh_budget(specs, resolution: float) -> None:
+    """Refuse a resolution outside (0, 1), or one at which the site-free
+    layouts of `specs` (disks, cylinders, Moebius bands) hold more than
+    MAX_MESH_VERTICES logical vertices together, before any of them is built."""
+    if not (0.0 < resolution < 1.0):
+        raise InvalidParameterError("resolution must lie in (0, 1)")
+    n = sum(math.pi / resolution / resolution if isinstance(spec, UnitDisk)  # the rings
+            else (spec.T / resolution + 1.0) * TWO_PI / resolution for spec in specs)
+    if n > MAX_MESH_VERTICES:
+        raise InvalidParameterError(f"about {n:.2g} mesh vertices at resolution {resolution}, "
+                                    f"above the budget of {MAX_MESH_VERTICES:.0e}")
+
+
 def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
                     hole_sites: Sequence[HoleSite] = ()) -> Component:
     """Component mesh for a non-glued metric description."""
-    if not (0.0 < resolution < 1.0):
-        raise InvalidParameterError("resolution must lie in (0, 1)")
-    if isinstance(spec, UnitDisk):
-        return _disk_component(spec, resolution, arc_sites, hole_sites)
-    if isinstance(spec, (FlatCylinder, MobiusCylinder)):
-        return _grid_component(spec, resolution, arc_sites, hole_sites)
-    raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")
+    if not isinstance(spec, (UnitDisk, FlatCylinder, MobiusCylinder)):
+        raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")
+    check_mesh_budget([spec], resolution)
+    build = _disk_component if isinstance(spec, UnitDisk) else _grid_component
+    return build(spec, resolution, arc_sites, hole_sites)
 
 
 # ---------------------------------------------------------------------------

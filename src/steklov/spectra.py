@@ -19,6 +19,12 @@ CLUSTER_RTOL_EXACT = 1e-9
 CLUSTER_RTOL_FEM = 1e-3
 
 
+def check_count(count: int, limit: int, what: str) -> None:
+    """Refuse an eigenvalue count outside [1, limit]; `what` names the limit."""
+    if not 1 <= count <= limit:
+        raise InvalidParameterError(f"count must lie in [1, {limit}] ({what})")
+
+
 def cluster_indices(values: np.ndarray, rtol: float) -> tuple[tuple[int, ...], ...]:
     """Group sorted eigenvalues into clusters of relative width rtol."""
     clusters: list[list[int]] = []

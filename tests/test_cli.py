@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import steklov.acceptance
 import steklov.cli
+import steklov.closed_form
 import steklov.experiments
+import steklov.meshes
 from steklov.cli import build_parser, main
 from steklov.errors import SolverError
 
@@ -196,6 +198,101 @@ class TestSpectrumArgumentProperties:
         assert len(reports) == 1 and len(reports[0]) == count
         printed = stdout.getvalue().lower()
         assert "nan" not in printed and "inf" not in printed
+
+
+def _run_quietly(argv):
+    """Exit code, stderr and the files written of one CLI run in a fresh directory."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("STEKLOV_OUT", None)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        written = sorted(out.iterdir()) if out.exists() else []
+    return code, stderr.getvalue(), written
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a refused request reached a builder or a solver")
+
+
+@contextlib.contextmanager
+def _nothing_built():
+    """Fail on any chart, branch table or FEM solve: a refusal comes before them."""
+    with contextlib.ExitStack() as stack:
+        for module, name in ((steklov.meshes, "_disk_layout"), (steklov.meshes, "_fill_graded"),
+                             (steklov.meshes, "_disk_component"),
+                             (steklov.meshes, "_grid_component"),
+                             (steklov.closed_form, "_branches"),
+                             (steklov.cli, "steklov_spectrum"),
+                             (steklov.experiments, "steklov_spectrum")):
+            stack.enter_context(mock.patch.object(module, name, _forbidden))
+        yield
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--surface", "disk", "--method", "fem", "--resolution", "1e-5"],
+                 id="disk-3e10-vertices"),
+    pytest.param(["spectrum", "--surface", "cylinder", "--T", "1e7", "--method", "fem"],
+                 id="cylinder-T-1e7"),
+    pytest.param(["spectrum", "--surface", "mobius", "--T", "1", "--count", "100000000"],
+                 id="closed-form-count-1e8"),
+    pytest.param(["spectrum", "--surface", "disk", "--count", "100000000"],
+                 id="disk-count-1e8"),
+])
+def test_oversize_requests_are_refused_before_allocating(argv):
+    with _nothing_built():
+        code, err, written = _run_quietly(argv)
+    assert code == 2 and "usage error:" in err
+    assert "budget" in err or "count must lie" in err
+    assert written == []
+
+
+# not a positive finite number
+NOT_POSITIVE = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0]),
+                         st.floats(max_value=0.0))
+# outside (0, 1), or so fine that every surface's mesh exceeds the vertex budget
+BAD_RESOLUTION = NOT_POSITIVE | st.floats(min_value=1.0) | st.sampled_from([5e-324, 1e-300]) \
+    | st.floats(min_value=0.0, max_value=1e-3, exclude_min=True)
+
+
+@st.composite
+def bad_fem_commands(draw):
+    """`spectrum --method fem` or `sweep` with one bad --resolution, --T or --rho."""
+    sweep = draw(st.booleans())
+    flag = draw(st.sampled_from(["--resolution", "--rho" if sweep else "--T"]))
+    value = repr(draw(BAD_RESOLUTION if flag == "--resolution" else NOT_POSITIVE))
+    if sweep:
+        argv = ["sweep", "--preset", draw(st.sampled_from(steklov.cli.PRESETS))]
+        args = {"--rho": "0.1,0.05", "--resolution": "0.1"}
+        args[flag] = value if flag == "--resolution" else f"0.1,{value}"
+    else:
+        surfaces = ["disk", "cylinder", "mobius"] if flag == "--resolution" else ["cylinder",
+                                                                                 "mobius"]
+        surface = draw(st.sampled_from(surfaces))
+        argv = ["spectrum", "--surface", surface, "--method", "fem"]
+        args = {"--resolution": "0.1"} if surface == "disk" else {"--resolution": "0.1",
+                                                                  "--T": "1.0"}
+        args[flag] = value
+    return argv + [f"{key}={v}" for key, v in args.items()]
+
+
+class TestFemArgumentProperties:
+    """`spectrum --method fem` and `sweep` over non-finite, zero, negative and
+    too fine values: a usage error before anything is meshed, nothing written."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=bad_fem_commands())
+    @example(argv=["spectrum", "--surface", "disk", "--method", "fem", "--resolution=5e-324"])
+    @example(argv=["sweep", "--preset", "two-disks", "--resolution=0.001"])
+    @example(argv=["sweep", "--preset", "two-disks-interior", "--rho=0.1,-inf"])
+    @example(argv=["spectrum", "--surface", "mobius", "--method", "fem", "--T=inf"])
+    def test_usage_error_before_meshing(self, argv):
+        with _nothing_built():
+            code, err, written = _run_quietly(argv)
+        assert code == 2 and err.startswith("usage error:"), err
+        assert "Traceback" not in err
+        assert written == []
 
 
 class TestSweepAndCompare:

@@ -260,6 +260,20 @@ class TestSuprema:
         with pytest.raises(sk.InvalidParameterError):
             sk.invariant_supremum("cylinder", 0)
 
+    @settings(max_examples=20, deadline=None)
+    @given(surface=st.sampled_from(["cylinder", "mobius"]), k=st.integers(1, 60))
+    def test_supremum_bounds_the_envelope(self, surface, k):
+        spectrum = sk.cylinder_spectrum if surface == "cylinder" else sk.mobius_spectrum
+        sigma_bar_k = lambda T: spectrum(T, count=k + 1).sigma_bar(k)
+        res = sk.invariant_supremum(surface, k)
+        envelope = np.array([sigma_bar_k(T) for T in np.logspace(-3.0, 3.0, 200)])
+        assert envelope.max() <= res.value * (1.0 + 1e-12)
+        # sigma_k(T) tends to the k-th smallest branch limit, n each
+        assert res.value >= envelope[-1] * (1.0 - 1e-12)
+        assert res.achieved == (res.maximizer_T is not None)
+        if res.achieved:
+            assert sigma_bar_k(res.maximizer_T) == pytest.approx(res.value, rel=1e-12)
+
 
 class TestCriticalMetrics:
     def test_catenoid_metric(self):

@@ -405,13 +405,27 @@ def _build_refusing_up_front(family, resolution):
             raise
 
 
+def _tilted(a: float, b: float):
+    """The smooth conformal field exp(a x + b y) on the unit disk."""
+    return lambda x, y: math.exp(a * x + b * y)
+
+
+# two blends to a disk's conformal field once overwrote each other
+CLOSE_ARCS_ON_A_FIELD = GluedFamily(
+    (sk.UnitDisk(_tilted(0.25, 0.0)), sk.UnitDisk()), 1e-3,
+    ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
+     (Attachment(0, theta=1.01), Attachment(1, theta=4.0))))
+
+
 @st.composite
 def gluing_families(draw):
-    """Disks, cylinders and Moebius bands on either neck kind, rho log-uniform in
-    [1e-10, 0.3], with arcs clustered near one angle or a seam and rims near the
-    edges."""
+    """Disks, with or without a conformal field, cylinders and Moebius bands on
+    either neck kind, rho log-uniform in [1e-10, 0.3], with arcs clustered near
+    one angle or a seam and rims near the edges."""
     interior = draw(st.booleans())
     chart = st.one_of(st.just(sk.UnitDisk()),
+                      st.builds(lambda a, b: sk.UnitDisk(_tilted(a, b)),
+                                st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
                       st.builds(sk.FlatCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)),
                       st.builds(sk.MobiusCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)))
     specs = draw(st.lists(chart, min_size=1, max_size=3))
@@ -451,6 +465,7 @@ class TestGluingFamilyProperties:
     @example(family=LATE_REFUSALS["disk arc on loop 1"][0], resolution=0.05)
     @example(family=LATE_REFUSALS["cylinder rim at t = 0.001"][0], resolution=0.05)
     @example(family=LATE_REFUSALS["cylinder arc on loop 2"][0], resolution=0.05)
+    @example(family=CLOSE_ARCS_ON_A_FIELD, resolution=0.05)
     def test_builds_or_is_refused_before_meshing(self, family, resolution):
         try:
             mesh = _build_refusing_up_front(family, resolution)
@@ -463,6 +478,20 @@ class TestGluingFamilyProperties:
         family, error = LATE_REFUSALS[case]
         with pytest.raises(error):
             _build_refusing_up_front(family, 0.05)
+
+    # arcs 1e-2 apart, and arcs 1 apart at rho just below a quarter of their clearance,
+    # whose interfaces reach beyond half of the blends' reach
+    @pytest.mark.parametrize("family", [CLOSE_ARCS_ON_A_FIELD, GluedFamily(
+        (sk.UnitDisk(_tilted(0.25, 0.0)), sk.UnitDisk()), 0.2499 * math.exp(math.cos(2.0) / 4),
+        ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
+         (Attachment(0, theta=2.0), Attachment(1, theta=4.0))))], ids=["close", "wide"])
+    def test_each_blend_keeps_its_interface_flat(self, family):
+        assert sk.validate_mesh(sk.build_glued_mesh(family, 0.05)) == []
+
+    def test_vertex_budget_counts_every_component(self):
+        # each disk alone is under the budget at this resolution, the two are not
+        with pytest.raises(sk.InvalidParameterError, match="budget"):
+            _build_refusing_up_front(two_disks(0.05), 0.0022)
 
 
 class TestPlacement:
