@@ -25,6 +25,10 @@ right-hand side.  The interior order is SuperLU's minimum-degree column order
 (with its elimination-tree postorder) of the interior block, taken from an
 incomplete LU that drops every entry, so the ordering costs no numeric
 interior factorization.
+
+All three SuperLU calls take `_SPD_FACTOR`, which also turns off relaxed
+supernodes and column panels: on these meshes the pencil factor takes about a
+fifth less time for the same fill.
 """
 
 from __future__ import annotations
@@ -45,8 +49,13 @@ from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum
 
 RESIDUAL_RTOL = 1e-10
 PENCIL_SHIFT = -0.5  # below the spectrum, so K - s M_b is positive definite
-# SuperLU on SPD matrices: diagonal pivots are stable and keep the symmetric ordering
-_SPD_FACTOR = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+# SuperLU on SPD matrices: diagonal pivots are stable and keep the symmetric ordering.
+# relax = panel_size = 1 (SuperLU's defaults are 10): on these 2-D P1 matrices
+# relaxed supernodes and column panels cost more than they save, and the factor
+# takes about a fifth less time for the same fill.  Do not raise them: with
+# scipy 1.17.1, 30 or more corrupts the heap on disks at resolution 0.03 and 0.02
+_SPD_FACTOR = {"diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 1,
+               "options": {"SymmetricMode": True}}
 
 logger = logging.getLogger(__name__)
 

@@ -24,7 +24,8 @@ grid's cells) away from the sites (`_layout_split`), and Qhull
 neighbourhoods (`_band_delaunay`).  A certificate on the interface
 (`_interface_delaunay`) joins the pieces or sends the chart to one
 whole-chart Qhull call; either route is logged at DEBUG.  `check_mesh_budget`
-refuses, before anything is built, meshes estimated above MAX_MESH_VERTICES.
+refuses, before anything is built, meshes estimated above MAX_MESH_VERTICES
+and grid charts lower than MIN_CHART_HEIGHT.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
 mesh is assembled once from its components' arrays; a component's own `mesh`
@@ -448,6 +449,9 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep,
 # the Delaunay stage, whose lifted-paraboloid predicates lose them
 COLLAR_RADIUS = 1e-3
 COLLAR_GROWTH = 1.3  # radius ratio between consecutive collar rings
+# chart sizes rho / lambda of 3.2e-14 and below made degenerate chart triangles
+# (grid arcs; disk arcs from 5.6e-15, rims from 3.2e-15), and arc_collar overflows
+MIN_CHART_SIZE = 1e-12
 
 
 def placed_rim_radius(r_rim: float) -> float:
@@ -588,11 +592,12 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
     Every refusal of a site is made here, before anything is meshed.
     `InvalidParameterError`: an unknown chart, a T or boundary density that
     is not positive, an arc on a loop the chart lacks.  `InvalidGluingError`:
-    rho not below a quarter of an arc's clearance on its loop (the angle to
-    the nearest other arc there times the smaller lam, or 2 pi lam alone);
-    arc spans (`arc_collar`) that overlap each other or a grid chart's theta
-    seam; a rim whose placed radius, doubled, reaches the chart's boundary,
-    rows or seam; two rims closer than 4 (r_i + r_j) at their placed radii.
+    a chart size rho / lam below MIN_CHART_SIZE; rho not below a quarter of an
+    arc's clearance on its loop (the angle to the nearest other arc there times
+    the smaller lam, or 2 pi lam alone); arc spans (`arc_collar`) that
+    overlap each other or a grid chart's theta seam; a rim whose placed
+    radius, doubled, reaches the chart's boundary, rows or seam; two rims
+    closer than 4 (r_i + r_j) at their placed radii.
     """
     if isinstance(spec, UnitDisk):
         field = spec.conformal_factor_field
@@ -627,6 +632,9 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
     lams = [lam_at(c) for c in centres]
     placed = [Placement(c, lam, site.rho / lam)
               for site, c, lam in zip([*arc_sites, *hole_sites], centres, lams)]
+    if any(p.size < MIN_CHART_SIZE for p in placed):
+        raise InvalidGluingError(f"neck chart size rho / lambda below the floor "
+                                 f"{MIN_CHART_SIZE:g}")
 
     by_loop: dict[int, list] = {}
     for site, p in zip(arc_sites, placed):
@@ -1129,14 +1137,23 @@ def build_mobius_mesh(T: float, resolution: float = 0.05,
 
 
 MAX_MESH_VERTICES = 1_000_000  # 50x the finest mesh of any test, criterion or preset
+# Cylinders and Moebius bands lower than 7e-5 (2.5e-4 at boundary density 0.01)
+# failed their FEM solve at every resolution from 0.005 to 0.3.  The height
+# decides, not the cell aspect resolution / T: the failing aspect fell from 4e3
+# to 9e1 as the resolution went from 0.3 to 0.005.
+MIN_CHART_HEIGHT = 1e-3
 
 
 def check_mesh_budget(specs, resolution: float) -> None:
-    """Refuse a resolution outside (0, 1), or one at which the site-free
-    layouts of `specs` (disks, cylinders, Moebius bands) hold more than
-    MAX_MESH_VERTICES logical vertices together, before any of them is built."""
+    """Refuse a resolution outside (0, 1), a cylinder or Moebius band lower
+    than MIN_CHART_HEIGHT, or a resolution at which the site-free layouts of
+    `specs` (disks, cylinders, Moebius bands) hold more than MAX_MESH_VERTICES
+    logical vertices together, before any of them is built."""
     if not (0.0 < resolution < 1.0):
         raise InvalidParameterError("resolution must lie in (0, 1)")
+    if any(0.0 < spec.T < MIN_CHART_HEIGHT for spec in specs if not isinstance(spec, UnitDisk)):
+        raise InvalidParameterError(f"chart height T below {MIN_CHART_HEIGHT:g} is too low "
+                                    f"to mesh and solve")
     n = sum(math.pi / resolution / resolution if isinstance(spec, UnitDisk)  # the rings
             else (spec.T / resolution + 1.0) * TWO_PI / resolution for spec in specs)
     if n > MAX_MESH_VERTICES:

@@ -295,6 +295,81 @@ class TestFemArgumentProperties:
         assert written == []
 
 
+
+class TestTinyChartHeight:
+    """`spectrum --method fem` over tiny positive --T: below the chart height
+    `meshes.MIN_CHART_HEIGHT` a usage error before anything is meshed, from it
+    up a report of finite values."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(surface=st.sampled_from(["cylinder", "mobius"]),
+           T=st.floats(-323.0, -1.0).map(lambda e: 10.0 ** e)
+           | st.sampled_from([5e-324, 1e-6, 9.99e-4, 1e-3]),
+           resolution=st.sampled_from([0.1, 0.3]))
+    @example(surface="mobius", T=1e-6, resolution=0.1)
+    @example(surface="cylinder", T=1e-300, resolution=0.1)
+    @example(surface="cylinder", T=1e-3, resolution=0.1)
+    def test_refused_before_meshing_or_solved(self, surface, T, resolution):
+        argv = ["spectrum", "--surface", surface, "--method", "fem", f"--T={T!r}",
+                f"--resolution={resolution}"]
+        if T < steklov.meshes.MIN_CHART_HEIGHT:
+            with _nothing_built():
+                code, err, written = _run_quietly(argv)
+            assert code == 2 and err.startswith("usage error: chart height"), err
+            assert written == []
+            return
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop("STEKLOV_OUT", None)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", tmp])
+            [report] = [json.loads(p.read_text(), parse_constant=_reject_non_finite)
+                        for p in Path(tmp).iterdir()]
+        assert code == 0 and len(report) == 8
+
+
+# one bad value for --trials, --seed or --k-max: not an integer, below its
+# range, or a --k-max above the disk mesh's boundary degrees of freedom
+NOT_AN_INT = st.sampled_from(["nan", "inf", "-inf", "1.5", "1e3", "", "abc", "0x10"]) \
+    | st.floats().map(repr)
+
+
+@st.composite
+def bad_bounds_commands(draw):
+    flag = draw(st.sampled_from(["--trials", "--seed", "--k-max"]))
+    too_low = {"--trials": st.integers(max_value=0), "--seed": st.integers(max_value=-1),
+               "--k-max": st.integers(max_value=0) | st.integers(min_value=10_000)}[flag]
+    args = {"--trials": "1", "--seed": "3", "--k-max": "2"}
+    args[flag] = draw(NOT_AN_INT | too_low.map(str))
+    return ["bounds"] + [f"{key}={value}" for key, value in args.items()]
+
+
+class TestBoundsArgumentProperties:
+    """`bounds` with one bad argument: exit 2 and a message, no traceback, no
+    report, no NaN."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=bad_bounds_commands())
+    @example(argv=["bounds", "--trials=0", "--seed=3", "--k-max=2"])
+    @example(argv=["bounds", "--trials=1", "--seed=-1", "--k-max=2"])
+    @example(argv=["bounds", "--trials=1", "--seed=3", "--k-max=1000"])
+    @example(argv=["bounds", "--trials=nan", "--seed=3", "--k-max=2"])
+    def test_usage_error(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop("STEKLOV_OUT", None)
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv + ["--out", str(out)])
+                except SystemExit as exc:  # argparse refuses what is not an integer
+                    code = exc.code
+            written = sorted(out.iterdir()) if out.exists() else []
+        err = stderr.getvalue()
+        assert code == 2, err
+        assert err.startswith("usage") and ("usage error:" in err or "error: argument" in err)
+        assert "Traceback" not in err and written == [] and stdout.getvalue() == ""
+
+
 class TestSweepAndCompare:
     def test_two_disk_sweep(self, tmp_path, monkeypatch, capsys):
         code, out = run(["sweep", "--preset", "two-disks", "--k", "2",

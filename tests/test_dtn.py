@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,6 +445,49 @@ class TestBoundaryLastSchur:
         spec = build_dtn(coarse_disk_mesh).spectrum(4, conformal=lam)
         expect = sk.boundary_length(sk.with_conformal_factor(coarse_disk_mesh, lam))
         assert spec.boundary_length == pytest.approx(expect, rel=1e-14)
+
+
+# factors the pencil (steklov_spectrum) and the boundary-last matrix (build_dtn)
+# of the disks on which relax = panel_size = 30 corrupts SuperLU's heap
+FACTOR_GUARD = """
+from steklov import build_disk_mesh, build_dtn, steklov_spectrum
+for resolution in (0.03, 0.02):
+    mesh = build_disk_mesh(resolution)
+    steklov_spectrum(mesh, 4)
+    build_dtn(mesh)
+"""
+
+
+class TestFactorSettings:
+    """`dtn._SPD_FACTOR`'s supernode settings against SuperLU's own defaults."""
+
+    def test_factors_keep_the_heap_intact(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, MALLOC_CHECK_="3", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", FACTOR_GUARD], env=env,
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, (done.returncode, done.stderr.decode()[-2000:])
+
+    @pytest.mark.parametrize("mesh, count", [
+        pytest.param("coarse_disk_mesh", 8, id="coarse_disk_mesh"),
+        pytest.param("cylinder_mesh", 8, id="cylinder_mesh"),
+        pytest.param("mobius_mesh", 8, id="mobius_mesh"),
+        pytest.param("boundary_neck_mesh", 6, id="boundary_neck_mesh"),
+        pytest.param("interior_neck_mesh", 6, id="interior_neck_mesh"),
+    ])
+    def test_results_match_superlu_defaults(self, mesh, count, request, monkeypatch):
+        mesh = request.getfixturevalue(mesh)
+        K, b = sk.assemble_stiffness(mesh), dtn._boundary_index(mesh)
+        tuned = sk.steklov_spectrum(mesh, count).eigenvalues, sk.schur_dtn(K, b)
+        defaults = {key: value for key, value in dtn._SPD_FACTOR.items()
+                    if key not in ("relax", "panel_size")}
+        assert defaults != dtn._SPD_FACTOR
+        monkeypatch.setattr(dtn, "_SPD_FACTOR", defaults)
+        plain = sk.steklov_spectrum(mesh, count).eigenvalues, sk.schur_dtn(K, b)
+        scale = np.max(plain[0])
+        assert np.allclose(tuned[0], plain[0], rtol=1e-12, atol=1e-12 * scale)
+        assert np.max(np.abs(tuned[1] - plain[1])) <= 1e-12 * np.max(np.abs(plain[1]))
 
 
 def _chart_of(mesh, logical_ids):

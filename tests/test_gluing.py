@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steklov as sk
-from steklov import gluing, meshes
+from steklov import closed_form, gluing, meshes
 from steklov.gluing import Attachment, GluedFamily, glue, prepare_components
 from steklov.meshes import ArcSite, HoleSite
 from steklov.experiments import annulus_self_glued, chain_family
@@ -519,3 +519,41 @@ class TestPlacement:
         comp = sk.build_spec_mesh(sk.UnitDisk(), 0.05, arcs)
         assert sk.validate_mesh(comp.mesh) == []
         assert sk.boundary_length(comp.mesh) == pytest.approx(TWO_PI, rel=1e-3)
+
+
+# the presets' glued charts, with each neck kind they take
+FLOOR_FAMILIES = {
+    "two-disks": two_disks,
+    "two-disks-interior": lambda rho: two_disks(rho, "interior-cylinder"),
+    "mobius-critical": lambda rho: chain_family(
+        [closed_form.critical_mobius_metric(), sk.UnitDisk()], rho),
+    "catenoid-disk": lambda rho: chain_family(
+        [closed_form.critical_catenoid_metric(), sk.UnitDisk()], rho),
+    "cylinder-rims": lambda rho: annulus_self_glued(1.0, rho),
+}
+
+
+class TestChartSizeFloor:
+    """A neck whose chart size rho / lambda is below `meshes.MIN_CHART_SIZE` is
+    refused before any chart is meshed, with the floor named; from the floor
+    up, and at the presets' rho >= 1e-10, the glued mesh builds and solves."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(list(FLOOR_FAMILIES)),
+           rho=st.floats(-323.0, -10.0).map(lambda e: 10.0 ** e)
+           | st.sampled_from([5e-324, 1e-300, 1e-16, 1e-12, 1e-10]))
+    @example(name="two-disks", rho=5e-324)
+    @example(name="two-disks-interior", rho=1e-16)
+    @example(name="two-disks", rho=1e-12)
+    @example(name="mobius-critical", rho=1e-10)
+    @example(name="catenoid-disk", rho=1e-10)
+    def test_refused_below_the_floor(self, name, rho):
+        family = FLOOR_FAMILIES[name](rho)
+        lam = max(getattr(spec, "boundary_density", 1.0) for spec in family.components)
+        if rho / lam < meshes.MIN_CHART_SIZE:
+            with pytest.raises(sk.InvalidGluingError, match="floor 1e-12"):
+                _build_refusing_up_front(family, 0.1)
+            return
+        mesh = _build_refusing_up_front(family, 0.1)
+        assert sk.validate_mesh(mesh) == []
+        assert np.all(np.isfinite(sk.steklov_spectrum(mesh, 4).eigenvalues))
