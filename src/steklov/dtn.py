@@ -1,8 +1,10 @@
 """Finite-element discretization of the Steklov problem.
 
-Piecewise-linear cotangent stiffness K over the chart triangles (conformally
-invariant in two dimensions, so the factor lambda never enters) and a lumped
-boundary mass M_b carrying the lambda-weighted edge lengths.
+Piecewise-linear cotangent stiffness K, built from the mesh's unique edges and
+their weights (`meshes.assemble_mesh` owns the chart geometry; this module
+never reads it), and a lumped boundary mass M_b carrying the lambda-weighted
+edge lengths.  K is conformally invariant in two dimensions: lambda never
+enters it.
 
 `steklov_spectrum` solves the sparse pencil K u = sigma M_b u by shift-invert
 Lanczos.  K - s M_b is symmetric positive definite at s = PENCIL_SHIFT < 0, so
@@ -45,7 +47,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
 from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
                      SolverError)
 from .meshes import SurfaceMesh, boundary_edge_lengths
-from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum
+from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum, zero_band
 
 RESIDUAL_RTOL = 1e-10
 PENCIL_SHIFT = -0.5  # below the spectrum, so K - s M_b is positive definite
@@ -62,23 +64,7 @@ logger = logging.getLogger(__name__)
 
 def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     """Cotangent-weight stiffness on logical vertices; constants are in the kernel."""
-    pts = mesh.vertices
-    tri = mesh.triangles
-    p0, p1, p2 = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    e0 = p2 - p1
-    e1 = p0 - p2
-    e2 = p1 - p0
-    area2 = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
-    if np.any(area2 <= 0):
-        raise AssemblyError("degenerate or misoriented chart triangle")
-    cots = np.stack([
-        -np.einsum("ij,ij->i", e1, e2) / area2,
-        -np.einsum("ij,ij->i", e2, e0) / area2,
-        -np.einsum("ij,ij->i", e0, e1) / area2,
-    ], axis=1)  # cot of the angle at each corner
-    # each edge's weight is half the cotangents of the (one or two) corners facing it
-    w = 0.5 * np.bincount(mesh.opposite_edge.ravel(), weights=cots.ravel(),
-                          minlength=len(mesh.edges))
+    w = mesh.edge_weights
     lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
     n = mesh.n_logical
     diag = np.bincount(lo, weights=w, minlength=n) + np.bincount(hi, weights=w, minlength=n)
@@ -95,10 +81,7 @@ def boundary_mass_vector(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
     """Lumped boundary mass per logical vertex: half of each incident edge length."""
     half = 0.5 * boundary_edge_lengths(mesh, conformal)
     ends = mesh.logical[mesh.boundary_edge_chart]
-    mass = np.zeros(mesh.n_logical)
-    np.add.at(mass, ends[:, 0], half)
-    np.add.at(mass, ends[:, 1], half)
-    return mass
+    return np.bincount(ends.ravel(), weights=np.repeat(half, 2), minlength=mesh.n_logical)
 
 
 def _grounding_pins(K: sp.csr_matrix, boundary_index: np.ndarray) -> np.ndarray:
@@ -188,10 +171,13 @@ def _relative_residuals(A, u: np.ndarray, mass: np.ndarray, w: np.ndarray) -> np
 
 def _contracted(w: np.ndarray, rel: np.ndarray, boundary_mass: np.ndarray,
                 traces: np.ndarray | None, b: np.ndarray) -> Spectrum:
-    """The eigenpairs as a Spectrum, refused unless every residual meets the contract;
+    """The eigenpairs as a Spectrum, refused unless every residual meets the contract
+    and the leading eigenvalue is not negative beyond solver noise;
     `traces` are the boundary rows of the eigenvectors, None unless asked for."""
     if np.any(rel > RESIDUAL_RTOL):
         raise SolverError(f"eigenpair residual {rel.max():.2e} above contract")
+    if w[0] < -zero_band(w):
+        raise SolverError(f"leading eigenvalue {w[0]:.3e} below zero")
     return make_spectrum(w, float(np.sum(boundary_mass)), cluster_rtol=CLUSTER_RTOL_FEM,
                          eigenvectors=traces, boundary_index=None if traces is None else b)
 

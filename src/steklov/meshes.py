@@ -5,6 +5,10 @@ A surface is a union of flat chart pieces; logical vertices are equivalence
 classes of chart vertices under the identification list.  The metric is
 lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
 chart-only and the conformal factor enters solely through boundary lengths.
+`assemble_mesh` owns the P1 geometry: each triangle's edge vectors give its
+doubled area, which orients or refuses it, and its corner cotangents, summed
+into each unique edge's weight (`edge_weights`, shared by
+`with_conformal_factor`).
 
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
@@ -90,7 +94,7 @@ class SurfaceMesh:
     boundary_loops: tuple[tuple[int, ...], ...]  # ordered logical ids, closed
     boundary_edge_chart: np.ndarray   # (nb, 2) chart endpoints of the unique chart edge
     edges: np.ndarray                 # (ne, 2) unique logical edges (lo, hi), lexicographic
-    opposite_edge: np.ndarray         # (nt, 3) index into edges of the edge opposite each corner
+    edge_weights: np.ndarray          # (ne,) P1 cotangent weight of each edge
     tags: dict[str, frozenset[int]] = field(default_factory=dict)
 
     @property
@@ -119,48 +123,40 @@ def _component_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
     return labels.astype(np.int64), n_comp
 
 
-def _triangle_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p0 = vertices[triangles[:, 0]]
-    e1 = vertices[triangles[:, 1]] - p0
-    e2 = vertices[triangles[:, 2]] - p0
-    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-
-
-def _degenerate_triangles(vertices: np.ndarray, triangles: np.ndarray,
-                          areas2: np.ndarray) -> np.ndarray:
-    """Degeneracy relative to each triangle's own edge scale (necks can be tiny)."""
-    p0 = vertices[triangles[:, 0]]
-    e1 = vertices[triangles[:, 1]] - p0
-    e2 = vertices[triangles[:, 2]] - p0
+def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):
+    """Doubled signed area, degeneracy (relative to the triangle's own edge scale:
+    necks can be tiny) and corner cotangents, which carry the sign of the area."""
+    p0, p1, p2 = vertices[triangles[:, 0]], vertices[triangles[:, 1]], vertices[triangles[:, 2]]
+    e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0  # the edge vector e_c faces corner c
+    area2 = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
     scale2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
-    return np.abs(areas2) <= 1e-12 * scale2
+    dots = [np.einsum("ij,ij->i", a, b) for a, b in ((e1, e2), (e2, e0), (e0, e1))]
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows are refused
+        return area2, np.abs(area2) <= 1e-12 * scale2, -np.stack(dots, axis=1) / area2[:, None]
 
 
-def _edge_census(tri_logical: np.ndarray, triangles: np.ndarray):
-    """Unique logical edges with adjacency counts and one chart realization each.
+def _edge_census(tri_logical: np.ndarray, triangles: np.ndarray, cots: np.ndarray):
+    """Unique logical edges with adjacency counts, one chart realization and the
+    P1 weight each: half the cotangents (`cots`, per corner) of the corners facing it.
 
-    Triangle edge c (c = 0, 1, 2) joins corners c and c+1 and sits at position
-    c * n_tri + t of the census; the chart realization of a unique edge is its
-    first position.  Also returns the unique-edge index of every position.
+    Triangle edge c (c = 0, 1, 2) joins corners c and c+1, faces corner c+2 and
+    sits at position c * n_tri + t of the census; the chart realization of a
+    unique edge is its first position.
     """
-    nxt = tri_logical[:, [1, 2, 0]]
-    lo = np.minimum(tri_logical, nxt).T.ravel()
-    hi = np.maximum(tri_logical, nxt).T.ravel()
-    n = int(hi.max()) + 1 if len(hi) else 1
-    # a * n + b orders the edges (a, b), a < b, lexicographically
-    key = lo * n + hi
+    n = int(tri_logical.max()) + 1 if tri_logical.size else 1
+    key = _edge_keys(tri_logical, n).T.ravel()
     order = np.argsort(key, kind="stable")  # stable: each run starts at its first position
     sorted_key = key[order]
     new = np.ones(len(key), dtype=bool)
     new[1:] = sorted_key[1:] != sorted_key[:-1]
-    inverse = np.empty(len(key), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
+    facing = cots[:, [2, 0, 1]].T.ravel()
+    weights = 0.5 * np.bincount(np.cumsum(new) - 1, weights=facing[order])
     starts = np.flatnonzero(new)
     first = order[starts]
     counts = np.diff(np.append(starts, len(key)))
     chart = np.stack([triangles.T.ravel()[first], triangles[:, [1, 2, 0]].T.ravel()[first]],
                      axis=1)
-    return np.stack([lo[first], hi[first]], axis=1), counts, chart, inverse
+    return np.stack(np.divmod(sorted_key[starts], n), axis=1), counts, chart, weights
 
 
 def _walk_loops(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -204,10 +200,12 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
     if conformal_chart.shape != (vertices.shape[0],):
         raise AssemblyError("conformal factor must be given per chart vertex")
 
-    areas2 = _triangle_doubled_areas(vertices, triangles)
+    areas2, degenerate, cots = _corner_geometry(vertices, triangles)
     flip = areas2 < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    if np.any(_degenerate_triangles(vertices, triangles, areas2)):
+    # swapping corners 1 and 2 negates the area, so the cotangents change sign too
+    cots[flip] = -cots[flip][:, [0, 2, 1]]
+    if np.any(degenerate):
         raise AssemblyError("degenerate chart triangle")
 
     labels, n_logical = _component_labels(vertices.shape[0], identifications)
@@ -221,7 +219,7 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         raise AssemblyError("conformal factor must be positive")
 
     tri_logical = labels[triangles]
-    edges, counts, chart_rep, inverse = _edge_census(tri_logical, triangles)
+    edges, counts, chart_rep, weights = _edge_census(tri_logical, triangles, cots)
     if np.any(counts > 2):
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
@@ -243,8 +241,7 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         boundary_loops=loops,
         boundary_edge_chart=_freeze(boundary_edge_chart),
         edges=_freeze(edges),
-        # census edge c joins corners c and c+1, so corner c faces edge c+1
-        opposite_edge=_freeze(inverse.reshape(3, -1).T[:, [1, 2, 0]]),
+        edge_weights=_freeze(weights),
         tags=tags,
     )
 
@@ -291,8 +288,8 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
 def validate_mesh(mesh: SurfaceMesh) -> list[str]:
     """Re-derive the combinatorial structure and report every invariant violation."""
     report: list[str] = []
-    areas2 = _triangle_doubled_areas(mesh.vertices, mesh.triangles)
-    bad = _degenerate_triangles(mesh.vertices, mesh.triangles, areas2) | (areas2 < 0)
+    areas2, degenerate, cots = _corner_geometry(mesh.vertices, mesh.triangles)
+    bad = degenerate | (areas2 < 0)
     if np.any(bad):
         report.append(f"{int(bad.sum())} chart triangles degenerate or misoriented")
     if np.any(mesh.conformal_factor <= 0):
@@ -300,19 +297,18 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
     # equal factors across identified pairs are structural here (one logical
     # slot per class); assemble_mesh rejects unequal chart inputs up front
 
-    edges, counts, _, _ = _edge_census(mesh.logical[mesh.triangles], mesh.triangles)
+    edges, counts, _, weights = _edge_census(mesh.logical[mesh.triangles], mesh.triangles, cots)
     if np.any(counts > 2):
         report.append("edge shared by more than two triangles")
+    if not np.array_equal(weights, mesh.edge_weights):
+        report.append("edge weights disagree with the chart geometry")
     derived = {tuple(e) for e in edges[counts == 1]}
-    stored = set()
-    for loop in mesh.boundary_loops:
-        for i in range(len(loop)):
-            stored.add(tuple(sorted((loop[i], loop[(i + 1) % len(loop)]))))
+    stored = {tuple(sorted(e)) for loop in mesh.boundary_loops
+              for e in zip(loop, loop[1:] + loop[:1])}
     if derived != stored:
-        missing = len(derived - stored)
-        extra = len(stored - derived)
         report.append(f"boundary loops disagree with single-triangle edges "
-                      f"({missing} open edges unlisted, {extra} stale loop edges)")
+                      f"({len(derived - stored)} open edges unlisted, "
+                      f"{len(stored - derived)} stale loop edges)")
     return report
 
 
@@ -744,10 +740,9 @@ def _attach_collars(points: np.ndarray, triangles: np.ndarray, sites: Sequence[_
 
 def _cotangents(points: np.ndarray, apex: np.ndarray, p: np.ndarray,
                 q: np.ndarray) -> np.ndarray:
-    e1 = points[p] - points[apex]
-    e2 = points[q] - points[apex]
-    return (np.einsum("ij,ij->i", e1, e2)
-            / np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+    """Cotangent of the angle at each apex facing its edge (p, q), either orientation."""
+    area2, _, cots = _corner_geometry(points, np.stack([apex, p, q], axis=1))
+    return cots[:, 0] * np.sign(area2)
 
 
 def _ring_delaunay(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,

@@ -25,6 +25,11 @@ def check_count(count: int, limit: int, what: str) -> None:
         raise InvalidParameterError(f"count must lie in [1, {limit}] ({what})")
 
 
+def zero_band(values: np.ndarray) -> float:
+    """Eigenvalues this close to zero, of either sign, are constant modes (solver noise)."""
+    return 1e-8 * (abs(values[1]) if values.size > 1 else 0.0) + 1e-12
+
+
 def cluster_indices(values: np.ndarray, rtol: float) -> tuple[tuple[int, ...], ...]:
     """Group sorted eigenvalues into clusters of relative width rtol."""
     clusters: list[list[int]] = []
@@ -74,10 +79,7 @@ def make_spectrum(values, boundary_length, cluster_rtol=CLUSTER_RTOL_EXACT,
     if boundary_length < 0:
         raise InvalidParameterError("boundary length must be nonnegative")
     values = values.copy()
-    # constant modes: solver noise within 1e-8*sigma_1 + 1e-12 of zero, of either
-    # sign, is zero
-    sigma1 = abs(values[1]) if values.size > 1 else 0.0
-    band = 1e-8 * sigma1 + 1e-12
+    band = zero_band(values)
     if values[0] < -band:
         raise InvalidParameterError(f"leading eigenvalue {values[0]} below tolerance")
     values[np.abs(values) <= band] = 0.0

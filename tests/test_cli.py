@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -179,25 +180,32 @@ class TestSpectrumArgumentProperties:
                 f"--T={T!r}", f"--count={count}"]
         if density is not None:
             argv.append(f"--density={density!r}")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
-                warnings.catch_warnings(record=True) as caught:
-            os.environ.pop("STEKLOV_OUT", None)
-            warnings.simplefilter("always")
-            out = Path(tmp) / "out"
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv + ["--out", str(out)])
-            written = sorted(out.iterdir()) if out.exists() else []
-            reports = [json.loads(p.read_text(), parse_constant=_reject_non_finite)
-                       for p in written]
-        assert not caught, [str(w.message) for w in caught]
-        assert code in (0, 2), stderr.getvalue()
-        if code == 2:
-            assert written == [] and "usage error:" in stderr.getvalue()
-            return
-        assert len(reports) == 1 and len(reports[0]) == count
-        printed = stdout.getvalue().lower()
-        assert "nan" not in printed and "inf" not in printed
+        _assert_finite_report_or_usage_error(argv, count)
+
+
+def _assert_finite_report_or_usage_error(argv, count):
+    """One CLI run: exit 0 with one report of `count` finite rows and nothing
+    non-finite printed, or exit 2 with a usage error and nothing written; never
+    a warning."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            warnings.catch_warnings(record=True) as caught:
+        os.environ.pop("STEKLOV_OUT", None)
+        warnings.simplefilter("always")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        written = sorted(out.iterdir()) if out.exists() else []
+        reports = [json.loads(p.read_text(), parse_constant=_reject_non_finite)
+                   for p in written]
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2), stderr.getvalue()
+    if code == 2:
+        assert written == [] and "usage error:" in stderr.getvalue()
+        return
+    assert len(reports) == 1 and len(reports[0]) == count
+    printed = stdout.getvalue().lower()
+    assert "nan" not in printed and "inf" not in printed
 
 
 def _run_quietly(argv):
@@ -325,6 +333,28 @@ class TestTinyChartHeight:
             [report] = [json.loads(p.read_text(), parse_constant=_reject_non_finite)
                         for p in Path(tmp).iterdir()]
         assert code == 0 and len(report) == 8
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+class TestFemDensityProperties:
+    """`spectrum --method fem --density d` on cylinders and Moebius bands over
+    densities from 0.01 to 100 and chart heights from the floor up: a report of
+    finite values, or a usage error that writes nothing."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(surface=st.sampled_from(["cylinder", "mobius"]), density=_log_uniform(0.01, 100.0),
+           T=_log_uniform(steklov.meshes.MIN_CHART_HEIGHT, 2.0),
+           resolution=st.floats(0.1, 0.3))
+    @example(surface="mobius", density=0.01, T=1e-3, resolution=0.3)
+    @example(surface="cylinder", density=100.0, T=1e-3, resolution=0.1)
+    @example(surface="cylinder", density=0.01, T=2.0, resolution=0.1)
+    def test_exit_0_with_finite_rows_or_exit_2(self, surface, density, T, resolution):
+        _assert_finite_report_or_usage_error(
+            ["spectrum", "--surface", surface, "--method", "fem", f"--T={T!r}",
+             f"--density={density!r}", f"--resolution={resolution!r}"], 8)
 
 
 # one bad value for --trials, --seed or --k-max: not an integer, below its

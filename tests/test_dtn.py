@@ -84,6 +84,13 @@ def test_edgewise_stiffness_matches_corner_blocks(build, monkeypatch):
     assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
 
+def test_negative_leading_eigenvalue_is_a_solver_failure():
+    # a chart far below MIN_CHART_HEIGHT, built past the budget check
+    mesh = meshes._grid_component(sk.FlatCylinder(1e-5), 0.1).mesh
+    with pytest.raises(sk.SolverError, match="leading eigenvalue"):
+        sk.steklov_spectrum(mesh, 8)
+
+
 class TestBoundaryMass:
     def test_trace_equals_boundary_length(self, disk_mesh):
         mass = boundary_mass_vector(disk_mesh)

@@ -14,6 +14,7 @@ from steklov import meshes
 from steklov.experiments import annulus_self_glued, chain_family
 from steklov.meshes import (COLLAR_RADIUS, NECK_SEGMENTS, ArcSite, _fill_graded,
                             _ring_delaunay, assemble_mesh)
+from test_dtn import corner_block_stiffness
 
 TWO_PI = 2 * math.pi
 
@@ -400,6 +401,12 @@ class TestValidation:
         report = sk.validate_mesh(broken)
         assert any("boundary" in line for line in report)
 
+    def test_stale_edge_weights_reported(self, coarse_disk_mesh):
+        assert sk.validate_mesh(coarse_disk_mesh) == []
+        # a stretch keeps every triangle counterclockwise but changes its angles
+        stretched = replace(coarse_disk_mesh, vertices=coarse_disk_mesh.vertices * [1.0, 1.3])
+        assert sk.validate_mesh(stretched) == ["edge weights disagree with the chart geometry"]
+
     def test_nonpositive_conformal_factor_reported(self, coarse_disk_mesh):
         lam = coarse_disk_mesh.conformal_factor.copy()
         lam[0] = 0.0
@@ -519,11 +526,18 @@ class TestAssemblyOrdering:
         assert np.array_equal(glued.boundary_edge_chart, chart_e[first][boundary])
         assert np.array_equal(glued.edges, edges)
 
-    def test_opposite_edge_joins_the_other_two_corners(self, glued):
-        lab = glued.logical[glued.triangles]
-        for c in range(3):
-            ends = np.sort(lab[:, [(c + 1) % 3, (c + 2) % 3]], axis=1)
-            assert np.array_equal(glued.edges[glued.opposite_edge[:, c]], ends)
+    @pytest.fixture(params=["disk_mesh", "cylinder_mesh", "mobius_mesh", "glued"])
+    def any_mesh(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_edge_weights_are_half_the_facing_cotangents(self, any_mesh):
+        lo, hi = any_mesh.edges.T
+        ref = -np.asarray(corner_block_stiffness(any_mesh)[lo, hi]).ravel()
+        assert np.abs(any_mesh.edge_weights - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_conformal_factor_shares_the_edge_weights(self, any_mesh):
+        scaled = sk.with_conformal_factor(any_mesh, 3.7 * any_mesh.conformal_factor)
+        assert scaled.edge_weights is any_mesh.edge_weights
 
 
 def _loop_lengths(mesh):

@@ -29,3 +29,11 @@ def _raised_names(tree):
                          ids=lambda p: p.name)
 def test_only_meshes_refuses_gluings(path):
     assert "InvalidGluingError" not in set(_raised_names(ast.parse(path.read_text())))
+
+
+# one owner of chart geometry: `meshes.assemble_mesh` turns it into edge weights
+def test_dtn_never_reads_chart_geometry():
+    [path] = [p for p in SOURCES if p.name == "dtn.py"]
+    reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("vertices", "triangles")]
+    assert reads == [], f"dtn.py reads chart geometry at lines {reads}"
