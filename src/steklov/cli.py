@@ -13,6 +13,7 @@ write fixed names.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -52,10 +53,11 @@ def cmd_constants(args) -> int:
     out = _outdir(args)
     constants = [asdict(c) for c in cf.all_constants(10)]
     if args.format == "csv":
-        lines = ["name,equation,value,residual"]
-        lines += [f"{c['name']},\"{c['equation']}\",{c['value']!r},{c['residual']!r}"
-                  for c in constants]
-        _write_text(os.path.join(out, "constants.csv"), "\n".join(lines) + "\n")
+        with open(os.path.join(out, "constants.csv"), "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [["name", "equation", "value", "residual"]]
+                + [[c["name"], c["equation"], repr(c["value"]), repr(c["residual"])]
+                   for c in constants])
     else:
         _dump_json(os.path.join(out, "constants.json"), constants)
     for c in constants:
@@ -122,8 +124,9 @@ def cmd_spectrum(args) -> int:
             rows.append({"k": k, "closed_form": float(a[k]), "fem": float(b[k]),
                          "rel_discrepancy": float(abs(a[k] - b[k]) / scale)})
         _dump_json(os.path.join(out, f"spectrum-{tag}-discrepancy.json"), rows)
-        worst = max(r["rel_discrepancy"] for r in rows[1:])
-        print(f"worst relative discrepancy (k >= 1): {worst:.3e}")
+        if len(rows) > 1:
+            worst = max(r["rel_discrepancy"] for r in rows[1:])
+            print(f"worst relative discrepancy (k >= 1): {worst:.3e}")
     for method, spec in spectra.items():
         head = ", ".join(f"{v:.6g}" for v in spec.eigenvalues[:8])
         print(f"{method}: L = {spec.boundary_length:.6f}; sigma = [{head}]")

@@ -57,7 +57,7 @@ def solve_bracketed_root(f, a: float, b: float, tol: float = ROOT_TOL) -> float:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fpre}, f(b)={fcur}")
-    rtol = 4.0 * np.finfo(float).eps
+    rtol = 4.0 * float(np.finfo(float).eps)  # a numpy scalar would leak into the root
     xblk = fblk = spre = scur = 0.0
     for _ in range(200):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):

@@ -46,7 +46,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
 
 from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
                      SolverError)
-from .meshes import SurfaceMesh, boundary_edge_lengths
+from .meshes import SurfaceMesh, boundary_edge_lengths, with_conformal_factor
 from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum, zero_band
 
 RESIDUAL_RTOL = 1e-10
@@ -77,9 +77,9 @@ def assemble_stiffness(mesh: SurfaceMesh) -> sp.csr_matrix:
     return K.tocsr()
 
 
-def boundary_mass_vector(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
+def boundary_mass_vector(mesh: SurfaceMesh) -> np.ndarray:
     """Lumped boundary mass per logical vertex: half of each incident edge length."""
-    half = 0.5 * boundary_edge_lengths(mesh, conformal)
+    half = 0.5 * boundary_edge_lengths(mesh)
     ends = mesh.logical[mesh.boundary_edge_chart]
     return np.bincount(ends.ravel(), weights=np.repeat(half, 2), minlength=mesh.n_logical)
 
@@ -155,9 +155,9 @@ def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     return dtn
 
 
-def _boundary_mass(mesh: SurfaceMesh, b: np.ndarray, conformal=None) -> np.ndarray:
+def _boundary_mass(mesh: SurfaceMesh, b: np.ndarray) -> np.ndarray:
     """`boundary_mass_vector`, refused unless positive on the boundary vertices b."""
-    mass = boundary_mass_vector(mesh, conformal)
+    mass = boundary_mass_vector(mesh)
     if np.any(mass[b] <= 0):
         raise AssemblyError("boundary vertex with nonpositive lumped mass")
     return mass
@@ -193,7 +193,8 @@ class DtnOperator:
     def spectrum(self, count: int, conformal=None, want_vectors: bool = False) -> Spectrum:
         b = self.boundary_index
         check_count(count, len(b), "boundary degrees of freedom")
-        mass = _boundary_mass(self.mesh, b, conformal)[b]
+        mesh = self.mesh if conformal is None else with_conformal_factor(self.mesh, conformal)
+        mass = _boundary_mass(mesh, b)[b]
         s = 1.0 / np.sqrt(mass)
         H = self.matrix * np.outer(s, s)  # exactly symmetric: schur_dtn symmetrizes
         try:

@@ -22,14 +22,14 @@ structured collar inside that ring.  Interior rims below chart radius 1e-3
 get a log collar; boundary arcs below a quarter of it get a half-collar of
 confocal half-ellipses ending on the boundary (`_arc_site`), and the boundary
 circle or row is graded around each arc (`_disk_boundary`).  The Delaunay
-stage keeps the site-free layout's triangles (the disk's ring merge, or the
-grid's cells) away from the sites (`_layout_split`), and Qhull
+stage keeps the site-free layout's cells (the disk's ring merge, or the
+grid's rectangles) away from the sites (`_layout_split`), and Qhull
 (`scipy.spatial`, imported only when needed) sees only the sites'
-neighbourhoods (`_band_delaunay`).  A certificate on the interface
-(`_interface_delaunay`) joins the pieces or sends the chart to one
-whole-chart Qhull call; either route is logged at DEBUG.  `check_mesh_budget`
-refuses, before anything is built, meshes estimated above MAX_MESH_VERTICES
-and grid charts lower than MIN_CHART_HEIGHT.
+neighbourhoods (`_band_delaunay`, logged at DEBUG).  A certificate on the
+interface (`_interface_delaunay`) joins the pieces, or the chart is refused
+with `AssemblyError`: it has no other route.  `check_mesh_budget` refuses,
+before anything is built, meshes estimated above MAX_MESH_VERTICES and grid
+charts lower than MIN_CHART_HEIGHT.
 
 Builders return a `Component`: chart arrays plus neck interfaces.  A glued
 mesh is assembled once from its components' arrays; a component's own `mesh`
@@ -246,35 +246,27 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
     )
 
 
-def _checked_factor(mesh: SurfaceMesh, lam_logical) -> np.ndarray:
-    """A conformal factor given per logical vertex, refused unless finite and positive."""
-    lam = np.asarray(lam_logical, dtype=float)
+def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
+    """The mesh with the factor `lam_logical`, refused unless finite and positive."""
+    lam = np.array(lam_logical, dtype=float)
     if lam.shape != (mesh.n_logical,):
         raise InvalidParameterError("conformal factor must have one value per logical vertex")
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise InvalidParameterError("conformal factor must be finite and positive")
-    return lam
-
-
-def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
-    return replace(mesh, conformal_factor=_freeze(_checked_factor(mesh, lam_logical).copy()))
+    return replace(mesh, conformal_factor=_freeze(lam))
 
 
 # ---------------------------------------------------------------------------
 # measurements and validation
 # ---------------------------------------------------------------------------
 
-def boundary_edge_lengths(mesh: SurfaceMesh, conformal=None) -> np.ndarray:
-    """Physical length of each boundary edge: chart length times mean endpoint lambda.
-
-    `conformal` (per logical vertex) replaces the mesh's own factor.
-    """
+def boundary_edge_lengths(mesh: SurfaceMesh) -> np.ndarray:
+    """Physical length of each boundary edge: chart length times mean endpoint lambda."""
     uv = mesh.boundary_edge_chart
     if len(uv) == 0:
         return np.zeros(0)
-    lam = mesh.conformal_factor if conformal is None else _checked_factor(mesh, conformal)
     chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
-    return chord * lam[mesh.logical[uv]].mean(axis=1)
+    return chord * mesh.conformal_factor[mesh.logical[uv]].mean(axis=1)
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:
@@ -847,8 +839,7 @@ def _band_delaunay(points: np.ndarray, piece: np.ndarray, iface: np.ndarray) -> 
 
     Qhull sees only the points off the piece and the interface vertices (the
     band), and its triangles beyond the interface are dropped.  The interface
-    must pass `_interface_delaunay`; otherwise Qhull triangulates the whole
-    chart.
+    must pass `_interface_delaunay`, or the chart is refused.
     """
     off = np.zeros(len(points), dtype=bool)
     off[piece] = True
@@ -857,8 +848,7 @@ def _band_delaunay(points: np.ndarray, piece: np.ndarray, iface: np.ndarray) -> 
     logger.debug("Delaunay band: Qhull on %d of %d points", len(band_ids), len(points))
     band = _drop_pockets(band_ids[_qhull_triangles(points[band_ids])], iface, len(points))
     if not _interface_delaunay(points, iface, band, piece):
-        logger.debug("whole-chart Qhull: certificate failed")
-        return _qhull_triangles(points)
+        raise AssemblyError("band and layout triangles fail the interface certificate")
     return np.concatenate([band, piece])
 
 
@@ -930,9 +920,10 @@ def _layout_split(points: np.ndarray, layout_xy: np.ndarray, cells: np.ndarray,
     way.  `actual` maps the layout's vertices to `points` (-1 where a site
     dropped them).  A vertex is clear when it is kept, lies more than `margin`
     beyond every patch's exclusion disk, and more than `margin` from every
-    point a site placed off the layout.  The triangles of the cells on clear
-    vertices are kept, so Qhull sees only the sites' neighbourhoods.  Returns
-    them and the edges they share with the dropped ones.
+    point a site placed off the layout.  The cells on clear vertices are kept,
+    so Qhull sees only the sites' neighbourhoods, but not those with every
+    corner on a dropped cell: Qhull would cover them, and might split their
+    ties the other way.  Returns the triangles kept and the interface edges.
     """
     from scipy.spatial import cKDTree  # charts with sites call Qhull anyway
     clear = actual >= 0
@@ -945,12 +936,13 @@ def _layout_split(points: np.ndarray, layout_xy: np.ndarray, cells: np.ndarray,
         lo, hi = fixed.min(axis=0) - margin, fixed.max(axis=0) + margin
         ids = np.flatnonzero(clear & np.all((layout_xy >= lo) & (layout_xy <= hi), axis=1))
         clear[ids[cKDTree(fixed).query(layout_xy[ids])[0] <= margin]] = False
-    tris = _fan(cells)
-    kept = np.tile(np.logical_and.reduce([clear[c] for c in cells.T]), cells.shape[1] - 2)
+    kept = np.logical_and.reduce([clear[c] for c in cells.T])
     n = len(layout_xy)
-    dropped = tris.compress(~kept, axis=0)
     near = np.zeros(n, dtype=bool)  # only kept triangles on these meet a dropped one
-    near[dropped] = True
+    near[cells[~kept]] = True
+    kept = np.tile(kept & ~np.logical_and.reduce([near[c] for c in cells.T]), cells.shape[1] - 2)
+    tris = _fan(cells)
+    dropped = tris.compress(~kept, axis=0)
     border = tris.compress(kept & np.logical_or.reduce([near[c] for c in tris.T]), axis=0)
     shared = np.intersect1d(_edge_keys(border, n), _edge_keys(dropped, n))
     return actual[tris.compress(kept, axis=0)], actual[np.stack([shared // n, shared % n], 1)]

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -50,6 +51,16 @@ class TestConstants:
         assert code == 0
         lines = (out / "constants.csv").read_text().splitlines()
         assert lines[0] == "name,equation,value,residual"
+        assert run(["constants"], tmp_path, monkeypatch)[0] == 0
+        expected = json.loads((out / "constants.json").read_text())
+        with open(out / "constants.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # names such as T_{1,0} hold a comma, so every row must keep four fields
+        assert all(None not in row for row in rows)
+        assert [row["name"] for row in rows] == [c["name"] for c in expected]
+        assert [row["equation"] for row in rows] == [c["equation"] for c in expected]
+        assert [float(row["value"]) for row in rows] == [c["value"] for c in expected]
+        assert [float(row["residual"]) for row in rows] == [c["residual"] for c in expected]
 
 
 class TestSpectrum:
@@ -69,6 +80,18 @@ class TestSpectrum:
         rows = json.loads(path.read_text())
         assert max(r["rel_discrepancy"] for r in rows[1:]) < 0.02
         assert "worst relative discrepancy" in capsys.readouterr().out
+
+    def test_both_methods_with_one_eigenvalue(self, tmp_path, monkeypatch, capsys):
+        code, out = run(["spectrum", "--surface", "disk", "--count", "1",
+                         "--method", "both", "--resolution", "0.1"],
+                        tmp_path, monkeypatch)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "worst relative discrepancy" not in captured.out
+        [path] = out.glob("spectrum-disk-*-discrepancy.json")
+        [row] = json.loads(path.read_text())
+        assert row["k"] == 0
 
     def test_runs_differing_in_density_keep_both_reports(self, tmp_path, monkeypatch):
         argv = ["spectrum", "--surface", "cylinder", "--T", "1", "--count", "4"]

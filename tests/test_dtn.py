@@ -105,8 +105,8 @@ class TestBoundaryMass:
 
     def test_linearity_in_density(self, coarse_disk_mesh):
         m1 = boundary_mass_vector(coarse_disk_mesh)
-        m2 = boundary_mass_vector(coarse_disk_mesh,
-                                  2.0 * coarse_disk_mesh.conformal_factor)
+        m2 = boundary_mass_vector(sk.with_conformal_factor(
+            coarse_disk_mesh, 2.0 * coarse_disk_mesh.conformal_factor))
         assert np.allclose(m2, 2.0 * m1, rtol=1e-14)
 
 

@@ -417,6 +417,17 @@ CLOSE_ARCS_ON_A_FIELD = GluedFamily(
      (Attachment(0, theta=1.01), Attachment(1, theta=4.0))))
 
 
+# a three-disk interior chain whose ring layout kept tied cells between band
+# vertices, which failed the interface certificate (with its resolution)
+TIED_CELLS_CHAIN = (GluedFamily(
+    (sk.UnitDisk(),) * 3, 1.995328058182015e-05,
+    ((Attachment(0, point=(-0.3713281805322926, -0.2933994878146995)),
+      Attachment(1, point=(-0.3194154315583299, -0.2234098057827588))),
+     (Attachment(1, point=(-0.2981424902188944, 0.2782810986561523)),
+      Attachment(2, point=(0.1187233894662055, -0.12608713787262382)))),
+    "interior-cylinder"), 0.04488753618826029)
+
+
 @st.composite
 def gluing_families(draw):
     """Disks, with or without a conformal field, cylinders and Moebius bands on
@@ -466,6 +477,7 @@ class TestGluingFamilyProperties:
     @example(family=LATE_REFUSALS["cylinder rim at t = 0.001"][0], resolution=0.05)
     @example(family=LATE_REFUSALS["cylinder arc on loop 2"][0], resolution=0.05)
     @example(family=CLOSE_ARCS_ON_A_FIELD, resolution=0.05)
+    @example(family=TIED_CELLS_CHAIN[0], resolution=TIED_CELLS_CHAIN[1])
     def test_builds_or_is_refused_before_meshing(self, family, resolution):
         try:
             mesh = _build_refusing_up_front(family, resolution)
@@ -557,3 +569,74 @@ class TestChartSizeFloor:
         mesh = _build_refusing_up_front(family, 0.1)
         assert sk.validate_mesh(mesh) == []
         assert np.all(np.isfinite(sk.steklov_spectrum(mesh, 4).eigenvalues))
+
+
+def three_disk_interior_chains(rng, n):
+    """Three unit disks chained by interior necks: holes at radius 0.6 sqrt(U)
+    and a uniform angle, resolution uniform in [0.03, 0.1], rho 10^U(-10, -2)."""
+    def hole(c):
+        r, a = 0.6 * math.sqrt(rng.uniform()), rng.uniform(0.0, TWO_PI)
+        return Attachment(c, point=(r * math.cos(a), r * math.sin(a)))
+
+    for _ in range(n):
+        resolution, rho = rng.uniform(0.03, 0.1), 10.0 ** rng.uniform(-10.0, -2.0)
+        pairs = ((hole(0), hole(1)), (hole(1), hole(2)))
+        yield GluedFamily((sk.UnitDisk(),) * 3, rho, pairs, "interior-cylinder"), resolution
+
+
+def mixed_gluings(rng, n):
+    """Arcs on disks, cylinders and Moebius bands, or holes in cylinders: one to
+    three charts, one or two necks, rho log-uniform in [1e-10, 0.3], arcs near
+    one angle or anywhere, holes near an edge or anywhere, resolution uniform
+    in [0.04, 0.1]."""
+    def edge(T):  # a height near either edge of the chart, or anywhere on it
+        d = 10.0 ** rng.uniform(-3.5, -0.5)
+        return [d, T - d, rng.uniform(0.0, T)][rng.integers(3)]
+
+    for _ in range(n):
+        interior = rng.uniform() < 1 / 3
+        if interior:
+            specs = [sk.FlatCylinder(rng.uniform(0.3, 2.0)) for _ in range(rng.integers(1, 3))]
+        else:
+            specs = [[sk.UnitDisk(), sk.FlatCylinder(rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0)),
+                      sk.MobiusCylinder(rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0))][k]
+                     for k in rng.integers(3, size=rng.integers(2, 4))]
+        centre = rng.uniform(0.0, TWO_PI)
+
+        def attachment():
+            c = int(rng.integers(len(specs)))
+            spec = specs[c]
+            if interior:
+                return Attachment(c, point=(rng.uniform(0.0, TWO_PI), edge(spec.T)))
+            loop = int(rng.integers(2)) if isinstance(spec, sk.FlatCylinder) else 0
+            near = centre + rng.uniform(-3e-3, 3e-3)
+            return Attachment(c, loop=loop, theta=[near, rng.uniform(0.0, TWO_PI)][
+                rng.integers(2)] % TWO_PI)
+
+        pairs = tuple((attachment(), attachment()) for _ in range(rng.integers(1, 3)))
+        rho = 10.0 ** rng.uniform(-10.0, math.log10(0.3))
+        yield (GluedFamily(tuple(specs), rho, pairs,
+                           "interior-cylinder" if interior else "boundary-square"),
+               rng.uniform(0.04, 0.1))
+
+
+@pytest.mark.slow
+class TestGluingScan:
+    """Seeded random gluings (`pytest -m slow`): every one builds a mesh with
+    `validate_mesh == []`, or is refused before any chart is meshed."""
+
+    @pytest.mark.parametrize("scan, seed, n", [(three_disk_interior_chains, 1, 600),
+                                               (mixed_gluings, 2, 500)],
+                             ids=["three-disk interior chains", "mixed gluings"])
+    def test_builds_or_is_refused_before_meshing(self, scan, seed, n):
+        built = 0
+        for i, (family, resolution) in enumerate(scan(np.random.default_rng(seed), n)):
+            try:
+                mesh = _build_refusing_up_front(family, resolution)
+            except REFUSALS:
+                continue
+            except sk.AssemblyError as exc:
+                pytest.fail(f"gluing {i} at resolution {resolution!r}: {exc}\n{family}")
+            assert sk.validate_mesh(mesh) == [], (i, resolution, family)
+            built += 1
+        assert built >= n // 2

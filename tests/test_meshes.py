@@ -15,6 +15,7 @@ from steklov.experiments import annulus_self_glued, chain_family
 from steklov.meshes import (COLLAR_RADIUS, NECK_SEGMENTS, ArcSite, _fill_graded,
                             _ring_delaunay, assemble_mesh)
 from test_dtn import corner_block_stiffness
+from test_gluing import TIED_CELLS_CHAIN
 
 TWO_PI = 2 * math.pi
 
@@ -224,6 +225,8 @@ BAND_CASES = {
                            0.03),
     "Moebius+disk 1e-8": (chain_family([sk.critical_mobius_metric(), sk.UnitDisk()], 1e-8),
                           0.03),
+    # the ring layout's tied cells between band vertices once failed the certificate
+    "three-disk interior 2e-5, tied cells": TIED_CELLS_CHAIN,
 }
 
 
@@ -238,22 +241,6 @@ def _qhull_sizes(monkeypatch):
     monkeypatch.setattr(meshes, "_qhull_triangles",
                         lambda points: sizes.append(len(points)) or real(points))
     return sizes
-
-
-def _check_certificate_fallback(case, monkeypatch, caplog):
-    family, resolution = BAND_CASES[case]
-    monkeypatch.setattr(meshes, "_interface_delaunay", lambda *args: False)
-    sizes = _qhull_sizes(monkeypatch)
-    with caplog.at_level(logging.DEBUG, logger="steklov.meshes"):
-        fallback = sk.build_glued_mesh(family, resolution)
-    # per distinct component, the band's Qhull call, then the whole chart's
-    failed = [r.getMessage() for r in caplog.records].count(
-        "whole-chart Qhull: certificate failed")
-    assert failed > 0 and len(sizes) == 2 * failed
-    assert all(band < whole for band, whole in zip(sizes[::2], sizes[1::2]))
-    monkeypatch.setattr(meshes, "_band_delaunay", _whole_chart_delaunay)
-    whole = sk.build_glued_mesh(family, resolution)
-    assert np.array_equal(fallback.triangles, whole.triangles)
 
 
 class TestBandDelaunay:
@@ -303,14 +290,16 @@ class TestBandDelaunay:
             sk.build_glued_mesh(family, resolution)
         messages = [record.getMessage() for record in caplog.records]
         assert any(m.startswith("Delaunay band: Qhull on") for m in messages)
-        assert not [m for m in messages if m.startswith("whole-chart Qhull")]
 
-    def test_certificate_failure_falls_back_to_whole_chart_qhull(self, monkeypatch, caplog):
-        _check_certificate_fallback("two-disk interior 1e-2", monkeypatch, caplog)
-
-    def test_arc_certificate_failure_falls_back_to_whole_chart_qhull(self, monkeypatch,
-                                                                      caplog):
-        _check_certificate_fallback("two-disk boundary 0.025", monkeypatch, caplog)
+    @pytest.mark.parametrize("case", ["two-disk interior 1e-2", "two-disk boundary 0.025"])
+    def test_certificate_failure_is_refused(self, case, monkeypatch):
+        family, resolution = BAND_CASES[case]
+        monkeypatch.setattr(meshes, "_interface_delaunay", lambda *args: False)
+        sizes = _qhull_sizes(monkeypatch)
+        with pytest.raises(sk.AssemblyError, match="interface certificate"):
+            sk.build_glued_mesh(family, resolution)
+        # the first chart's band, and no Qhull call on a whole chart
+        assert len(sizes) == 1
 
     def test_certificate_checks_the_opposite_angles(self):
         m = 8
