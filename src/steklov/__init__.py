@@ -22,8 +22,7 @@ from .experiments import (ComparisonRecord, SweepResult, SweepRow,
                           cutoff_energy_law, glue_sweep, glued_limit_spectrum,
                           interior_glue_sweep, neck_mass_diagnostic,
                           noninvariant_comparison, touching_disks_sharpness)
-from .gluing import (Attachment, GluedFamily, build_glued_mesh, build_metric_mesh, glue,
-                     prepare_components)
+from .gluing import (Attachment, GluedFamily, build_glued_mesh, glue, prepare_components)
 from .meshes import (FlatCylinder, MobiusCylinder, SurfaceMesh, UnitDisk,
                      boundary_length, build_cylinder_mesh, build_disk_mesh,
                      build_log_annulus_mesh, build_mobius_mesh, build_spec_mesh,

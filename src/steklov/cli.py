@@ -4,17 +4,16 @@ random-metric eigenvalue bounds, and the acceptance suite.
 Exit status: 0 on success; 1 when a verification criterion or comparison fails,
 or when a computation raises a domain error (printed as `error: <Type>:
 <message>`, with no report written); 2 on usage errors.  Identical invocations
-produce byte-identical output files.  The reports of `spectrum`, `sweep`,
-`compare` and `bounds` are named by a hash of their parameters, so runs that
-differ in any parameter never overwrite each other; `constants` and `verify`
-write fixed names.
+produce byte-identical output files, each written by `experiments.write_json`
+or `experiments.write_csv` (`--format` picks one).  The reports of
+`spectrum`, `sweep`, `compare` and `bounds` are named by a hash of their
+parameters, so runs that differ in any parameter never overwrite each other;
+`constants` and `verify` write fixed names.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -23,10 +22,9 @@ from dataclasses import asdict
 from . import closed_form as cf
 from . import experiments as ex
 from .errors import InvalidParameterError, SteklovError
-from .gluing import build_metric_mesh
-from .meshes import FlatCylinder, MobiusCylinder, UnitDisk
+from .meshes import FlatCylinder, MobiusCylinder, UnitDisk, build_spec_mesh
 from .dtn import steklov_spectrum
-from .spectra import Spectrum, spectrum_csv, spectrum_rows
+from .spectra import Spectrum, spectrum_rows
 
 DOMAIN_ERROR = 1
 USAGE_ERROR = 2
@@ -38,28 +36,15 @@ def _outdir(args) -> str:
     return out
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _dump_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, default=repr)
-        fh.write("\n")
+def _write_rows(args, stem: str, rows: list[dict]) -> None:
+    """Write `stem.json` or `stem.csv`, as `--format` asks."""
+    write = ex.write_csv if args.format == "csv" else ex.write_json
+    write(f"{stem}.{args.format}", rows)
 
 
 def cmd_constants(args) -> int:
-    out = _outdir(args)
-    constants = [asdict(c) for c in cf.all_constants(10)]
-    if args.format == "csv":
-        with open(os.path.join(out, "constants.csv"), "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(
-                [["name", "equation", "value", "residual"]]
-                + [[c["name"], c["equation"], repr(c["value"]), repr(c["residual"])]
-                   for c in constants])
-    else:
-        _dump_json(os.path.join(out, "constants.json"), constants)
+    constants = [asdict(c) for c in cf.all_constants()]
+    _write_rows(args, os.path.join(_outdir(args), "constants"), constants)
     for c in constants:
         print(f"{c['name']:>10} = {c['value']:.12f}   ({c['equation']}, "
               f"residual {c['residual']:.1e})")
@@ -88,7 +73,7 @@ def _spectrum_pair(args) -> dict[str, Spectrum]:
     if args.method in ("closed-form", "both"):
         out["closed-form"] = cf.spectrum_for(spec, args.count)
     if args.method in ("fem", "both"):
-        mesh = build_metric_mesh(spec, args.resolution)
+        mesh = build_spec_mesh(spec, args.resolution).mesh
         out["fem"] = steklov_spectrum(mesh, args.count)
     return out
 
@@ -105,16 +90,11 @@ def cmd_spectrum(args) -> int:
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
     spectra = _spectrum_pair(args)
-    out = _outdir(args)
     params = {"surface": args.surface, "T": args.T, "density": args.density,
               "count": args.count, "method": args.method, "resolution": args.resolution}
-    tag = f"{args.surface}-{ex._params_hash(params)}"
+    stem = os.path.join(_outdir(args), f"spectrum-{args.surface}-{ex._params_hash(params)}")
     for method, spec in spectra.items():
-        stem = os.path.join(out, f"spectrum-{tag}-{method}")
-        if args.format == "json":
-            _dump_json(stem + ".json", spectrum_rows(spec))
-        else:
-            _write_text(stem + ".csv", spectrum_csv(spec))
+        _write_rows(args, f"{stem}-{method}", spectrum_rows(spec))
     if args.method == "both":
         a = spectra["closed-form"].eigenvalues
         b = spectra["fem"].eigenvalues
@@ -123,7 +103,7 @@ def cmd_spectrum(args) -> int:
             scale = max(abs(a[k]), 1e-12)
             rows.append({"k": k, "closed_form": float(a[k]), "fem": float(b[k]),
                          "rel_discrepancy": float(abs(a[k] - b[k]) / scale)})
-        _dump_json(os.path.join(out, f"spectrum-{tag}-discrepancy.json"), rows)
+        _write_rows(args, f"{stem}-discrepancy", rows)
         if len(rows) > 1:
             worst = max(r["rel_discrepancy"] for r in rows[1:])
             print(f"worst relative discrepancy (k >= 1): {worst:.3e}")
@@ -153,10 +133,6 @@ def cmd_sweep(args) -> int:
         rho_list = tuple(float(tok) for tok in args.rho.split(","))
     except ValueError as exc:
         raise InvalidParameterError(f"--rho must be a comma list of numbers: {exc}") from exc
-    for rho in rho_list:
-        _require_positive("--rho", rho)
-    if any(b >= a for a, b in zip(rho_list, rho_list[1:])):
-        raise InvalidParameterError("--rho must be strictly decreasing")
     if args.k is not None and args.k < 1:
         raise InvalidParameterError("--k must be >= 1")
     components, k_default = _preset_components(args.preset, args.k or 2)
@@ -241,7 +217,7 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     payload = [{"index": r.index, "name": r.name, "passed": r.passed,
                 "seconds": r.seconds, "details": r.details} for r in results]
-    _dump_json(os.path.join(out, "verify.json"), payload)
+    ex.write_json(os.path.join(out, "verify.json"), payload)
     return 0 if not failed else 1
 
 

@@ -36,6 +36,7 @@ from .spectra import CLUSTER_RTOL_EXACT, Spectrum, check_count, make_spectrum
 
 ROOT_TOL = 1e-14
 SQRT3 = math.sqrt(3.0)
+CONSTANTS_K_MAX = 10  # all_constants lists T_{k,1} and t_k for k up to this
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +141,10 @@ def constant_tk(k: int) -> Constant:
     return c
 
 
-def all_constants(k_max: int = 10) -> list[Constant]:
+def all_constants() -> list[Constant]:
     out = [constant_T10()]
-    out += [constant_Tk1(k) for k in range(2, k_max + 1)]
-    out += [constant_tk(k) for k in range(1, k_max + 1)]
+    out += [constant_Tk1(k) for k in range(2, CONSTANTS_K_MAX + 1)]
+    out += [constant_tk(k) for k in range(1, CONSTANTS_K_MAX + 1)]
     return out
 
 

@@ -1,13 +1,17 @@
 """Numerical experiments: degeneration sweeps, sharpness chains, eigenvalue
 bound checks on random metrics, cutoff-energy quadrature, and the comparison
-of glued limits against circle-invariant suprema.
+of glued limits against circle-invariant suprema.  A sweep refuses every
+usage error before it meshes anything; a gluing that fails at one rho is a
+failed row.  `write_json` and `write_csv` write every report file.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,32 +21,28 @@ from .dtn import _boundary_index, assemble_stiffness, build_dtn, steklov_spectru
 from .errors import InvalidParameterError, ResolutionError, SteklovError
 from .gluing import (BOUNDARY_NECK, INTERIOR_NECK, Attachment, GluedFamily,
                      build_glued_mesh)
-from .meshes import (FlatCylinder, MobiusCylinder, SurfaceMesh, UnitDisk,
-                     boundary_edge_lengths, build_disk_mesh,
-                     build_log_annulus_mesh, build_spec_mesh,
+from .meshes import (FlatCylinder, SurfaceMesh, UnitDisk, boundary_edge_lengths,
+                     build_disk_mesh, build_log_annulus_mesh, build_spec_mesh,
                      with_conformal_factor)
 from .spectra import Spectrum, merge_spectra
 
 TWO_PI = 2.0 * math.pi
+LIMIT_COUNT = 40         # eigenvalues per part of a glued limit
+DENSITY_MODES = 6        # Fourier modes of a random log-density in bound_check
+DENSITY_AMPLITUDE = 0.3  # bound on each mode's coefficients
+BOUND_SLACK = 0.02       # discretization slack of bound_check's verdict
 
 
 # ---------------------------------------------------------------------------
 # chain layouts
 # ---------------------------------------------------------------------------
 
-def _boundary_anchors(spec) -> tuple[tuple[int, float], tuple[int, float]]:
-    """(loop, theta) pair usable as the right/left attachment of a chain link.
-
-    Antipodal in the chart angle, and kept away from the angle-0 seam so the
-    refined arcs never wrap the parameter origin.
-    """
-    if isinstance(spec, (UnitDisk, FlatCylinder, MobiusCylinder)):
-        return (0, 0.5 * math.pi), (0, 1.5 * math.pi)
-    raise InvalidParameterError(f"no chain anchors for {type(spec).__name__}")
-
-
 def chain_family(components, rho: float, neck_kind: str = BOUNDARY_NECK) -> GluedFamily:
-    """Linear chain: neck i joins component i to component i+1 at antipodal points."""
+    """Linear chain: neck i joins component i to component i+1 at antipodal points.
+
+    Boundary necks land on loop 0 at chart angles pi/2 (right) and 3*pi/2
+    (left), away from the angle-0 seam so the refined arcs never wrap it.
+    """
     components = tuple(components)
     if len(components) < 2:
         raise InvalidParameterError("a chain needs at least two components")
@@ -54,10 +54,8 @@ def chain_family(components, rho: float, neck_kind: str = BOUNDARY_NECK) -> Glue
         interior_right, interior_left = (0.35, 0.0), (-0.35, 0.0)
     for i in range(len(components) - 1):
         if neck_kind == BOUNDARY_NECK:
-            right = _boundary_anchors(components[i])[0]
-            left = _boundary_anchors(components[i + 1])[1]
-            pairs.append((Attachment(i, loop=right[0], theta=right[1]),
-                          Attachment(i + 1, loop=left[0], theta=left[1])))
+            pairs.append((Attachment(i, theta=0.5 * math.pi),
+                          Attachment(i + 1, theta=1.5 * math.pi)))
         else:
             pairs.append((Attachment(i, point=interior_right),
                           Attachment(i + 1, point=interior_left)))
@@ -90,9 +88,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    description: str
     k: int
-    rho_list: tuple[float, ...]
     target: Spectrum
     rows: tuple[SweepRow, ...]
 
@@ -122,25 +118,29 @@ def _component_target(components, resolution: float, count: int) -> Spectrum:
     return merge_spectra([solved[spec] for spec in components])
 
 
-def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
-               description: str) -> SweepResult:
-    rho_list = tuple(float(r) for r in rho_list)
+def _run_sweep(components, k: int, rho_list, resolution: float,
+               neck_kind: str) -> SweepResult:
+    """Every usage error is refused here, before the target is solved."""
+    components, rho_list = tuple(components), tuple(float(r) for r in rho_list)
+    if not all(math.isfinite(rho) and rho > 0 for rho in rho_list):
+        raise InvalidParameterError("every rho must be a positive finite number")
     if any(b >= a for a, b in zip(rho_list, rho_list[1:])):
-        raise InvalidParameterError("rho list must be strictly decreasing")
+        raise InvalidParameterError("the rho list must be strictly decreasing")
+    if len(components) > 1:
+        family_at = lambda rho: chain_family(components, rho, neck_kind)
+    elif (len(components) == 1 and neck_kind == INTERIOR_NECK
+          and isinstance(components[0], FlatCylinder)):
+        family_at = lambda rho: annulus_self_glued(components[0].T, rho)
+    else:
+        raise InvalidParameterError("a sweep needs two components, or one flat cylinder "
+                                    "glued to itself by an interior neck")
     count = max(k + 3, 6)
     target = _component_target(components, resolution, count)
     traced = neck_kind == BOUNDARY_NECK  # neck fractions need the boundary traces
     rows = []
     for rho in rho_list:
         try:
-            if len(components) > 1:
-                family = chain_family(components, rho, neck_kind)
-            elif isinstance(components[0], FlatCylinder):
-                family = annulus_self_glued(components[0].T, rho)
-            else:
-                raise InvalidParameterError(
-                    "self-gluing is implemented for the flat cylinder only")
-            mesh = build_glued_mesh(family, resolution)
+            mesh = build_glued_mesh(family_at(rho), resolution)
             spec = steklov_spectrum(mesh, count, want_vectors=traced)
             errors = tuple(float(abs(spec.eigenvalues[j] - target.eigenvalues[j]))
                            for j in range(k + 1))
@@ -150,29 +150,17 @@ def _run_sweep(components, k: int, rho_list, resolution: float, neck_kind: str,
         except SteklovError as exc:  # recorded, sweep continues
             rows.append(SweepRow(rho, None, None, None, None,
                                  failure=f"{type(exc).__name__}: {exc}"))
-    return SweepResult(description, k, rho_list, target, tuple(rows))
+    return SweepResult(k, target, tuple(rows))
 
 
 def glue_sweep(components, k: int, rho_list, resolution: float) -> SweepResult:
     """Boundary-neck degeneration toward the disjoint union of the components."""
-    components = tuple(components)
-    if len(components) < 2:
-        if rho_list:
-            raise InvalidParameterError("a single component admits no boundary neck")
-        target = _component_target(components, resolution, max(k + 3, 6))
-        return SweepResult("single component", k, (), target, ())
-    names = "+".join(type(c).__name__ for c in components)
-    return _run_sweep(components, k, rho_list, resolution, BOUNDARY_NECK,
-                      f"boundary glue {names}")
+    return _run_sweep(components, k, rho_list, resolution, BOUNDARY_NECK)
 
 
 def interior_glue_sweep(components, k: int, rho_list, resolution: float) -> SweepResult:
     """Interior-neck degeneration; the boundary is untouched at every rho."""
-    components = tuple(components)
-    names = "+".join(type(c).__name__ for c in components)
-    kind = "self interior glue" if len(components) == 1 else "interior glue"
-    return _run_sweep(components, k, rho_list, resolution, INTERIOR_NECK,
-                      f"{kind} {names}")
+    return _run_sweep(components, k, rho_list, resolution, INTERIOR_NECK)
 
 
 def touching_disks_sharpness(k: int, rho: float, resolution: float) -> float:
@@ -202,15 +190,15 @@ class ComparisonRecord:
     chain_check: dict = field(default_factory=dict)
 
 
-def glued_limit_spectrum(surface_kind: str, k: int, count: int = 40) -> Spectrum:
+def glued_limit_spectrum(surface_kind: str, k: int) -> Spectrum:
     """Closed-form spectrum of (critical surface) + (k-1) unit disks, disjoint."""
     if surface_kind == "annulus":
-        head = cf.spectrum_for(cf.critical_catenoid_metric(), count)
+        head = cf.spectrum_for(cf.critical_catenoid_metric(), LIMIT_COUNT)
     elif surface_kind == "mobius":
-        head = cf.spectrum_for(cf.critical_mobius_metric(), count)
+        head = cf.spectrum_for(cf.critical_mobius_metric(), LIMIT_COUNT)
     else:
         raise InvalidParameterError("surface kind must be 'annulus' or 'mobius'")
-    parts = [head] + [cf.disk_spectrum(count) for _ in range(k - 1)]
+    parts = [head] + [cf.disk_spectrum(LIMIT_COUNT) for _ in range(k - 1)]
     return merge_spectra(parts)
 
 
@@ -247,23 +235,22 @@ def noninvariant_comparison(surface_kind: str, k: int) -> ComparisonRecord:
 # eigenvalue-bound property checks on random metrics
 # ---------------------------------------------------------------------------
 
-def _random_log_density(rng: np.random.Generator, angles: np.ndarray,
-                        modes: int = 6, amplitude: float = 0.3) -> np.ndarray:
-    a = rng.uniform(-amplitude, amplitude, size=modes)
-    b = rng.uniform(-amplitude, amplitude, size=modes)
+def _random_log_density(rng: np.random.Generator, angles: np.ndarray) -> np.ndarray:
+    a = rng.uniform(-DENSITY_AMPLITUDE, DENSITY_AMPLITUDE, size=DENSITY_MODES)
+    b = rng.uniform(-DENSITY_AMPLITUDE, DENSITY_AMPLITUDE, size=DENSITY_MODES)
     log_lam = np.zeros_like(angles)
-    for m in range(1, modes + 1):
+    for m in range(1, DENSITY_MODES + 1):
         log_lam += a[m - 1] * np.cos(m * angles) + b[m - 1] * np.sin(m * angles)
     return np.exp(log_lam)
 
 
 def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
-                resolution: float | None = None, slack: float = 0.02) -> dict:
+                resolution: float | None = None) -> dict:
     """Seeded random-metric sweep against the normalized-eigenvalue upper bound.
 
     kind 'hps-disk': sigma_bar_k <= 2*pi*k on the disk; 'karpukhin-annulus':
     sigma_bar_k <= 2*pi*(k+1) on the cylinder.  Reports worst ratios; the
-    verdict allows the stated discretization slack.
+    verdict allows BOUND_SLACK.  Resolution None means 0.03 (disk), 0.045 (cylinder).
     """
     if trials < 1 or k_max < 1:
         raise InvalidParameterError("trials and k_max must be >= 1")
@@ -271,7 +258,7 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
         raise InvalidParameterError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     if kind == "hps-disk":
-        mesh = build_disk_mesh(resolution or 0.03)
+        mesh = build_disk_mesh(0.03 if resolution is None else resolution)
         b_idx = _require_pairs(k_max, mesh)
         op = build_dtn(mesh)
         chart_of = _chart_representatives(mesh, b_idx)
@@ -286,7 +273,8 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
         row = {"trial": trial}
         if kind == "karpukhin-annulus":  # a cylinder of random height per trial
             row["T"] = float(rng.uniform(0.6, 3.0))
-            mesh = build_spec_mesh(FlatCylinder(row["T"]), resolution or 0.045).mesh
+            mesh = build_spec_mesh(FlatCylinder(row["T"]),
+                                   0.045 if resolution is None else resolution).mesh
             b_idx = _require_pairs(k_max, mesh)
             angles = mesh.vertices[_chart_representatives(mesh, b_idx), 0]  # chart x is theta
         lam = np.ones(mesh.n_logical)
@@ -302,9 +290,9 @@ def bound_check(kind: str, trials: int, seed: int, k_max: int = 5,
             row["failure"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     worst = max((r["worst"] for r in rows if "worst" in r), default=math.nan)
-    ok = all("worst" in r and r["worst"] <= 1.0 + slack for r in rows)
+    ok = all("worst" in r and r["worst"] <= 1.0 + BOUND_SLACK for r in rows)
     return {"kind": kind, "trials": trials, "seed": seed, "k_max": k_max,
-            "slack": slack, "rows": rows, "worst_ratio": worst,
+            "slack": BOUND_SLACK, "rows": rows, "worst_ratio": worst,
             "verdict": "pass" if ok else "fail"}
 
 
@@ -381,28 +369,29 @@ def _params_hash(params: dict) -> str:
     return hashlib.sha1(canon).hexdigest()[:10]
 
 
-def write_report(outdir, experiment: str, params: dict, rows: list, verdict: str) -> dict:
-    """JSON report plus a CSV of the raw rows; names derive from a parameter hash."""
-    import csv
-    import os
-    os.makedirs(outdir, exist_ok=True)
-    stem = f"{experiment}-{_params_hash(params)}"
-    payload = {"experiment": experiment, "params": params, "rows": rows,
-               "verdict": verdict}
-    json_path = os.path.join(outdir, stem + ".json")
-    with open(json_path, "w") as fh:
+def write_json(path: str, payload) -> None:
+    """JSON with sorted keys; a value JSON cannot encode is written as its repr."""
+    with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, default=repr)
         fh.write("\n")
-    csv_path = os.path.join(outdir, stem + ".csv")
-    keys: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
-    with open(csv_path, "w", newline="") as fh:
+
+
+def write_csv(path: str, rows: list[dict]) -> None:
+    """One line per row; columns in first-seen key order, floats as their repr."""
+    keys = list(dict.fromkeys(key for row in rows for key in row))
+    with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({key: repr(v) if isinstance(v, float) else v
-                             for key, v in row.items()})
-    return {"json": json_path, "csv": csv_path}
+        writer.writerows({key: repr(v) if isinstance(v, float) else v
+                          for key, v in row.items()} for row in rows)
+
+
+def write_report(outdir, experiment: str, params: dict, rows: list, verdict: str) -> dict:
+    """JSON report plus a CSV of the raw rows; names derive from a parameter hash."""
+    os.makedirs(outdir, exist_ok=True)
+    stem = os.path.join(outdir, f"{experiment}-{_params_hash(params)}")
+    paths = {"json": stem + ".json", "csv": stem + ".csv"}
+    write_json(paths["json"], {"experiment": experiment, "params": params, "rows": rows,
+                               "verdict": verdict})
+    write_csv(paths["csv"], rows)
+    return paths

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError
-from .meshes import (NECK_SEGMENTS, ArcSite, Component, FlatCylinder, HoleSite,
-                     MobiusCylinder, SurfaceMesh, UnitDisk, _fan, _grid_cells,
-                     assemble_mesh, build_spec_mesh, check_mesh_budget,
+from .meshes import (NECK_SEGMENTS, ArcSite, Component, HoleSite, SurfaceMesh, _fan,
+                     _grid_cells, assemble_mesh, build_spec_mesh, check_mesh_budget,
                      place_sites)
 
 TWO_PI = 2.0 * math.pi
@@ -53,9 +52,6 @@ class GluedFamily:
     rho: float
     pairs: tuple[tuple[Attachment, Attachment], ...]
     neck_kind: str = BOUNDARY_NECK
-
-
-MetricSpec = UnitDisk | FlatCylinder | MobiusCylinder | GluedFamily
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +169,3 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
 
 def build_glued_mesh(family: GluedFamily, resolution: float) -> SurfaceMesh:
     return glue(prepare_components(family, resolution), family)
-
-
-def build_metric_mesh(spec: MetricSpec, resolution: float) -> SurfaceMesh:
-    """Mesh any metric description, glued families included."""
-    if isinstance(spec, GluedFamily):
-        return build_glued_mesh(spec, resolution)
-    return build_spec_mesh(spec, resolution).mesh

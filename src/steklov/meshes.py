@@ -51,6 +51,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import AssemblyError, InvalidGluingError, InvalidParameterError
 
 TWO_PI = 2.0 * math.pi
+FILL_GROWTH = 0.4  # spacing growth per unit length of a graded 1-D grid (_fill_graded)
 
 logger = logging.getLogger(__name__)
 
@@ -308,9 +309,8 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
 # graded 1-D grids
 # ---------------------------------------------------------------------------
 
-def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float,
-                 growth: float = 0.4) -> np.ndarray:
-    """Nodes on [a, b] with end spacings h_a, h_b growing toward h_max.
+def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float) -> np.ndarray:
+    """Nodes on [a, b] with end spacings h_a, h_b growing by FILL_GROWTH toward h_max.
 
     The node density 1/h is integrated by the trapezoid rule on steps of
     h_max / 8, refined near a fine end by steps of h / 32 that grow
@@ -322,13 +322,14 @@ def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float,
     if span <= 1.2 * min(h_a, h_b):
         return np.array([a, b])
     xs = np.linspace(a, b, max(64, int(8 * span / h_max) + 1))
-    ratio = 1.0 + growth / 32.0
+    ratio = 1.0 + FILL_GROWTH / 32.0
     for end, h_end, inward in ((a, h_a, 1.0), (b, h_b, -1.0)):
         if h_end < h_max:
             steps = np.arange(int(math.log(h_max / h_end) / math.log(ratio)) + 1)
-            d = h_end / growth * (ratio ** steps - 1.0)  # d_{i+1} - d_i = h(d_i) / 32
+            d = h_end / FILL_GROWTH * (ratio ** steps - 1.0)  # d_{i+1} - d_i = h(d_i) / 32
             xs = np.union1d(xs, end + inward * d[d < span])
-    h = np.minimum(h_max, np.minimum(h_a + growth * (xs - a), h_b + growth * (b - xs)))
+    h = np.minimum(h_max, np.minimum(h_a + FILL_GROWTH * (xs - a),
+                                     h_b + FILL_GROWTH * (b - xs)))
     w = 1.0 / h
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))])
     n = max(1, int(round(cum[-1])))

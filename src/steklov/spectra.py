@@ -3,12 +3,11 @@
 The normalized eigenvalue sigma_bar_k = sigma_k * L is the homothety-invariant
 quantity all experiments compare; multiplicity clusters group eigenvalues that
 agree to a relative tolerance (1e-9 for closed forms, 1e-3 for FEM output).
+`spectrum_rows` gives a spectrum's report rows; `experiments` writes them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,12 +124,3 @@ def spectrum_rows(spec: Spectrum) -> list[dict]:
     return [{"k": k, "sigma": float(spec.eigenvalues[k]),
              "sigma_bar": float(spec.normalized[k]), "multiplicity": multiplicity[k]}
             for k in range(spec.eigenvalues.size)]
-
-
-def spectrum_csv(spec: Spectrum) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "sigma", "sigma_bar", "multiplicity"])
-    for row in spectrum_rows(spec):
-        writer.writerow([row["k"], repr(row["sigma"]), repr(row["sigma_bar"]), row["multiplicity"]])
-    return buf.getvalue()

@@ -81,6 +81,20 @@ class TestSpectrum:
         assert max(r["rel_discrepancy"] for r in rows[1:]) < 0.02
         assert "worst relative discrepancy" in capsys.readouterr().out
 
+    def test_both_methods_csv_writes_every_report_as_csv(self, tmp_path, monkeypatch):
+        argv = ["spectrum", "--surface", "disk", "--count", "4", "--method", "both",
+                "--resolution", "0.1"]
+        assert run(argv, tmp_path, monkeypatch, "json")[0] == 0
+        code, out = run(argv + ["--format", "csv"], tmp_path, monkeypatch, "csv")
+        assert code == 0
+        assert sorted(p.suffix for p in out.iterdir()) == [".csv"] * 3
+        [path] = out.glob("spectrum-disk-*-discrepancy.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        [json_path] = (tmp_path / "json").glob("spectrum-disk-*-discrepancy.json")
+        expected = json.loads(json_path.read_text())
+        assert [{key: float(v) for key, v in row.items()} for row in rows] == expected
+
     def test_both_methods_with_one_eigenvalue(self, tmp_path, monkeypatch, capsys):
         code, out = run(["spectrum", "--surface", "disk", "--count", "1",
                          "--method", "both", "--resolution", "0.1"],
@@ -317,6 +331,8 @@ class TestFemArgumentProperties:
     @example(argv=["spectrum", "--surface", "disk", "--method", "fem", "--resolution=5e-324"])
     @example(argv=["sweep", "--preset", "two-disks", "--resolution=0.001"])
     @example(argv=["sweep", "--preset", "two-disks-interior", "--rho=0.1,-inf"])
+    @example(argv=["sweep", "--preset", "two-disks-interior", "--rho=0.05,0.1"])
+    @example(argv=["sweep", "--preset", "k-disks", "--k", "1", "--rho=0.1,0.05"])
     @example(argv=["spectrum", "--surface", "mobius", "--method", "fem", "--T=inf"])
     def test_usage_error_before_meshing(self, argv):
         with _nothing_built():

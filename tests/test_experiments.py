@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,11 +54,11 @@ class TestGlueSweep:
             sk.glue_sweep([sk.UnitDisk()] * 2, 2, (0.05, 0.1), 0.1)
 
     def test_single_component_degenerate(self):
-        sweep = sk.glue_sweep([sk.UnitDisk()], k=1, rho_list=(), resolution=0.1)
-        assert sweep.rows == ()
-        assert sweep.target.sigma_bar(1) == pytest.approx(TWO_PI, rel=1e-2)
-        with pytest.raises(sk.InvalidParameterError):
-            sk.glue_sweep([sk.UnitDisk()], k=1, rho_list=(0.1,), resolution=0.1)
+        target = steklov.experiments._component_target([sk.UnitDisk()], 0.1, 6)
+        assert target.sigma_bar(1) == pytest.approx(TWO_PI, rel=1e-2)
+        for rho_list in ((), (0.1,)):  # a disk has no neck to itself, with or without rho
+            with pytest.raises(sk.InvalidParameterError):
+                sk.glue_sweep([sk.UnitDisk()], k=1, rho_list=rho_list, resolution=0.1)
 
     def test_failures_recorded_not_raised(self):
         sweep = sk.glue_sweep([sk.UnitDisk(), sk.UnitDisk()], k=2,
@@ -89,6 +90,32 @@ class TestGlueSweep:
     def test_programming_error_propagates(self, monkeypatch):
         with pytest.raises(TypeError, match="injected"):
             self._sweep_raising(monkeypatch, TypeError("injected"))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a refused sweep reached a mesh builder or a solver")
+
+
+class TestSweepRefusals:
+    """Every usage error of a sweep is refused before anything is meshed or solved."""
+
+    @pytest.mark.parametrize("sweep, components, rho_list", [
+        pytest.param(sk.interior_glue_sweep, [sk.UnitDisk()], (0.1, 0.05), id="one-disk"),
+        pytest.param(sk.interior_glue_sweep, [sk.MobiusCylinder(1.0)], (0.1, 0.05),
+                     id="one-moebius-band"),
+        pytest.param(sk.glue_sweep, [sk.FlatCylinder(1.0)], (0.1,),
+                     id="one-cylinder-boundary-neck"),
+        pytest.param(sk.glue_sweep, [sk.UnitDisk()] * 2, (0.1, -0.05), id="negative-rho"),
+        pytest.param(sk.glue_sweep, [sk.UnitDisk()] * 2, (0.1, math.nan), id="nan-rho"),
+        pytest.param(sk.interior_glue_sweep, [sk.UnitDisk()] * 2, (0.1, math.inf),
+                     id="infinite-rho"),
+        pytest.param(sk.glue_sweep, [sk.UnitDisk()] * 2, (0.05, 0.1), id="increasing-rho"),
+    ])
+    def test_refused_before_meshing(self, sweep, components, rho_list):
+        with mock.patch.multiple(steklov.experiments, build_spec_mesh=_forbidden,
+                                 build_glued_mesh=_forbidden, steklov_spectrum=_forbidden):
+            with pytest.raises(sk.InvalidParameterError):
+                sweep(components, 1, rho_list, 0.1)
 
 
 class TestInteriorSweep:
@@ -221,6 +248,12 @@ class TestBoundCheck:
     def test_unknown_kind(self):
         with pytest.raises(sk.InvalidParameterError):
             sk.bound_check("nope", trials=1, seed=0)
+
+    @pytest.mark.parametrize("kind", ["hps-disk", "karpukhin-annulus"])
+    def test_zero_resolution_refused(self, kind):
+        # 0.0 reaches the mesh budget; it is not replaced by the default resolution
+        with pytest.raises(sk.InvalidParameterError, match="resolution must lie in"):
+            sk.bound_check(kind, 1, 0, k_max=2, resolution=0.0)
 
 
 class TestCutoffEnergy:

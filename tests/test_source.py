@@ -37,3 +37,24 @@ def test_dtn_never_reads_chart_geometry():
     reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in ("vertices", "triangles")]
     assert reads == [], f"dtn.py reads chart geometry at lines {reads}"
+
+
+def _report_writes(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            yield node.lineno, "open"
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and (f.value.id, f.attr) in (("json", "dump"), ("csv", "writer"),
+                                           ("csv", "DictWriter"))):
+            yield node.lineno, f"{f.value.id}.{f.attr}"
+
+
+# one owner of the report formats: `experiments.write_json` and `write_csv`
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "experiments.py"],
+                         ids=lambda p: p.name)
+def test_only_experiments_writes_reports(path):
+    writes = list(_report_writes(ast.parse(path.read_text())))
+    assert writes == [], f"{path.name} writes files at {writes}"

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steklov as sk
-from steklov.spectra import (EMPTY, cluster_indices, make_spectrum, spectrum_csv,
-                             spectrum_rows)
+from steklov.experiments import write_csv
+from steklov.spectra import EMPTY, cluster_indices, make_spectrum, spectrum_rows
 
 
 def spectrum_strategy():
@@ -95,9 +95,9 @@ class TestMerge:
 
 
 class TestCsv:
-    def test_header_and_rows(self):
-        text = spectrum_csv(sk.disk_spectrum(4))
-        lines = text.strip().splitlines()
+    def test_header_and_rows(self, tmp_path):
+        write_csv(tmp_path / "disk.csv", spectrum_rows(sk.disk_spectrum(4)))
+        lines = (tmp_path / "disk.csv").read_text().strip().splitlines()
         assert lines[0] == "k,sigma,sigma_bar,multiplicity"
         assert len(lines) == 5
         k, sigma, sigma_bar, mult = lines[2].split(",")
