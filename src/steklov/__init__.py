@@ -24,9 +24,9 @@ from .experiments import (ComparisonRecord, SweepResult, SweepRow,
                           noninvariant_comparison, touching_disks_sharpness)
 from .gluing import (Attachment, GluedFamily, build_glued_mesh, glue, prepare_components)
 from .meshes import (FlatCylinder, MobiusCylinder, SurfaceMesh, UnitDisk,
-                     boundary_length, build_cylinder_mesh, build_disk_mesh,
-                     build_log_annulus_mesh, build_mobius_mesh, build_spec_mesh,
-                     euler_characteristic, validate_mesh, with_conformal_factor)
+                     boundary_length, build_disk_mesh, build_log_annulus_mesh,
+                     build_mobius_mesh, build_spec_mesh, euler_characteristic,
+                     validate_mesh, with_conformal_factor)
 from .spectra import EMPTY, Spectrum, make_spectrum, merge_spectra
 
 __version__ = "0.1.0"

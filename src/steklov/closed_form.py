@@ -43,11 +43,11 @@ CONSTANTS_K_MAX = 10  # all_constants lists T_{k,1} and t_k for k up to this
 # root solving and the transcendental constants
 # ---------------------------------------------------------------------------
 
-def solve_bracketed_root(f, a: float, b: float, tol: float = ROOT_TOL) -> float:
+def solve_bracketed_root(f, a: float, b: float) -> float:
     """Root of f in [a, b]; requires a sign change on the bracket.
 
     A step-for-step port of scipy's brentq (Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4; scipy's Zeros/brentq.c) with xtol = tol,
+    without Derivatives*, 1973, ch. 4; scipy's Zeros/brentq.c) with xtol = ROOT_TOL,
     rtol = 4 eps and at most 200 iterations, so it returns the same float.
     """
     xpre, xcur = float(a), float(b)
@@ -67,7 +67,7 @@ def solve_bracketed_root(f, a: float, b: float, tol: float = ROOT_TOL) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + rtol * abs(xcur)) / 2
+        delta = (ROOT_TOL + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -274,7 +274,7 @@ def spectrum_for(spec, count: int) -> Spectrum:
         return cylinder_spectrum(spec.T, spec.boundary_density, count)
     if isinstance(spec, MobiusCylinder):
         return mobius_spectrum(spec.T, count, spec.boundary_density)
-    if isinstance(spec, UnitDisk) and spec.conformal_factor_field is None:
+    if isinstance(spec, UnitDisk):
         return disk_spectrum(count)
     raise InvalidParameterError(f"no closed form for {type(spec).__name__}")
 

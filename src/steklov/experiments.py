@@ -31,6 +31,8 @@ LIMIT_COUNT = 40         # eigenvalues per part of a glued limit
 DENSITY_MODES = 6        # Fourier modes of a random log-density in bound_check
 DENSITY_AMPLITUDE = 0.3  # bound on each mode's coefficients
 BOUND_SLACK = 0.02       # discretization slack of bound_check's verdict
+CUTOFF_R0 = 0.5          # cutoff_energy_law refuses sqrt(rho) above this radius
+CUTOFF_RESOLUTION = 0.05  # log-step and angle step of cutoff_energy_law's annulus
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,7 @@ def _chart_representatives(mesh: SurfaceMesh, logical_ids: np.ndarray) -> np.nda
 # logarithmic cutoff energy
 # ---------------------------------------------------------------------------
 
-def cutoff_energy_law(rho_list, r0: float = 0.5, resolution: float = 0.05) -> dict:
+def cutoff_energy_law(rho_list) -> dict:
     """P1 quadrature of the transition-annulus energy of the log cutoff.
 
     The cutoff (log r - log rho)/log(1/sqrt(rho)) rises from 0 at r=rho to 1
@@ -326,10 +328,10 @@ def cutoff_energy_law(rho_list, r0: float = 0.5, resolution: float = 0.05) -> di
         if not 0 < rho < 1:
             raise InvalidParameterError("rho must lie in (0, 1)")
         r_in, r_out = rho, math.sqrt(rho)
-        if r_out > r0:
-            raise InvalidParameterError("need sqrt(rho) <= r0")
-        n_ang = max(16, int(round(TWO_PI / resolution)))
-        n_rad = max(8, int(round(math.log(r_out / r_in) / resolution)))
+        if r_out > CUTOFF_R0:
+            raise InvalidParameterError(f"need sqrt(rho) <= {CUTOFF_R0}")
+        n_ang = max(16, int(round(TWO_PI / CUTOFF_RESOLUTION)))
+        n_rad = max(8, int(round(math.log(r_out / r_in) / CUTOFF_RESOLUTION)))
         mesh = build_log_annulus_mesh(r_in, r_out, n_rad, n_ang)
         K = assemble_stiffness(mesh)
         r = np.linalg.norm(mesh.vertices, axis=1)

@@ -82,14 +82,14 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
 
     Component i's interfaces are taken in the order `prepare_components` gave
     its sites: pair by pair, the first attachment of a pair before the second.
-    Charts and necks are placed side by side, left to right.
+    Each neck end takes the boundary density of its end's component.
     """
     m = NECK_SEGMENTS
     pieces = [c.vertices for c in components]
     offsets = np.cumsum([0] + [len(p) for p in pieces])
     triangles = [c.triangles + o for c, o in zip(components, offsets)]
     idents = [c.identifications + o for c, o in zip(components, offsets)]
-    lam = [c.conformal_chart for c in components]
+    lam = [np.full(len(c.vertices), c.density) for c in components]
     wanted = np.bincount([att.component for pair in family.pairs for att in pair],
                          minlength=len(components))
     if wanted.tolist() != [len(c.interfaces) for c in components]:
@@ -98,12 +98,12 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     sides = []
     n = int(offsets[-1])
     for a, b in family.pairs:
-        if_a, if_b = next(unused[a.component]), next(unused[b.component])
-        ids_a = if_a.chart_ids + offsets[a.component]
-        ids_b = if_b.chart_ids + offsets[b.component]
+        ids_a = next(unused[a.component]) + offsets[a.component]
+        ids_b = next(unused[b.component]) + offsets[b.component]
+        lam_a, lam_b = components[a.component].density, components[b.component].density
         if family.neck_kind == BOUNDARY_NECK:
             # a square: side 2*rho both ways, centred on the arc
-            pts, tris, lam_neck, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, m, m,
+            pts, tris, lam_neck, idx = _graded_strip(family.rho, lam_a, lam_b, m, m,
                                                      2.0 * family.rho, -0.5)
             idx = idx + n
             sides.append(np.concatenate([idx[:, 0], idx[:, m]]))
@@ -112,7 +112,7 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
         else:
             # a tube: circumference 2*pi*rho, seam at columns 0 and m
             rows = max(2, int(round(m / math.pi)))
-            pts, tris, lam_neck, idx = _graded_strip(family.rho, if_a.lam, if_b.lam, rows, m,
+            pts, tris, lam_neck, idx = _graded_strip(family.rho, lam_a, lam_b, rows, m,
                                                      TWO_PI * family.rho, 0.0)
             idx = idx + n
             reflect = (m - np.arange(m)) % m
@@ -123,11 +123,7 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
         triangles.append(tris + n)
         lam.append(lam_neck)
         n += len(pts)
-    x_cursor, placed = 0.0, []
-    for pts in pieces:
-        placed.append(pts + np.array([x_cursor - pts[:, 0].min(), 0.0]))
-        x_cursor += (pts[:, 0].max() - pts[:, 0].min()) + 2.0
-    return assemble_mesh(np.concatenate(placed), np.concatenate(triangles),
+    return assemble_mesh(np.concatenate(pieces), np.concatenate(triangles),
                          np.concatenate(idents), np.concatenate(lam),
                          tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {})
 

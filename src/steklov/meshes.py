@@ -31,9 +31,11 @@ with `AssemblyError`: it has no other route.  `check_mesh_budget` refuses,
 before anything is built, meshes estimated above MAX_MESH_VERTICES and grid
 charts lower than MIN_CHART_HEIGHT.
 
-Builders return a `Component`: chart arrays plus neck interfaces.  A glued
-mesh is assembled once from its components' arrays; a component's own `mesh`
-is assembled only when a plain surface asks for it.
+Every chart carries one constant boundary density: in two dimensions a metric
+reaches the Steklov spectrum only through it, and `with_conformal_factor` sets
+any other.  Builders return a `Component`: chart arrays, that density and the
+neck interfaces.  A glued mesh is assembled once from its components' arrays;
+a component's own `mesh` is assembled only when a plain surface asks for it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,8 +64,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class UnitDisk:
-    """Euclidean unit disk, optionally with a conformal factor field lambda(x, y)."""
-    conformal_factor_field: Callable[[float, float], float] | None = None
+    """Euclidean unit disk, boundary density 1."""
 
 
 @dataclass(frozen=True)
@@ -360,19 +361,11 @@ class HoleSite:
     rho: float
 
 
-@dataclass(frozen=True)
-class Interface:
-    """Ordered chart vertex chain where a neck glues on, with the local density.
-
-    Builders return one interface per site, arcs first, each kind in site order.
-    """
-    chart_ids: np.ndarray
-    lam: float
-
-
 @dataclass(frozen=True, eq=False)
 class Component:
-    """Chart arrays of one surface, as `assemble_mesh` takes them, and its interfaces.
+    """Chart arrays of one surface, as `assemble_mesh` takes them, its boundary
+    density and its interfaces: the ordered chart vertex chains where necks glue
+    on, one per site, arcs first, each kind in site order.
 
     A glue concatenates the chart arrays of its components and assembles the
     glued mesh once; `mesh` assembles a component alone, for a plain surface.
@@ -380,26 +373,18 @@ class Component:
     vertices: np.ndarray
     triangles: np.ndarray
     identifications: np.ndarray
-    conformal_chart: np.ndarray
-    interfaces: tuple[Interface, ...]
+    density: float
+    interfaces: tuple[np.ndarray, ...]
 
     @cached_property
     def mesh(self) -> SurfaceMesh:
         return assemble_mesh(self.vertices, self.triangles, self.identifications,
-                             self.conformal_chart)
+                             np.full(len(self.vertices), self.density))
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
     s = np.clip(s, 0.0, 1.0)
     return s * s * (3.0 - 2.0 * s)
-
-
-def _blend_to_site(lam_chart: np.ndarray, points: np.ndarray, center, lam_p: float,
-                   r_flat: float, r_out: float) -> np.ndarray:
-    """Flatten the conformal factor to lam_p inside r_flat, untouched outside r_out."""
-    d = np.linalg.norm(points - np.asarray(center), axis=1)
-    w = _smoothstep((d - r_flat) / (r_out - r_flat))
-    return lam_p * (1.0 - w) + lam_chart * w
 
 
 def _patch_rings(center, h0: float, resolution: float, r_start: float, keep,
@@ -567,10 +552,9 @@ def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site
 
 
 class Placement(NamedTuple):
-    """A neck site on its chart: the chart centre, the conformal factor there,
-    and the chart size rho / lam (an arc's half-length or a rim's radius)."""
+    """A neck site on its chart: the chart centre, and the chart size rho / lam
+    (an arc's half-length or a rim's radius), lam the chart's boundary density."""
     centre: np.ndarray
-    lam: float
     size: float
 
 
@@ -581,16 +565,15 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
     Every refusal of a site is made here, before anything is meshed.
     `InvalidParameterError`: an unknown chart, a T or boundary density that
     is not positive, an arc on a loop the chart lacks.  `InvalidGluingError`:
-    a chart size rho / lam below MIN_CHART_SIZE; rho not below a quarter of an
-    arc's clearance on its loop (the angle to the nearest other arc there times
-    the smaller lam, or 2 pi lam alone); arc spans (`arc_collar`) that
-    overlap each other or a grid chart's theta seam; a rim whose placed
-    radius, doubled, reaches the chart's boundary, rows or seam; two rims
-    closer than 4 (r_i + r_j) at their placed radii.
+    a chart size rho / lam below MIN_CHART_SIZE, lam the chart's boundary
+    density; rho not below a quarter of an arc's clearance on its loop (the
+    angle to the nearest other arc there times lam, or 2 pi lam alone); arc
+    spans (`arc_collar`) that overlap each other or a grid chart's theta seam;
+    a rim whose placed radius, doubled, reaches the chart's boundary, rows or
+    seam; two rims closer than 4 (r_i + r_j) at their placed radii.
     """
     if isinstance(spec, UnitDisk):
-        field = spec.conformal_factor_field
-        lam_at = (lambda p: 1.0) if field is None else (lambda p: float(field(*p)))
+        lam = 1.0
         arcs = [np.array([math.cos(s.theta), math.sin(s.theta)]) for s in arc_sites]
         loops, seam = (0,), []
         # the circle's angles count from the first arc, as `_disk_component` turns them
@@ -599,13 +582,12 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
         def reaches(p, reach):
             return np.linalg.norm(p) + reach >= 1.0
     elif isinstance(spec, (FlatCylinder, MobiusCylinder)):
-        T, density = spec.T, spec.boundary_density
+        T, lam = spec.T, spec.boundary_density
         if not T > 0:
             raise InvalidParameterError("chart height T must be positive")
-        if not density > 0:
+        if not lam > 0:
             raise InvalidParameterError("boundary density must be positive")
         mobius = isinstance(spec, MobiusCylinder)
-        lam_at = lambda p: density
         arcs = [np.array([s.theta % TWO_PI, 0.0 if s.loop == 0 and not mobius else T])
                 for s in arc_sites]
         loops, seam, origin = ((0,) if mobius else (0, 1)), [(0.0, 0.0)], 0.0
@@ -618,9 +600,7 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
         if site.loop not in loops:
             raise InvalidParameterError(f"{type(spec).__name__} has boundary loops {loops}")
     centres = arcs + [np.asarray(s.point, dtype=float) for s in hole_sites]
-    lams = [lam_at(c) for c in centres]
-    placed = [Placement(c, lam, site.rho / lam)
-              for site, c, lam in zip([*arc_sites, *hole_sites], centres, lams)]
+    placed = [Placement(c, site.rho / lam) for site, c in zip([*arc_sites, *hole_sites], centres)]
     if any(p.size < MIN_CHART_SIZE for p in placed):
         raise InvalidGluingError(f"neck chart size rho / lambda below the floor "
                                  f"{MIN_CHART_SIZE:g}")
@@ -629,11 +609,11 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
     for site, p in zip(arc_sites, placed):
         by_loop.setdefault(site.loop, []).append((site, p))
     for on in by_loop.values():
-        gaps = [(TWO_PI * on[0][1].lam, on[0][0].rho)] if len(on) == 1 else []
-        for i, (a, pa) in enumerate(on):
-            for b, pb in on[i + 1:]:
+        gaps = [(TWO_PI * lam, on[0][0].rho)] if len(on) == 1 else []
+        for i, (a, _) in enumerate(on):
+            for b, _ in on[i + 1:]:
                 d = abs(a.theta % TWO_PI - b.theta % TWO_PI)
-                gaps.append((min(d, TWO_PI - d) * min(pa.lam, pb.lam), max(a.rho, b.rho)))
+                gaps.append((min(d, TWO_PI - d) * lam, max(a.rho, b.rho)))
         if any(not rho < gap / 4.0 for gap, rho in gaps):
             raise InvalidGluingError("rho is not below a quarter of the attachment clearance")
         spans = list(seam)
@@ -952,9 +932,6 @@ def _layout_split(points: np.ndarray, layout_xy: np.ndarray, cells: np.ndarray,
 def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSite] = (),
                     hole_sites: Sequence[HoleSite] = ()) -> Component:
     placed = place_sites(spec, arc_sites, hole_sites)
-    field = spec.conformal_factor_field
-    base_lam = (lambda xy: np.ones(len(xy))) if field is None else \
-        (lambda xy: np.array([field(x, y) for x, y in xy]))
 
     # turned to put the first arc on a circle node: a disk with one arc then
     # meshes alike at every angle
@@ -968,12 +945,12 @@ def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSi
         points, triangles, true_ids = layout.points, layout_tris, []
     else:
         sites, blocks = [], []
-        for site, (p, _, w) in zip(arc_sites, placed):  # w: chart angle = arclength
+        for site, (p, w) in zip(arc_sites, placed):  # w: chart angle = arclength
             arc, half = _arc_site(p, w, lambda z: np.exp(1j * (site.theta + z)), site.theta)
             sites.append(arc)
             mid = (site.theta - turn) % TWO_PI
             blocks.append((mid - half, mid + half, arc.h0))
-        sites += [_hole_site(p, r_rim) for p, _, r_rim in placed[len(arc_sites):]]
+        sites += [_hole_site(p, r_rim) for p, r_rim in placed[len(arc_sites):]]
         head, head_ids = layout.points[:n_b], np.arange(n_b)
         if blocks:
             angles, head_ids = _disk_boundary(np.linspace(0.0, TWO_PI, n_b + 1)[:-1], blocks)
@@ -985,20 +962,7 @@ def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSi
             points, layout.points, layout_tris, np.concatenate([head_ids, background_ids]),
             exclusions, 2.0 / (len(layout.counts) - 1)))
         points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
-
-    # a site's blend ends at 2 sqrt(rho) / lam_p, or halfway to the nearest other
-    # site, so that no blend reaches another's interface; it is flat over the
-    # inner half of that, and at least over the site's own interface
-    lam_chart = base_lam(points)
-    centres = np.array([p.centre for p in placed])
-    for i, (site, (p, lam_p, size)) in enumerate(zip([*arc_sites, *hole_sites], placed)):
-        gap = np.delete(np.linalg.norm(centres - p, axis=1), i).min(initial=math.inf)
-        r_out = min(2.0 * math.sqrt(site.rho) / lam_p, gap / 2.0)
-        lam_chart = _blend_to_site(lam_chart, points, p, lam_p, max(r_out / 2.0, size), r_out)
-
-    interfaces = tuple(Interface(ids, lam_p) for (_, lam_p, _), ids in zip(placed, true_ids))
-    return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), lam_chart,
-                     interfaces)
+    return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), 1.0, tuple(true_ids))
 
 
 def build_disk_mesh(resolution: float) -> SurfaceMesh:
@@ -1064,24 +1028,23 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
         theta = np.concatenate([half, half + math.pi, [TWO_PI]])
     else:
         theta = np.linspace(0.0, TWO_PI, max(8, int(round(TWO_PI / resolution))) + 1)
-    t = (_fill_graded(0.0, T, resolution, resolution, resolution) if not placed
-         else np.linspace(0.0, T, max(2, int(round(T / resolution))) + 1))
+    t = np.linspace(0.0, T, max(2, int(round(T / resolution))) + 1)
     grid_th, grid_t = np.meshgrid(theta, t)
     base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)  # chart x = theta, y = t
     if not placed:
         return Component(base, _fan(_grid_cells(len(t), len(theta))[0]),
-                         _grid_identifications(base, mobius), np.full(len(base), density), ())
+                         _grid_identifications(base, mobius), density, ())
 
     du = TWO_PI / (len(theta) - 1)
     sites, rows = [], {}
-    for centre, _, w in placed[:len(arc_sites)]:
+    for centre, w in placed[:len(arc_sites)]:
         th, t0 = centre  # a site's (theta, t), t0 its boundary row
         inward = 1.0 if t0 == 0.0 else -1.0
         arc, span = _arc_site(centre, w, lambda z: th + z.real + 1j * (t0 + inward * z.imag),
                               -inward * 0.5 * math.pi)
         sites.append(arc)
         rows.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
-    sites += [_hole_site(p, r_rim) for p, _, r_rim in placed[len(arc_sites):]]
+    sites += [_hole_site(p, r_rim) for p, r_rim in placed[len(arc_sites):]]
 
     # the layout is the uniform base grid; `actual` maps its nodes to the points
     cells, idx = _grid_cells(len(t), len(theta))
@@ -1108,20 +1071,13 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     triangles = _band_delaunay(points, *_layout_split(
         points, base, cells, actual, exclusions, 2.0 * max(du, t[1])))  # two grid steps
     points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
-    return Component(points, triangles, _grid_identifications(points, mobius),
-                     np.full(len(points), density),
-                     tuple(Interface(ids, density) for ids in true_ids))
+    return Component(points, triangles, _grid_identifications(points, mobius), density,
+                     tuple(true_ids))
 
 
-def build_cylinder_mesh(T: float, rho_b: float = 1.0, resolution: float = 0.05) -> SurfaceMesh:
-    """Flat cylinder [0, T] x S^1 with two boundary circles and lambda = rho_b."""
-    return build_spec_mesh(FlatCylinder(T, rho_b), resolution).mesh
-
-
-def build_mobius_mesh(T: float, resolution: float = 0.05,
-                      rho_b: float = 1.0) -> SurfaceMesh:
-    """Moebius band as [0, T] x S^1 with (0, theta) ~ (0, theta + pi)."""
-    return build_spec_mesh(MobiusCylinder(T, rho_b), resolution).mesh
+def build_mobius_mesh(T: float, resolution: float = 0.05) -> SurfaceMesh:
+    """Moebius band as [0, T] x S^1 with (0, theta) ~ (0, theta + pi), lambda = 1."""
+    return build_spec_mesh(MobiusCylinder(T), resolution).mesh
 
 
 MAX_MESH_VERTICES = 1_000_000  # 50x the finest mesh of any test, criterion or preset

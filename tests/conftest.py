@@ -1,6 +1,6 @@
 import pytest
 
-from steklov import build_disk_mesh, build_cylinder_mesh, build_mobius_mesh
+from steklov import FlatCylinder, build_disk_mesh, build_mobius_mesh, build_spec_mesh
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +15,7 @@ def coarse_disk_mesh():
 
 @pytest.fixture(scope="session")
 def cylinder_mesh():
-    return build_cylinder_mesh(1.0, 1.0, 0.06)
+    return build_spec_mesh(FlatCylinder(1.0, 1.0), 0.06).mesh
 
 
 @pytest.fixture(scope="session")

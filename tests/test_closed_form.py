@@ -58,11 +58,11 @@ class TestRootSolver:
         with pytest.raises(sk.SolverError):
             sk.solve_bracketed_root(lambda t: math.nan if t > 0.5 else t - 0.7, 0.0, 1.0)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         # a sign step at 1e-300 under tol 1e-300 needs about 1000 bisections
+        monkeypatch.setattr(sk.closed_form, "ROOT_TOL", 1e-300)
         with pytest.raises(sk.SolverError):
-            sk.solve_bracketed_root(lambda t: 1.0 if t > 1e-300 else -1.0, -1.0, 1.0,
-                                    tol=1e-300)
+            sk.solve_bracketed_root(lambda t: 1.0 if t > 1e-300 else -1.0, -1.0, 1.0)
 
 
 def _coth(t):

@@ -65,7 +65,7 @@ def corner_block_stiffness(mesh):
 
 @pytest.mark.parametrize("build", [
     lambda: sk.build_disk_mesh(0.05),
-    lambda: sk.build_cylinder_mesh(1.0, 1.0, 0.06),
+    lambda: sk.build_spec_mesh(sk.FlatCylinder(1.0, 1.0), 0.06).mesh,
     lambda: sk.build_mobius_mesh(1.0, 0.06),
     lambda: sk.build_glued_mesh(sk.chain_family([sk.UnitDisk()] * 2, 1e-4, INTERIOR_NECK),
                                 0.06),
@@ -137,7 +137,7 @@ class TestSteklovSpectrum:
 
     @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 5.0])
     def test_cylinder_matches_closed_form(self, T):
-        mesh = sk.build_cylinder_mesh(T, 1.0, 0.05)
+        mesh = sk.build_spec_mesh(sk.FlatCylinder(T, 1.0), 0.05).mesh
         fem = sk.steklov_spectrum(mesh, 10)
         exact = sk.cylinder_spectrum(T, count=10)
         scale = np.maximum(exact.eigenvalues, 1e-6)

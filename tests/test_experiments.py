@@ -270,11 +270,12 @@ class TestCutoffEnergy:
         with pytest.raises(sk.InvalidParameterError):
             sk.cutoff_energy_law((1.5,))
         with pytest.raises(sk.InvalidParameterError):
-            sk.cutoff_energy_law((0.9,), r0=0.5)
+            sk.cutoff_energy_law((0.9,))  # sqrt(rho) beyond CUTOFF_R0 = 0.5
 
-    def test_under_resolved_raises(self):
+    def test_under_resolved_raises(self, monkeypatch):
+        monkeypatch.setattr(sk.experiments, "CUTOFF_RESOLUTION", 0.9)
         with pytest.raises(sk.ResolutionError):
-            sk.cutoff_energy_law((1e-4,), resolution=0.9)
+            sk.cutoff_energy_law((1e-4,))
 
 
 class TestNeckDiagnostic:

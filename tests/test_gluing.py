@@ -61,7 +61,7 @@ class TestBoundaryGlue:
     def test_tiny_arcs_build(self, rho):
         family = two_disks(rho)
         for comp in prepare_components(family, 0.03):
-            assert [len(i.chart_ids) for i in comp.interfaces] == [meshes.NECK_SEGMENTS + 1]
+            assert [len(i) for i in comp.interfaces] == [meshes.NECK_SEGMENTS + 1]
         mesh = glue(prepare_components(family, 0.03), family)
         assert sk.validate_mesh(mesh) == []
         assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, abs=1e-2)
@@ -151,6 +151,17 @@ class TestInteriorGlue:
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
         assert shared.boundary_loops == separate.boundary_loops
 
+    def test_charts_keep_their_coordinates(self):
+        # a chart shifted by an offset of order 1 would round its coordinates,
+        # of scale rho around the rim, to that offset's ulp
+        family = two_disks(1e-9, "interior-cylinder")
+        comps = prepare_components(family, 0.03)
+        mesh = glue(comps, family)
+        starts = np.cumsum([0] + [len(c.vertices) for c in comps])
+        for comp, start in zip(comps, starts):
+            assert mesh.vertices[start:start + len(comp.vertices)].tobytes() \
+                == comp.vertices.tobytes()
+
     def test_neck_reaching_boundary_rejected(self):
         fam = GluedFamily(
             (sk.UnitDisk(), sk.UnitDisk()), 0.6,
@@ -186,18 +197,6 @@ class TestInteriorGlue:
 
 
 class TestUncommonConfigurations:
-    def test_nonconstant_field_blends_to_attachment_density(self):
-        field = lambda x, y: float(np.exp(0.25 * x))
-        fam = GluedFamily(
-            (sk.UnitDisk(field), sk.UnitDisk()), 0.08,
-            ((Attachment(0, theta=0.5 * math.pi), Attachment(1, theta=1.5 * math.pi)),))
-        mesh = sk.build_glued_mesh(fam, 0.06)
-        assert sk.validate_mesh(mesh) == []
-        assert len(mesh.boundary_loops) == 1
-        lam = mesh.conformal_factor[mesh.logical]
-        for a, b in mesh.identifications:
-            assert lam[a] == pytest.approx(lam[b], rel=1e-9)
-
     def test_attachment_on_second_cylinder_loop(self):
         fam = GluedFamily(
             (sk.FlatCylinder(1.0), sk.UnitDisk()), 0.08,
@@ -261,7 +260,7 @@ class TestInterfaceOrder:
         sites = tuple(ArcSite(0, theta, 0.05) for theta in thetas)
         comp = sk.build_spec_mesh(sk.UnitDisk(), 0.07, sites)
         for iface, theta in zip(comp.interfaces, thetas):
-            x, y = comp.vertices[iface.chart_ids].mean(axis=0)
+            x, y = comp.vertices[iface].mean(axis=0)
             assert math.atan2(y, x) % TWO_PI == pytest.approx(theta, abs=1e-9)
 
     @pytest.mark.parametrize("family, comp, points", [
@@ -273,7 +272,7 @@ class TestInterfaceOrder:
         component = prepare_components(family, 0.07)[comp]
         assert len(component.interfaces) == len(points)
         for iface, point in zip(component.interfaces, points):
-            centroid = component.vertices[iface.chart_ids].mean(axis=0)
+            centroid = component.vertices[iface].mean(axis=0)
             assert centroid == pytest.approx(point, abs=1e-9)
 
 
@@ -358,7 +357,7 @@ class TestGridNeckProperties:
                              ((Attachment(0, loop=loop, theta=theta),
                                Attachment(1, theta=disk_theta)),))
         comps = prepare_components(family, resolution)
-        assert [len(c.interfaces[0].chart_ids) for c in comps] == [meshes.NECK_SEGMENTS + 1] * 2
+        assert [len(c.interfaces[0]) for c in comps] == [meshes.NECK_SEGMENTS + 1] * 2
         mesh = glue(comps, family)
         assert sk.validate_mesh(mesh) == []
         loops = 1 if mobius else 2  # the disk's loop joins the arc's
@@ -405,14 +404,9 @@ def _build_refusing_up_front(family, resolution):
             raise
 
 
-def _tilted(a: float, b: float):
-    """The smooth conformal field exp(a x + b y) on the unit disk."""
-    return lambda x, y: math.exp(a * x + b * y)
-
-
-# two blends to a disk's conformal field once overwrote each other
-CLOSE_ARCS_ON_A_FIELD = GluedFamily(
-    (sk.UnitDisk(_tilted(0.25, 0.0)), sk.UnitDisk()), 1e-3,
+# two arcs on one disk, 0.01 apart at rho 1e-3
+CLOSE_ARCS = GluedFamily(
+    (sk.UnitDisk(), sk.UnitDisk()), 1e-3,
     ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
      (Attachment(0, theta=1.01), Attachment(1, theta=4.0))))
 
@@ -430,13 +424,11 @@ TIED_CELLS_CHAIN = (GluedFamily(
 
 @st.composite
 def gluing_families(draw):
-    """Disks, with or without a conformal field, cylinders and Moebius bands on
-    either neck kind, rho log-uniform in [1e-10, 0.3], with arcs clustered near
-    one angle or a seam and rims near the edges."""
+    """Disks, cylinders and Moebius bands on either neck kind, rho log-uniform
+    in [1e-10, 0.3], with arcs clustered near one angle or a seam and rims near
+    the edges."""
     interior = draw(st.booleans())
     chart = st.one_of(st.just(sk.UnitDisk()),
-                      st.builds(lambda a, b: sk.UnitDisk(_tilted(a, b)),
-                                st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
                       st.builds(sk.FlatCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)),
                       st.builds(sk.MobiusCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)))
     specs = draw(st.lists(chart, min_size=1, max_size=3))
@@ -476,7 +468,7 @@ class TestGluingFamilyProperties:
     @example(family=LATE_REFUSALS["disk arc on loop 1"][0], resolution=0.05)
     @example(family=LATE_REFUSALS["cylinder rim at t = 0.001"][0], resolution=0.05)
     @example(family=LATE_REFUSALS["cylinder arc on loop 2"][0], resolution=0.05)
-    @example(family=CLOSE_ARCS_ON_A_FIELD, resolution=0.05)
+    @example(family=CLOSE_ARCS, resolution=0.05)
     @example(family=TIED_CELLS_CHAIN[0], resolution=TIED_CELLS_CHAIN[1])
     def test_builds_or_is_refused_before_meshing(self, family, resolution):
         try:
@@ -490,15 +482,6 @@ class TestGluingFamilyProperties:
         family, error = LATE_REFUSALS[case]
         with pytest.raises(error):
             _build_refusing_up_front(family, 0.05)
-
-    # arcs 1e-2 apart, and arcs 1 apart at rho just below a quarter of their clearance,
-    # whose interfaces reach beyond half of the blends' reach
-    @pytest.mark.parametrize("family", [CLOSE_ARCS_ON_A_FIELD, GluedFamily(
-        (sk.UnitDisk(_tilted(0.25, 0.0)), sk.UnitDisk()), 0.2499 * math.exp(math.cos(2.0) / 4),
-        ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
-         (Attachment(0, theta=2.0), Attachment(1, theta=4.0))))], ids=["close", "wide"])
-    def test_each_blend_keeps_its_interface_flat(self, family):
-        assert sk.validate_mesh(sk.build_glued_mesh(family, 0.05)) == []
 
     def test_vertex_budget_counts_every_component(self):
         # each disk alone is under the budget at this resolution, the two are not

@@ -50,7 +50,7 @@ class TestDisk:
         with pytest.raises(sk.InvalidParameterError):
             sk.build_spec_mesh(sk.UnitDisk(), 1.5)
         with pytest.raises(sk.InvalidParameterError):
-            sk.build_cylinder_mesh(1.0, 1.0, 0.0)
+            sk.build_spec_mesh(sk.FlatCylinder(1.0, 1.0), 0.0).mesh
         with pytest.raises(sk.InvalidParameterError):
             sk.build_mobius_mesh(1.0, float("nan"))
 
@@ -127,19 +127,21 @@ class TestRingDelaunayDisk:
 # triangles and identifications; these meshes must stay bitwise.  The
 # self-glued cylinder's triangles were pinned again when grid charts with sites
 # left whole-chart Qhull for the layout split: only Delaunay ties moved, and its
-# stiffness stayed within 3e-15 of the old one, relative to its largest entry
+# stiffness stayed within 3e-15 of the old one, relative to its largest entry.
+# The glued meshes' vertices were pinned again when `glue` stopped shifting
+# charts side by side, and the Moebius band's when grid rows became one linspace
 PINNED_MESHES = {
     "disk 0.03": (lambda: sk.build_disk_mesh(0.03),
                   ("77c82e616083f18f", "ea5196df09d1eac5", "e3b0c44298fc1c14")),
     "two-disk interior 1e-9": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.UnitDisk()] * 2, 1e-9, "interior-cylinder"), 0.03),
-        ("f01e0e217a3653c5", "b6da4a5a7da2b7b4", "8f33870193513c68")),
+        ("d7fc711ba6f98bff", "b6da4a5a7da2b7b4", "8f33870193513c68")),
     "self-glued cylinder 1e-3": (
         lambda: sk.build_glued_mesh(annulus_self_glued(1.0, 1e-3), 0.05),
-        ("d526b7bc1e2d2fdb", "04e8e312d1915bb4", "548e72f1e8c64742")),
+        ("2da284120c6007bf", "04e8e312d1915bb4", "548e72f1e8c64742")),
     "Moebius 0.5": (lambda: sk.build_mobius_mesh(0.5, 0.05),
-                    ("b8c221dc38c71c9d", "d022fe0521c66a26", "5c10961b224cba1a")),
+                    ("c65183008f26ee8b", "d022fe0521c66a26", "5c10961b224cba1a")),
 }
 
 
@@ -202,9 +204,8 @@ class TestArcSite:
         assert len(comp.mesh.boundary_loops) == 1
         assert sk.boundary_length(comp.mesh) == pytest.approx(TWO_PI, rel=1e-3)
         [iface] = comp.interfaces
-        assert len(iface.chart_ids) == NECK_SEGMENTS + 1
-        chord = np.linalg.norm(comp.vertices[iface.chart_ids[-1]]
-                               - comp.vertices[iface.chart_ids[0]])
+        assert len(iface) == NECK_SEGMENTS + 1
+        chord = np.linalg.norm(comp.vertices[iface[-1]] - comp.vertices[iface[0]])
         assert chord == pytest.approx(2.0 * rho, rel=1e-4)
 
 
@@ -325,7 +326,7 @@ def test_scipy_spatial_loads_only_for_qhull_meshes():
     code = ("import sys, steklov, steklov.cli, steklov.acceptance\n"
             "import steklov as sk\n"
             "from steklov.experiments import chain_family\n"
-            "for mesh in (sk.build_disk_mesh(0.1), sk.build_cylinder_mesh(1.0, 1.0, 0.1),\n"
+            "for mesh in (sk.build_disk_mesh(0.1), sk.build_spec_mesh(sk.FlatCylinder(1.0, 1.0), 0.1).mesh,\n"
             "             sk.build_mobius_mesh(1.0, 0.1)):\n"
             "    sk.steklov_spectrum(mesh, 4)\n"
             "print('scipy.spatial' in sys.modules)\n"
@@ -346,14 +347,14 @@ class TestCylinder:
 
     def test_weighted_boundary_length(self):
         t10 = sk.constant_T10().value
-        mesh = sk.build_cylinder_mesh(2 * t10, 1.0 / t10, 0.05)
+        mesh = sk.build_spec_mesh(sk.FlatCylinder(2 * t10, 1.0 / t10), 0.05).mesh
         assert sk.boundary_length(mesh) == pytest.approx(10.474780655975891, rel=5e-3)
 
     def test_invalid_height(self):
         with pytest.raises(sk.InvalidParameterError):
-            sk.build_cylinder_mesh(0.0, 1.0, 0.1)
+            sk.build_spec_mesh(sk.FlatCylinder(0.0, 1.0), 0.1).mesh
         with pytest.raises(sk.InvalidParameterError):
-            sk.build_cylinder_mesh(1.0, -2.0, 0.1)
+            sk.build_spec_mesh(sk.FlatCylinder(1.0, -2.0), 0.1).mesh
 
     def test_validate_clean(self, cylinder_mesh):
         assert sk.validate_mesh(cylinder_mesh) == []
@@ -463,10 +464,10 @@ class TestGrids:
                                   (ArcSite(1, 2.0, 0.2), ArcSite(0, 2.0, 0.2)),
                                   (meshes.HoleSite((4.0, 0.5), 0.1),))
         for iface, t0 in zip(comp.interfaces, (1.0, 0.0)):
-            arc = comp.vertices[iface.chart_ids]
+            arc = comp.vertices[iface]
             assert np.all(arc[:, 1] == t0)
             assert arc[:, 0] == pytest.approx(np.linspace(1.9, 2.1, NECK_SEGMENTS + 1))
-        rim = comp.vertices[comp.interfaces[2].chart_ids]
+        rim = comp.vertices[comp.interfaces[2]]
         assert np.linalg.norm(rim - [4.0, 0.5], axis=1) == pytest.approx(0.05)
         assert sk.validate_mesh(comp.mesh) == []
 

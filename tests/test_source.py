@@ -1,9 +1,12 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "steklov").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "steklov").glob("*.py"))
 
 
 # the library reports through return values and `logging`; only the CLI prints
@@ -58,3 +61,21 @@ def _report_writes(tree):
 def test_only_experiments_writes_reports(path):
     writes = list(_report_writes(ast.parse(path.read_text())))
     assert writes == [], f"{path.name} writes files at {writes}"
+
+
+# under the repo's pytest settings a falsified property fails alone, and the
+# session goes on to the next test
+def test_falsified_property_leaves_the_session_running(tmp_path):
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout[-3000:]
+    assert "1 failed, 1 passed" in done.stdout
