@@ -3,8 +3,8 @@
 Boundary necks are squares of physical side 2*rho whose two opposite sides are
 identified node-for-node with boundary arcs of the components; the remaining
 two sides become new boundary, so the total boundary length is unchanged.
-Interior necks are thin flat cylinders (circumference 2*pi*rho, length 2*rho)
-replacing a pair of removed disks, leaving the boundary untouched.
+Interior necks, tubes of circumference 2*pi*rho and length 2*rho between two
+removed disks, are one flat chart with their collars (`_neck_chart`).
 
 `prepare_components` checks the neck kind and has `meshes.place_sites` place
 every component's sites, which makes every refusal before any chart is
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError
 from .meshes import (NECK_SEGMENTS, ArcSite, Component, HoleSite, SurfaceMesh, _fan,
-                     _grid_cells, assemble_mesh, build_spec_mesh, check_mesh_budget,
-                     place_sites)
+                     _fill_graded, _grid_cells, assemble_mesh, build_spec_mesh,
+                     check_mesh_budget, place_sites)
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,23 +58,30 @@ class GluedFamily:
 # mesh-level assembly
 # ---------------------------------------------------------------------------
 
-def _graded_strip(rho: float, lam1: float, lam2: float, rows: int, cols: int,
-                  width: float, y0: float):
-    """Chart grid of a neck of physical length 2*rho and physical width `width`.
+def _square(rho: float, lam1: float, lam2: float, m: int):
+    """A boundary neck's rows, row nodes and row densities: a square of physical
+    side 2*rho, m cells each way, its density linear from lam1 to lam2."""
+    lam_mid = lam1 + (lam2 - lam1) * (np.arange(m) + 0.5) / m
+    xs = np.concatenate([[0.0], np.cumsum((2.0 * rho / m) / lam_mid)])
+    rows_lam = lam1 + (lam2 - lam1) * np.arange(m + 1) / m
+    return xs, np.linspace(-rho / rows_lam, rho / rows_lam, m + 1, axis=1), rows_lam
 
-    The density runs linearly from lam1 (row 0) to lam2 (row `rows`); each row
-    spans `width` physically in `cols` steps, from y0 * (its chart width).
-    Returns (points, triangles, lam, idx) with idx[row, col] the node ids.
-    """
-    lam_mid = lam1 + (lam2 - lam1) * (np.arange(rows) + 0.5) / rows
-    xs = np.concatenate([[0.0], np.cumsum((2.0 * rho / rows) / lam_mid)])
-    rows_lam = lam1 + (lam2 - lam1) * np.arange(rows + 1) / rows
-    chart_width = width / rows_lam
-    lo = y0 * chart_width
-    ys = np.linspace(lo, lo + chart_width, cols + 1, axis=1)
-    pts = np.stack([np.repeat(xs, cols + 1), ys.ravel()], axis=1)
-    cells, idx = _grid_cells(rows + 1, cols + 1)
-    return pts, _fan(cells), np.repeat(rows_lam, cols + 1), idx
+
+def _neck_chart(rho: float, rings, lams):
+    """An interior neck's rows, row nodes and row densities: one flat chart
+    [0, H] x S^1 with a column per rim segment, m of them.
+
+    The Dirichlet energy sees only angles.  Around a rim of chart radius R (read
+    off its ring) on a chart of density lam, rho < |z - p| < R lam is the flat
+    cylinder [0, log(R lam) - log(rho)] x S^1 (logs apart: no ratio overflows),
+    and the tube scaled by 1 / rho is [0, 2] x S^1; H sums the three.  Rows
+    grow by a factor 1 + pi / m per step from 2 pi / m at both ends."""
+    m = len(rings[0])
+    du = TWO_PI / m
+    H = 2.0 + sum(math.log(np.linalg.norm(r[1] - r[0]) / (2.0 * math.sin(math.pi / m)) * lam)
+                  - math.log(rho) for r, lam in zip(rings, lams))
+    s = _fill_graded(0.0, H, du, du, H, growth=0.5 * du)
+    return s, np.tile(np.linspace(0.0, TWO_PI, m + 1), (len(s), 1)), np.interp(s, [0.0, H], lams)
 
 
 def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
@@ -84,7 +91,6 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     its sites: pair by pair, the first attachment of a pair before the second.
     Each neck end takes the boundary density of its end's component.
     """
-    m = NECK_SEGMENTS
     pieces = [c.vertices for c in components]
     offsets = np.cumsum([0] + [len(p) for p in pieces])
     triangles = [c.triangles + o for c, o in zip(components, offsets)]
@@ -98,31 +104,32 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     sides = []
     n = int(offsets[-1])
     for a, b in family.pairs:
-        ids_a = next(unused[a.component]) + offsets[a.component]
-        ids_b = next(unused[b.component]) + offsets[b.component]
-        lam_a, lam_b = components[a.component].density, components[b.component].density
+        ca, cb = components[a.component], components[b.component]
+        ring_a, ring_b = next(unused[a.component]), next(unused[b.component])
+        ids_a, ids_b = ring_a + offsets[a.component], ring_b + offsets[b.component]
         if family.neck_kind == BOUNDARY_NECK:
-            # a square: side 2*rho both ways, centred on the arc
-            pts, tris, lam_neck, idx = _graded_strip(family.rho, lam_a, lam_b, m, m,
-                                                     2.0 * family.rho, -0.5)
-            idx = idx + n
-            sides.append(np.concatenate([idx[:, 0], idx[:, m]]))
-            idents += [np.stack([ids_a, idx[0]], axis=1),
-                       np.stack([ids_b, idx[m, ::-1]], axis=1)]
+            xs, ys, rows_lam = _square(family.rho, ca.density, cb.density, NECK_SEGMENTS)
+        elif len(ids_a) != len(ids_b):
+            raise AssemblyError("the two rims of an interior neck differ in segments")
         else:
-            # a tube: circumference 2*pi*rho, seam at columns 0 and m
-            rows = max(2, int(round(m / math.pi)))
-            pts, tris, lam_neck, idx = _graded_strip(family.rho, lam_a, lam_b, rows, m,
-                                                     TWO_PI * family.rho, 0.0)
-            idx = idx + n
-            reflect = (m - np.arange(m)) % m
-            idents += [np.stack([idx[:, 0], idx[:, m]], axis=1),
-                       np.stack([ids_a, idx[0, :m]], axis=1),
-                       np.stack([ids_b[reflect], idx[rows, :m]], axis=1)]
-        pieces.append(pts)
-        triangles.append(tris + n)
-        lam.append(lam_neck)
-        n += len(pts)
+            xs, ys, rows_lam = _neck_chart(family.rho, (ca.vertices[ring_a], cb.vertices[ring_b]),
+                                           (ca.density, cb.density))
+        cells, idx = _grid_cells(*ys.shape)
+        idx = idx + n
+        k = ys.shape[1] - 1
+        if family.neck_kind == BOUNDARY_NECK:  # sides 0 and k become boundary
+            sides.append(np.concatenate([idx[:, 0], idx[:, k]]))
+            idents += [np.stack([ids_a, idx[0]], axis=1),
+                       np.stack([ids_b, idx[-1, ::-1]], axis=1)]
+        else:  # the seam at columns 0 and k
+            reflect = (k - np.arange(k)) % k
+            idents += [np.stack([idx[:, 0], idx[:, k]], axis=1),
+                       np.stack([ids_a, idx[0, :k]], axis=1),
+                       np.stack([ids_b[reflect], idx[-1, :k]], axis=1)]
+        pieces.append(np.stack([np.repeat(xs, k + 1), ys.ravel()], axis=1))
+        triangles.append(_fan(cells) + n)
+        lam.append(np.repeat(rows_lam, k + 1))
+        n += len(pieces[-1])
     return assemble_mesh(np.concatenate(pieces), np.concatenate(triangles),
                          np.concatenate(idents), np.concatenate(lam),
                          tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {})

@@ -17,11 +17,10 @@ bands are tensor grids.  `place_sites` places every neck site on its chart
 and makes every refusal of one, before anything is meshed.  Every chart with
 neck sites, disk, cylinder or Moebius band, goes through one site mesher
 (`_site_points`, `_attach_collars`): graded patches clear of every site, a
-Delaunay stage, each site cut open at the ring that stage meets, and a
-structured collar inside that ring.  Interior rims below chart radius 1e-3
-get a log collar; boundary arcs below a quarter of it get a half-collar of
-confocal half-ellipses ending on the boundary (`_arc_site`), and the boundary
-circle or row is graded around each arc (`_disk_boundary`).  The Delaunay
+Delaunay stage, and each site cut open at the ring that stage meets: a rim is
+that ring alone, and an arc below chart half-length 2.5e-4 gets a half-collar
+of confocal half-ellipses inside it, ending on the boundary (`_arc_site`); the
+boundary circle or row is graded around each arc (`_disk_boundary`).  The Delaunay
 stage keeps the site-free layout's cells (the disk's ring merge, or the
 grid's rectangles) away from the sites (`_layout_split`), and Qhull
 (`scipy.spatial`, imported only when needed) sees only the sites'
@@ -310,8 +309,9 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
 # graded 1-D grids
 # ---------------------------------------------------------------------------
 
-def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float) -> np.ndarray:
-    """Nodes on [a, b] with end spacings h_a, h_b growing by FILL_GROWTH toward h_max.
+def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float,
+                 growth: float = FILL_GROWTH) -> np.ndarray:
+    """Nodes on [a, b], end spacings h_a, h_b growing by `growth` per unit length to h_max.
 
     The node density 1/h is integrated by the trapezoid rule on steps of
     h_max / 8, refined near a fine end by steps of h / 32 that grow
@@ -323,14 +323,13 @@ def _fill_graded(a: float, b: float, h_a: float, h_b: float, h_max: float) -> np
     if span <= 1.2 * min(h_a, h_b):
         return np.array([a, b])
     xs = np.linspace(a, b, max(64, int(8 * span / h_max) + 1))
-    ratio = 1.0 + FILL_GROWTH / 32.0
+    ratio = 1.0 + growth / 32.0
     for end, h_end, inward in ((a, h_a, 1.0), (b, h_b, -1.0)):
         if h_end < h_max:
             steps = np.arange(int(math.log(h_max / h_end) / math.log(ratio)) + 1)
-            d = h_end / FILL_GROWTH * (ratio ** steps - 1.0)  # d_{i+1} - d_i = h(d_i) / 32
+            d = h_end / growth * (ratio ** steps - 1.0)  # d_{i+1} - d_i = h(d_i) / 32
             xs = np.union1d(xs, end + inward * d[d < span])
-    h = np.minimum(h_max, np.minimum(h_a + FILL_GROWTH * (xs - a),
-                                     h_b + FILL_GROWTH * (b - xs)))
+    h = np.minimum(h_max, np.minimum(h_a + growth * (xs - a), h_b + growth * (b - xs)))
     w = 1.0 / h
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(xs))])
     n = max(1, int(round(cum[-1])))
@@ -419,18 +418,14 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep,
 # neck sites: graded patches, rims and arcs cut open, collars
 # ---------------------------------------------------------------------------
 
-# below this radius a structured collar keeps the tiniest triangles away from
-# the Delaunay stage, whose lifted-paraboloid predicates lose them
+# below this radius an arc's half-collar keeps its tiniest triangles from the Delaunay
+# stage, whose lifted-paraboloid predicates lose them; rim clearances count from it too
 COLLAR_RADIUS = 1e-3
-COLLAR_GROWTH = 1.3  # radius ratio between consecutive collar rings
-# chart sizes rho / lambda of 3.2e-14 and below made degenerate chart triangles
-# (grid arcs; disk arcs from 5.6e-15, rims from 3.2e-15), and arc_collar overflows
+COLLAR_GROWTH = 1.3  # radius ratio between consecutive half-collar rings
+# arc chart sizes rho / lambda of 3.2e-14 and below made degenerate chart
+# triangles (grid arcs; disk arcs from 5.6e-15), and arc_collar overflows
 MIN_CHART_SIZE = 1e-12
-
-
-def placed_rim_radius(r_rim: float) -> float:
-    """Chart radius at which the Delaunay stage sees a rim; clearances count from it."""
-    return max(r_rim, COLLAR_RADIUS)
+RIM_RADIUS = 0.08  # chart radius of an interior rim where its chart has room
 
 
 def _unit(angles: np.ndarray) -> np.ndarray:
@@ -473,34 +468,27 @@ class _Site:
     """A neck site as the site mesher sees it.
 
     `outer` is the ring of points the Delaunay stage meets; `collar` (rings,
-    nodes, 2) holds the structured rings inside it, from the site's true rim
-    or arc outwards, and may be empty (the true one is then `outer`).  The
-    graded patch around `centre` starts at radius `r_start` with spacing
-    `h0`, turned by `phase`, and keeps its points outside radius `r_hole`.
+    nodes, 2) holds an arc's half-collar inside it, from the true arc outwards,
+    and may be empty (the true rim or arc is then `outer`).  The graded patch
+    around `centre` starts at radius `r_start` with spacing `h0`, turned by
+    `phase`, and keeps its points outside radius `r_hole`.
     """
     centre: np.ndarray
     collar: np.ndarray
     outer: np.ndarray
-    closed: bool
     h0: float
     r_start: float
     r_hole: float
     phase: float = 0.0
 
 
-def _hole_site(centre: np.ndarray, r_rim: float) -> _Site:
-    """An interior rim of NECK_SEGMENTS segments.  Below COLLAR_RADIUS the
-    Delaunay stage sees it at COLLAR_RADIUS, and a log collar descends to it."""
-    m = NECK_SEGMENTS
-    r = placed_rim_radius(r_rim)
-    radii = []
-    if r_rim < COLLAR_RADIUS:
-        n_rings = max(2, int(math.ceil(math.log(COLLAR_RADIUS / r_rim)
-                                       / math.log(COLLAR_GROWTH))))
-        radii = np.geomspace(r_rim, COLLAR_RADIUS, n_rings + 1)[:-1]
-    collar = np.array([_ring_points(centre, rr, m) for rr in radii]).reshape(-1, m, 2)
+def _hole_site(placed: Placement, site: HoleSite, resolution: float) -> _Site:
+    """An interior rim: one ring at its placed radius r, of segments that depend
+    on rho and the resolution alone, so that both rims of a neck share them."""
+    centre, r = placed
+    m = max(NECK_SEGMENTS, int(round(TWO_PI * max(RIM_RADIUS, site.rho) / resolution)))
     h0 = TWO_PI * r / m
-    return _Site(centre, collar, _ring_points(centre, r, m), True, h0, r + h0, r)
+    return _Site(centre, np.zeros((0, m, 2)), _ring_points(centre, r, m), h0, r + h0, r)
 
 
 def arc_collar(w: float) -> tuple[float, float]:
@@ -520,7 +508,7 @@ def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site
     (theta + x, t0 +- y) on a grid chart's boundary row.  The arc has
     NECK_SEGMENTS + 1 nodes, equally spaced.  An arc below COLLAR_RADIUS / 4
     gets a half-collar: the confocal half-ellipses z = w cosh(mu + i nu) about
-    the arc's ends, for mu in log-collar steps up to a reach of COLLAR_RADIUS,
+    the arc's ends, for mu in steps of log COLLAR_GROWTH up to a reach of COLLAR_RADIUS,
     whose ends lie on the real line, so that every ring ends on the boundary.
     Along a ring, nu moves from the arc's own nodes (mu = 0) to equal steps by
     mu = 2, where the ellipses are near circles.  The outer ring keeps every
@@ -544,16 +532,16 @@ def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site
     rings = np.stack([q.real, q.imag], axis=-1)
     if len(mu) == 1:
         h0 = 2.0 * w / m
-        return _Site(centre, rings[:0], rings[0], False, h0, 1.9 * h0, 0.0, normal), w
+        return _Site(centre, rings[:0], rings[0], h0, 1.9 * h0, 0.0, normal), w
     h0 = TWO_PI * COLLAR_RADIUS / m
-    site = _Site(centre, rings[:-1], rings[-1, ::2], False, h0, COLLAR_RADIUS + h0,
+    site = _Site(centre, rings[:-1], rings[-1, ::2], h0, COLLAR_RADIUS + h0,
                  COLLAR_RADIUS, normal)
     return site, half
 
 
 class Placement(NamedTuple):
-    """A neck site on its chart: the chart centre, and the chart size rho / lam
-    (an arc's half-length or a rim's radius), lam the chart's boundary density."""
+    """A neck site on its chart: the chart centre, and the chart size (an arc's
+    half-length rho / lam, lam the chart's boundary density, or a rim's radius)."""
     centre: np.ndarray
     size: float
 
@@ -565,12 +553,15 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
     Every refusal of a site is made here, before anything is meshed.
     `InvalidParameterError`: an unknown chart, a T or boundary density that
     is not positive, an arc on a loop the chart lacks.  `InvalidGluingError`:
-    a chart size rho / lam below MIN_CHART_SIZE, lam the chart's boundary
-    density; rho not below a quarter of an arc's clearance on its loop (the
-    angle to the nearest other arc there times lam, or 2 pi lam alone); arc
-    spans (`arc_collar`) that overlap each other or a grid chart's theta seam;
-    a rim whose placed radius, doubled, reaches the chart's boundary, rows or
-    seam; two rims closer than 4 (r_i + r_j) at their placed radii.
+    an arc's chart size rho / lam below MIN_CHART_SIZE, lam the chart's
+    boundary density; rho not below a quarter of an arc's clearance on its
+    loop (the angle to the nearest other arc there times lam, or 2 pi lam
+    alone); arc spans (`arc_collar`) that overlap each other or a grid
+    chart's theta seam; a rim whose floor f = max(rho / lam, COLLAR_RADIUS),
+    doubled, reaches its room (the chart distance to the boundary, rows or
+    seam); two rims closer than 4 (f_i + f_j).  Rim i of any rho > 0 is placed
+    at R_i = max(f_i, min(RIM_RADIUS, room_i / 3, (d_ij / 4 - f_j) / 2 over
+    rims j)), so 2 R_i < room_i and 4 (R_i + R_j) < d_ij.
     """
     if isinstance(spec, UnitDisk):
         lam = 1.0
@@ -579,8 +570,8 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
         # the circle's angles count from the first arc, as `_disk_component` turns them
         origin = arc_sites[0].theta if arc_sites else 0.0
 
-        def reaches(p, reach):
-            return np.linalg.norm(p) + reach >= 1.0
+        def room(p):
+            return 1.0 - np.linalg.norm(p)
     elif isinstance(spec, (FlatCylinder, MobiusCylinder)):
         T, lam = spec.T, spec.boundary_density
         if not T > 0:
@@ -592,17 +583,16 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
                 for s in arc_sites]
         loops, seam, origin = ((0,) if mobius else (0, 1)), [(0.0, 0.0)], 0.0
 
-        def reaches(p, reach):
-            return not (reach < p[1] < T - reach and reach < p[0] < TWO_PI - reach)
+        def room(p):  # np.min keeps a NaN
+            return np.min([p[0], TWO_PI - p[0], p[1], T - p[1]])
     else:
         raise InvalidParameterError(f"cannot place neck sites on {type(spec).__name__}")
     for site in arc_sites:
         if site.loop not in loops:
             raise InvalidParameterError(f"{type(spec).__name__} has boundary loops {loops}")
-    centres = arcs + [np.asarray(s.point, dtype=float) for s in hole_sites]
-    placed = [Placement(c, site.rho / lam) for site, c in zip([*arc_sites, *hole_sites], centres)]
+    placed = [Placement(c, site.rho / lam) for site, c in zip(arc_sites, arcs)]
     if any(p.size < MIN_CHART_SIZE for p in placed):
-        raise InvalidGluingError(f"neck chart size rho / lambda below the floor "
+        raise InvalidGluingError(f"boundary neck chart size rho / lambda below the floor "
                                  f"{MIN_CHART_SIZE:g}")
 
     by_loop: dict[int, list] = {}
@@ -625,14 +615,19 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
                zip(spans, spans[1:] + [(spans[0][0] + TWO_PI, 0.0)])):
             raise InvalidGluingError("boundary neck arcs overlap each other or the chart seam")
 
-    rims = placed[len(arc_sites):]
-    for i, a in enumerate(rims):
-        if reaches(a.centre, 2.0 * placed_rim_radius(a.size)):
+    if any(not s.rho > 0 for s in hole_sites):
+        raise InvalidGluingError("interior neck rho must be positive")
+    centres = [np.asarray(s.point, dtype=float) for s in hole_sites]
+    floors = [max(s.rho / lam, COLLAR_RADIUS) for s in hole_sites]
+    dist = [[np.linalg.norm(a - b) for b in centres] for a in centres]
+    for i, f in enumerate(floors):
+        if not 2.0 * f < room(centres[i]):
             raise InvalidGluingError("interior neck disk reaches the chart's boundary or seam")
-        for b in rims[i + 1:]:
-            if np.linalg.norm(a.centre - b.centre) <= 4.0 * (placed_rim_radius(a.size)
-                                                             + placed_rim_radius(b.size)):
-                raise InvalidGluingError("interior neck disks too close together")
+        if any(dist[i][j] <= 4.0 * (f + floors[j]) for j in range(i + 1, len(floors))):
+            raise InvalidGluingError("interior neck disks too close together")
+    for i, (c, f) in enumerate(zip(centres, floors)):
+        caps = [(dist[i][j] / 4.0 - g) / 2.0 for j, g in enumerate(floors) if j != i]
+        placed.append(Placement(c, max(f, min([RIM_RADIUS, room(c) / 3.0] + caps))))
     return placed
 
 
@@ -661,7 +656,7 @@ def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site
         pts, r_excl = _patch_rings(site.centre, site.h0, resolution, site.r_start, keep,
                                    site.phase)
         patch_pts.append(pts)
-        exclusions.append((site.centre, r_excl + site.r_hole))
+        exclusions.append((site.centre, r_excl))
     far = np.ones(len(background), dtype=bool)
     for c, rr in exclusions:
         far &= np.linalg.norm(background - c, axis=1) > rr
@@ -694,14 +689,11 @@ def _attach_collars(points: np.ndarray, triangles: np.ndarray, sites: Sequence[_
             continue
         rings = np.arange(n, n + k).reshape(site.collar.shape[:2])
         pieces.append(site.collar.reshape(-1, 2))
-        if rings.shape[1] == len(ids):
-            strips.append(_ring_strips(np.vstack([rings, ids]), site.closed))
-        else:  # an open ring meeting an outer ring of every other node
-            fine = rings[-1]
-            strips += [_ring_strips(rings, site.closed),
-                       np.stack([fine[:-2:2], fine[1::2], ids[:-1]], axis=1),
-                       np.stack([fine[1::2], ids[1:], ids[:-1]], axis=1),
-                       np.stack([fine[1::2], fine[2::2], ids[1:]], axis=1)]
+        fine = rings[-1]  # an arc's half-collar meets an outer ring of every other node
+        strips += [_ring_strips(rings, closed=False),
+                   np.stack([fine[:-2:2], fine[1::2], ids[:-1]], axis=1),
+                   np.stack([fine[1::2], ids[1:], ids[:-1]], axis=1),
+                   np.stack([fine[1::2], fine[2::2], ids[1:]], axis=1)]
         n += k
         true_ids.append(rings[0])
     return np.concatenate(pieces), np.concatenate(strips), true_ids
@@ -950,7 +942,8 @@ def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSi
             sites.append(arc)
             mid = (site.theta - turn) % TWO_PI
             blocks.append((mid - half, mid + half, arc.h0))
-        sites += [_hole_site(p, r_rim) for p, r_rim in placed[len(arc_sites):]]
+        sites += [_hole_site(p, s, resolution)
+                  for p, s in zip(placed[len(arc_sites):], hole_sites)]
         head, head_ids = layout.points[:n_b], np.arange(n_b)
         if blocks:
             angles, head_ids = _disk_boundary(np.linspace(0.0, TWO_PI, n_b + 1)[:-1], blocks)
@@ -1044,7 +1037,7 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
                               -inward * 0.5 * math.pi)
         sites.append(arc)
         rows.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
-    sites += [_hole_site(p, r_rim) for p, r_rim in placed[len(arc_sites):]]
+    sites += [_hole_site(p, s, resolution) for p, s in zip(placed[len(arc_sites):], hole_sites)]
 
     # the layout is the uniform base grid; `actual` maps its nodes to the points
     cells, idx = _grid_cells(len(t), len(theta))

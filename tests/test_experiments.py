@@ -134,7 +134,7 @@ class TestInteriorSweep:
         assert got == pytest.approx(target.eigenvalues[1], rel=0.05)
 
     def test_self_glued_annulus_pinches_to_tiny_rims(self):
-        # rims below the collar radius: the cylinder hole gets the log collar
+        # the rims stay at their placed radius: rho reaches only the neck chart's height
         sweep = sk.interior_glue_sweep([sk.FlatCylinder(1.0)], k=1,
                                        rho_list=(1e-2, 1e-4, 1e-6, 1e-9), resolution=0.06)
         assert [row.failure for row in sweep.rows] == [None] * 4

@@ -162,6 +162,29 @@ class TestInteriorGlue:
             assert mesh.vertices[start:start + len(comp.vertices)].tobytes() \
                 == comp.vertices.tobytes()
 
+    # two unit disks joined at their centres by a tube of circumference 2 pi rho
+    # and length 2 rho are conformally the flat cylinder of height 2 log(1/rho) + 2
+    @pytest.mark.parametrize("rho", [1e-2, 1e-9, 1e-50, 1e-200])
+    def test_exact_interior_neck_reference(self, rho):
+        exact = sk.cylinder_spectrum(2.0 * math.log(1.0 / rho) + 2.0, count=7).eigenvalues[1:]
+        worst = {}
+        for h in (0.06, 0.03):
+            mesh = sk.build_glued_mesh(two_disks(rho, "interior-cylinder"), h)
+            got = sk.steklov_spectrum(mesh, 7).eigenvalues[1:]
+            worst[h] = np.max(np.abs(got - exact) / exact)
+        assert worst[0.03] <= 1e-3
+        assert worst[0.03] <= worst[0.06] / 3.0
+
+    def test_components_do_not_depend_on_rho(self):
+        # rims sit at RIM_RADIUS below it: rho reaches only the neck chart's height
+        coarse, fine = (prepare_components(two_disks(rho, "interior-cylinder"), 0.03)
+                        for rho in (1e-3, 1e-9))
+        for a, b in zip(coarse, fine):
+            assert a.density == b.density and len(a.interfaces) == len(b.interfaces)
+            for x, y in zip((a.vertices, a.triangles, a.identifications, *a.interfaces),
+                            (b.vertices, b.triangles, b.identifications, *b.interfaces)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
     def test_neck_reaching_boundary_rejected(self):
         fam = GluedFamily(
             (sk.UnitDisk(), sk.UnitDisk()), 0.6,
@@ -178,7 +201,7 @@ class TestInteriorGlue:
         with pytest.raises(sk.InvalidGluingError):
             sk.build_glued_mesh(fam, 0.1)
 
-    # tiny rims are meshed at the collar radius 1e-3, and clearances count from there
+    # clearances count from a rim's floor max(rho / lambda, 1e-3), whatever radius it is placed at
     def test_tiny_rim_near_disk_boundary_rejected(self):
         fam = GluedFamily(
             (sk.UnitDisk(), sk.UnitDisk()), 1e-7,
@@ -423,11 +446,11 @@ TIED_CELLS_CHAIN = (GluedFamily(
 
 
 @st.composite
-def gluing_families(draw):
+def gluing_families(draw, interior=st.booleans()):
     """Disks, cylinders and Moebius bands on either neck kind, rho log-uniform
     in [1e-10, 0.3], with arcs clustered near one angle or a seam and rims near
     the edges."""
-    interior = draw(st.booleans())
+    interior = draw(interior)
     chart = st.one_of(st.just(sk.UnitDisk()),
                       st.builds(sk.FlatCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)),
                       st.builds(sk.MobiusCylinder, st.floats(0.3, 2.0), st.floats(0.5, 2.0)))
@@ -492,10 +515,31 @@ class TestGluingFamilyProperties:
 class TestPlacement:
     """`meshes.place_sites` refuses sites for direct builds as for glued ones."""
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=gluing_families(interior=st.just(True)))
+    def test_placed_rims_keep_their_clearances(self, family):
+        for c, spec in enumerate(family.components):
+            holes = [HoleSite(att.point, family.rho)
+                     for pair in family.pairs for att in pair if att.component == c]
+            try:
+                placed = meshes.place_sites(spec, (), holes)
+            except sk.InvalidGluingError:
+                continue
+            lam = getattr(spec, "boundary_density", 1.0)
+            floor = max(family.rho / lam, meshes.COLLAR_RADIUS)
+            for i, (p, r) in enumerate(placed):
+                room = (1.0 - np.linalg.norm(p) if isinstance(spec, sk.UnitDisk)
+                        else min(p[0], TWO_PI - p[0], p[1], spec.T - p[1]))
+                assert floor <= r <= max(floor, meshes.RIM_RADIUS)
+                assert 2.0 * r < room
+                for q, s in placed[i + 1:]:
+                    assert 4.0 * (r + s) < np.linalg.norm(p - q)
+
     @pytest.mark.parametrize("arcs, holes", [
         ((ArcSite(0, 1.0, 2.0),), ()),  # rho above a quarter of the clearance 2 pi
         ((), (HoleSite((3.0, 0.5), 1e-7), HoleSite((3.0001, 0.5), 1e-7))),
-    ], ids=["rho-2-arc", "close-rims"])
+        ((), (HoleSite((3.0, 0.5), 0.0),)),  # glued families refuse rho <= 0 up front
+    ], ids=["rho-2-arc", "close-rims", "rim-rho-0"])
     def test_direct_builds_keep_the_glued_rules(self, arcs, holes):
         spec = sk.UnitDisk() if arcs else sk.FlatCylinder(1.0)
         with pytest.raises(sk.InvalidGluingError):
@@ -529,9 +573,10 @@ FLOOR_FAMILIES = {
 
 
 class TestChartSizeFloor:
-    """A neck whose chart size rho / lambda is below `meshes.MIN_CHART_SIZE` is
-    refused before any chart is meshed, with the floor named; from the floor
-    up, and at the presets' rho >= 1e-10, the glued mesh builds and solves."""
+    """A boundary neck whose chart size rho / lambda is below
+    `meshes.MIN_CHART_SIZE` is refused before any chart is meshed, with the
+    floor named; from the floor up, at the presets' rho >= 1e-10, and for
+    interior necks at every positive rho, the glued mesh builds and solves."""
 
     @settings(max_examples=25, deadline=None)
     @given(name=st.sampled_from(list(FLOOR_FAMILIES)),
@@ -542,10 +587,12 @@ class TestChartSizeFloor:
     @example(name="two-disks", rho=1e-12)
     @example(name="mobius-critical", rho=1e-10)
     @example(name="catenoid-disk", rho=1e-10)
+    @example(name="two-disks-interior", rho=5e-324)
+    @example(name="cylinder-rims", rho=5e-324)
     def test_refused_below_the_floor(self, name, rho):
         family = FLOOR_FAMILIES[name](rho)
         lam = max(getattr(spec, "boundary_density", 1.0) for spec in family.components)
-        if rho / lam < meshes.MIN_CHART_SIZE:
+        if family.neck_kind == gluing.BOUNDARY_NECK and rho / lam < meshes.MIN_CHART_SIZE:
             with pytest.raises(sk.InvalidGluingError, match="floor 1e-12"):
                 _build_refusing_up_front(family, 0.1)
             return

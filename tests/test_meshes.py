@@ -136,10 +136,10 @@ PINNED_MESHES = {
     "two-disk interior 1e-9": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.UnitDisk()] * 2, 1e-9, "interior-cylinder"), 0.03),
-        ("d7fc711ba6f98bff", "b6da4a5a7da2b7b4", "8f33870193513c68")),
+        ("2434d1b0318f66cb", "5cc4d1436c30acc6", "48e459e04daec274")),
     "self-glued cylinder 1e-3": (
         lambda: sk.build_glued_mesh(annulus_self_glued(1.0, 1e-3), 0.05),
-        ("2da284120c6007bf", "04e8e312d1915bb4", "548e72f1e8c64742")),
+        ("ec658e61f8c40f69", "3cf18b9dd9da7c4e", "5ea6566ee6329d22")),
     "Moebius 0.5": (lambda: sk.build_mobius_mesh(0.5, 0.05),
                     ("c65183008f26ee8b", "d022fe0521c66a26", "5c10961b224cba1a")),
 }
@@ -207,6 +207,18 @@ class TestArcSite:
         assert len(iface) == NECK_SEGMENTS + 1
         chord = np.linalg.norm(comp.vertices[iface[-1]] - comp.vertices[iface[0]])
         assert chord == pytest.approx(2.0 * rho, rel=1e-4)
+
+
+def test_patch_keeps_the_background_beyond_a_wide_rim():
+    # a patch's exclusion radius is absolute; adding the rim's radius to it
+    # once emptied a ring that wide, and Qhull covered it with long triangles
+    h = 0.03
+    comp = sk.build_spec_mesh(sk.UnitDisk(), h, (), (meshes.HoleSite((0.0, 0.0), 0.2),))
+    corners = comp.vertices[comp.triangles]
+    r = np.linalg.norm(corners.mean(axis=1), axis=1)
+    band = corners[(r > 0.26) & (r < 0.40)]
+    assert len(band)
+    assert np.linalg.norm(band - np.roll(band, -1, axis=1), axis=2).max() <= 2.0 * h
 
 
 def _chain(n, rho, kind="boundary-square"):
@@ -467,8 +479,9 @@ class TestGrids:
             arc = comp.vertices[iface]
             assert np.all(arc[:, 1] == t0)
             assert arc[:, 0] == pytest.approx(np.linspace(1.9, 2.1, NECK_SEGMENTS + 1))
+        # the hole's chart size rho / lambda is 0.05, and the rim is placed at RIM_RADIUS
         rim = comp.vertices[comp.interfaces[2]]
-        assert np.linalg.norm(rim - [4.0, 0.5], axis=1) == pytest.approx(0.05)
+        assert np.linalg.norm(rim - [4.0, 0.5], axis=1) == pytest.approx(0.08)
         assert sk.validate_mesh(comp.mesh) == []
 
     def test_overlapping_grid_arcs_rejected(self):
