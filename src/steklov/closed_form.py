@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BracketError, InvalidParameterError, SolverError
 from .meshes import FlatCylinder, MobiusCylinder
-from .spectra import CLUSTER_RTOL_EXACT, Spectrum, check_count, make_spectrum
+from .spectra import CLUSTER_RTOL_EXACT, Spectrum, check_count, make_spectrum, zero_band
 
 ROOT_TOL = 1e-14
 SQRT3 = math.sqrt(3.0)
@@ -247,6 +247,8 @@ def _spectrum_from_branches(surface: str, T: float, rho_b: float, count: int) ->
     length = _unit_density_length(surface) * rho_b
     if not (np.all(np.isfinite(values)) and math.isfinite(length)):
         raise InvalidParameterError(f"T = {T} and density {rho_b} overflow the spectrum")
+    if len(values) > 1 and values[1] <= zero_band(values):  # it would read as 0
+        raise InvalidParameterError(f"T = {T} and density {rho_b} put sigma_1 in the zero band")
     return make_spectrum(values, length, cluster_rtol=CLUSTER_RTOL_EXACT)
 
 

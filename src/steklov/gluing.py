@@ -6,12 +6,12 @@ two sides become new boundary, so the total boundary length is unchanged.
 Interior necks, tubes of circumference 2*pi*rho and length 2*rho between two
 removed disks, are one flat chart with their collars (`_neck_chart`).
 
-`prepare_components` checks the neck kind and has `meshes.place_sites` place
-every component's sites, which makes every refusal before any chart is
-meshed.  It then meshes each component with one neck site per attachment;
-every mesh builder returns one interface per site, in site order.  `glue`
-joins all necks in one pass, taking each attachment's interface by that
-position, and assembles the glued mesh once.
+`prepare_components` checks the neck kind, has `meshes.place_sites` place
+each component's sites once (every refusal comes before any chart is meshed),
+gives both rims of an interior neck one segment count, and meshes each
+component from its placements (`meshes.mesh_placed`), one interface per site
+in site order.  `glue` joins all necks in one pass, taking each attachment's
+interface by that position, and assembles the glued mesh once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError
 from .meshes import (NECK_SEGMENTS, ArcSite, Component, HoleSite, SurfaceMesh, _fan,
-                     _fill_graded, _grid_cells, assemble_mesh, build_spec_mesh,
-                     check_mesh_budget, place_sites)
+                     _fill_graded, _grid_cells, assemble_mesh,
+                     check_mesh_budget, mesh_placed, place_sites)
+from .meshes import build_spec_mesh  # noqa: F401 -- a binding bench/tracer.py wraps
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,15 +158,20 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
                 holes.append(HoleSite(tuple(att.point), family.rho))
             else:
                 arcs.append(ArcSite(att.loop, att.theta, family.rho))
-    for spec, (arcs, holes) in zip(family.components, sites):
-        place_sites(spec, arcs, holes)  # every refusal comes before any chart is meshed
-    check_mesh_budget(family.components, resolution)
+    placed = [place_sites(spec, *s) for spec, s in zip(family.components, sites)]
+    check_mesh_budget(family.components, resolution)  # both refuse before any meshing
+    widths = [[] for _ in family.components]  # both rims of a neck count from the wider
+    unused = [iter(p) for p in placed]
+    for pair in family.pairs if interior else ():
+        width = max(next(unused[att.component]).size for att in pair)
+        for att in pair:
+            widths[att.component].append(width)
     built: dict = {}  # equal specs with equal sites mesh identically: build each once
     comps = []
-    for spec, (arcs, holes) in zip(family.components, sites):
-        key = (spec, tuple(arcs), tuple(holes))
+    for spec, (arcs, holes), at, w in zip(family.components, sites, placed, widths):
+        key = (spec, tuple(arcs), tuple(holes), tuple(w))
         if key not in built:
-            built[key] = build_spec_mesh(spec, resolution, *key[1:])
+            built[key] = mesh_placed(spec, resolution, arcs, at, w)
         comps.append(built[key])
     return comps
 

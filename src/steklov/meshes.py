@@ -13,22 +13,22 @@ into each unique edge's weight (`edge_weights`, shared by
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
 Qhull where the rings are too coarse to merge; site-free cylinders and Moebius
-bands are tensor grids.  `place_sites` places every neck site on its chart
-and makes every refusal of one, before anything is meshed.  Every chart with
-neck sites, disk, cylinder or Moebius band, goes through one site mesher
-(`_site_points`, `_attach_collars`): graded patches clear of every site, a
-Delaunay stage, and each site cut open at the ring that stage meets: a rim is
-that ring alone, and an arc below chart half-length 2.5e-4 gets a half-collar
-of confocal half-ellipses inside it, ending on the boundary (`_arc_site`); the
-boundary circle or row is graded around each arc (`_disk_boundary`).  The Delaunay
-stage keeps the site-free layout's cells (the disk's ring merge, or the
-grid's rectangles) away from the sites (`_layout_split`), and Qhull
-(`scipy.spatial`, imported only when needed) sees only the sites'
-neighbourhoods (`_band_delaunay`, logged at DEBUG).  A certificate on the
-interface (`_interface_delaunay`) joins the pieces, or the chart is refused
-with `AssemblyError`: it has no other route.  `check_mesh_budget` refuses,
-before anything is built, meshes estimated above MAX_MESH_VERTICES and grid
-charts lower than MIN_CHART_HEIGHT.
+bands are tensor grids, whose seams pair grid indices.  `place_sites` places
+every neck site on its chart and makes every refusal of one; a build places
+each chart's sites once, before anything is meshed.  Every chart with neck
+sites goes through `_sited_chart`: its boundary circle or rows graded around
+each arc (`_disk_boundary`), graded patches clear of every site
+(`_site_points`), a Delaunay stage, and each site cut open at the ring that
+stage meets (`_attach_collars`): a rim is that ring alone, and an arc below
+chart half-length 2.5e-4 gets a half-collar of confocal half-ellipses inside
+it, ending on the boundary (`_arc_site`).  The Delaunay stage keeps the
+site-free layout's cells (the disk's ring merge, or the grid's rectangles)
+away from the sites (`_layout_split`), and Qhull (`scipy.spatial`, imported
+only when needed) sees only the sites' neighbourhoods (`_band_delaunay`,
+logged at DEBUG).  A certificate on the interface (`_interface_delaunay`)
+joins the pieces, or the chart is refused with `AssemblyError`.
+`check_mesh_budget` refuses, before anything is built, meshes estimated above
+MAX_MESH_VERTICES and grid charts lower than MIN_CHART_HEIGHT.
 
 Every chart carries one constant boundary density: in two dimensions a metric
 reaches the Steklov spectrum only through it, and `with_conformal_factor` sets
@@ -482,11 +482,11 @@ class _Site:
     phase: float = 0.0
 
 
-def _hole_site(placed: Placement, site: HoleSite, resolution: float) -> _Site:
-    """An interior rim: one ring at its placed radius r, of segments that depend
-    on rho and the resolution alone, so that both rims of a neck share them."""
+def _hole_site(placed: Placement, width: float, resolution: float) -> _Site:
+    """An interior rim: one ring at its placed radius r, of segments a resolution
+    step long on radius `width` (RIM_RADIUS at least), its neck's widest rim."""
     centre, r = placed
-    m = max(NECK_SEGMENTS, int(round(TWO_PI * max(RIM_RADIUS, site.rho) / resolution)))
+    m = max(NECK_SEGMENTS, int(round(TWO_PI * max(RIM_RADIUS, width) / resolution)))
     h0 = TWO_PI * r / m
     return _Site(centre, np.zeros((0, m, 2)), _ring_points(centre, r, m), h0, r + h0, r)
 
@@ -586,7 +586,7 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
         def room(p):  # np.min keeps a NaN
             return np.min([p[0], TWO_PI - p[0], p[1], T - p[1]])
     else:
-        raise InvalidParameterError(f"cannot place neck sites on {type(spec).__name__}")
+        raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")
     for site in arc_sites:
         if site.loop not in loops:
             raise InvalidParameterError(f"{type(spec).__name__} has boundary loops {loops}")
@@ -632,7 +632,7 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
 
 
 def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site],
-                 resolution: float, inside, pinned: np.ndarray | None = None):
+                 resolution: float, inside, pinned: np.ndarray):
     """Points of a chart refined around neck sites, for the Delaunay stage.
 
     Points are `head` (placed first), then each site's outer ring, the
@@ -660,8 +660,7 @@ def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site
     far = np.ones(len(background), dtype=bool)
     for c, rr in exclusions:
         far &= np.linalg.norm(background - c, axis=1) > rr
-    if pinned is not None:
-        far |= pinned
+    far |= pinned
     outer = [site.outer for site in sites]
     sections = [head] + outer + [background[far]] + patch_pts
     points = np.concatenate([s for s in sections if len(s)])
@@ -833,28 +832,23 @@ def _disk_boundary(grid: np.ndarray, blocks):
     spacing) of each arc site's span, whose nodes the site places.  Between
     blocks the uniform nodes stay, except within three steps of a block, where
     a graded fill runs from the block's end spacing to the uniform one.
-    Returns the angles of the nodes outside the blocks and the index among
-    them of each uniform node (-1 where a fill replaced it).
+    Returns the angles of the nodes outside the blocks, ascending from the
+    first block's end.
     """
     n = len(grid)
     du = TWO_PI / n
     blocks = sorted(blocks)
-    parts, where, count = [], np.full(n, -1), 0
+    parts = []
     for i, (_, hi, h) in enumerate(blocks):
         nxt, _, h_nxt = blocks[(i + 1) % len(blocks)]
         nxt += TWO_PI if i + 1 == len(blocks) else 0.0
-        if nxt <= hi:
-            raise InvalidGluingError("boundary neck arcs overlap each other or the chart seam")
         ks = np.arange(math.ceil(hi / du + 3.0), math.floor(nxt / du - 3.0) + 1)
         if len(ks):
-            fills = [_fill_graded(hi, ks[0] * du, h, du, du)[1:-1], grid[ks % n],
-                     _fill_graded(ks[-1] * du, nxt, du, h_nxt, du)[1:-1]]
-            where[ks % n] = count + len(fills[0]) + np.arange(len(ks))
+            parts += [_fill_graded(hi, ks[0] * du, h, du, du)[1:-1], grid[ks % n],
+                      _fill_graded(ks[-1] * du, nxt, du, h_nxt, du)[1:-1]]
         else:
-            fills = [_fill_graded(hi, nxt, h, h_nxt, du)[1:-1]]
-        parts += fills
-        count += sum(len(f) for f in fills)
-    return np.concatenate(parts), where
+            parts.append(_fill_graded(hi, nxt, h, h_nxt, du)[1:-1])
+    return np.concatenate(parts)
 
 
 class _DiskLayout(NamedTuple):
@@ -921,10 +915,36 @@ def _layout_split(points: np.ndarray, layout_xy: np.ndarray, cells: np.ndarray,
     return actual[tris.compress(kept, axis=0)], actual[np.stack([shared // n, shared % n], 1)]
 
 
-def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSite] = (),
-                    hole_sites: Sequence[HoleSite] = ()) -> Component:
-    placed = place_sites(spec, arc_sites, hole_sites)
+def _sited_chart(layout: np.ndarray, cells: np.ndarray, rows, pinned: np.ndarray,
+                 sites: Sequence[_Site], resolution: float, inside, margin: float):
+    """Mesh a chart with neck sites from its site-free layout: vertices and
+    Delaunay `cells` (`_layout_split`).
 
+    Each of `rows` is a boundary row regraded by `_disk_boundary`: its layout
+    ids, their angles, its new angles (each ascending) and points, placed
+    first; a node stays where its angle does.  `pinned` layout nodes off the
+    rows stay however near a site.  Returns the points, triangles, ids of each
+    site's true rim or arc, and each layout vertex's point id (-1: dropped).
+    """
+    actual = np.full(len(layout), -1)
+    on_rows = np.zeros(len(layout), dtype=bool)
+    head = [np.zeros((0, 2))]
+    for ids, theta, angles, pts in rows:
+        at = np.minimum(np.searchsorted(angles, theta), len(angles) - 1)
+        actual[ids] = np.where(angles[at] == theta, sum(map(len, head)) + at, -1)
+        on_rows[ids] = True
+        head.append(pts)
+    points, background_ids, outer_ids, exclusions = _site_points(
+        np.concatenate(head), layout[~on_rows], sites, resolution, inside, pinned[~on_rows])
+    actual[~on_rows] = background_ids
+    triangles = _band_delaunay(points, *_layout_split(points, layout, cells, actual,
+                                                       exclusions, margin))
+    points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
+    return points, triangles, true_ids, actual
+
+
+def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSite],
+                    placed: Sequence[Placement], widths: Sequence[float]) -> Component:
     # turned to put the first arc on a circle node: a disk with one arc then
     # meshes alike at every angle
     turn = arc_sites[0].theta if arc_sites else 0.0
@@ -933,29 +953,24 @@ def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSi
     layout_tris = _ring_delaunay(*layout)
     if layout_tris is None:  # coarse rings, which the Delaunay triangulation skips
         layout_tris = _qhull_triangles(layout.points)
+    no_pairs = np.zeros((0, 2), dtype=np.int64)  # the disk has no seam
     if not placed:
-        points, triangles, true_ids = layout.points, layout_tris, []
-    else:
-        sites, blocks = [], []
-        for site, (p, w) in zip(arc_sites, placed):  # w: chart angle = arclength
-            arc, half = _arc_site(p, w, lambda z: np.exp(1j * (site.theta + z)), site.theta)
-            sites.append(arc)
-            mid = (site.theta - turn) % TWO_PI
-            blocks.append((mid - half, mid + half, arc.h0))
-        sites += [_hole_site(p, s, resolution)
-                  for p, s in zip(placed[len(arc_sites):], hole_sites)]
-        head, head_ids = layout.points[:n_b], np.arange(n_b)
-        if blocks:
-            angles, head_ids = _disk_boundary(np.linspace(0.0, TWO_PI, n_b + 1)[:-1], blocks)
-            head = _unit(angles + turn)
-        points, background_ids, outer_ids, exclusions = _site_points(
-            head, layout.points[n_b:], sites, resolution,
-            lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s)
-        triangles = _band_delaunay(points, *_layout_split(
-            points, layout.points, layout_tris, np.concatenate([head_ids, background_ids]),
-            exclusions, 2.0 / (len(layout.counts) - 1)))
-        points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
-    return Component(points, triangles, np.zeros((0, 2), dtype=np.int64), 1.0, tuple(true_ids))
+        return Component(layout.points, layout_tris, no_pairs, 1.0, ())
+    sites, blocks = [], []
+    for site, (p, w) in zip(arc_sites, placed):  # w: chart angle = arclength
+        arc, half = _arc_site(p, w, lambda z: np.exp(1j * (site.theta + z)), site.theta)
+        sites.append(arc)
+        mid = (site.theta - turn) % TWO_PI
+        blocks.append((mid - half, mid + half, arc.h0))
+    sites += [_hole_site(p, w, resolution) for p, w in zip(placed[len(arc_sites):], widths)]
+    circle = np.linspace(0.0, TWO_PI, n_b + 1)[:-1]
+    angles = _disk_boundary(circle, blocks) if blocks else circle
+    points, triangles, true_ids, _ = _sited_chart(
+        layout.points, layout_tris, [(np.arange(n_b), circle, angles, _unit(angles + turn))],
+        np.zeros(len(layout.points), dtype=bool), sites, resolution,
+        lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s,
+        2.0 / (len(layout.counts) - 1))
+    return Component(points, triangles, no_pairs, 1.0, tuple(true_ids))
 
 
 def build_disk_mesh(resolution: float) -> SurfaceMesh:
@@ -981,39 +996,18 @@ def _fan(cells: np.ndarray) -> np.ndarray:
                            for i in range(1, cells.shape[1] - 1)])
 
 
-def _grid_identifications(points: np.ndarray, mobius: bool) -> np.ndarray:
-    """The theta seam's pairs (theta = 0 ~ 2 pi, in t order) and, on a Moebius
-    band, the t = 0 row's antipodal pairs (theta ~ theta + pi, in theta order)."""
-    def line(on, along):
-        ids = np.flatnonzero(on)
-        return ids[np.argsort(points[ids, along])]
-
-    left, right = line(points[:, 0] == 0.0, 1), line(points[:, 0] == TWO_PI, 1)
-    if len(left) != len(right) or not np.allclose(points[left, 1], points[right, 1]):
-        raise AssemblyError("grid seam columns do not match")
-    pairs = [np.stack([left, right], axis=1)]
-    if mobius:
-        bottom = line((points[:, 1] == 0.0) & (points[:, 0] < TWO_PI), 0)
-        half = len(bottom) // 2
-        if not np.allclose(points[bottom[half:], 0] - points[bottom[:half], 0], math.pi):
-            raise AssemblyError("Moebius antipodal row does not match")
-        pairs.append(np.stack([bottom[:half], bottom[half:]], axis=1))
-    return np.concatenate(pairs)
-
-
-def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
-                    hole_sites: Sequence[HoleSite] = ()) -> Component:
+def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite],
+                    placed: Sequence[Placement], widths: Sequence[float]) -> Component:
     """Flat cylinder or Moebius band on the chart (theta, t) in [0, 2 pi] x [0, T].
 
-    A plain chart is a tensor grid.  With neck sites, the site mesher carves a
-    uniform grid around each site, and the grid's cells away from the sites
-    join Qhull's triangulation of the sites' neighbourhoods.  The
-    cylinder's loop 0 is its t = 0 row and loop 1 its t = T row; the Moebius
-    band's one loop is its t = T row, and its t = 0 row is the antipodal seam.
-    A row with arcs is graded around them as the disk's circle is, with the
-    theta seam held as a block of its own, so an arc may not cross it.
+    The layout is a uniform tensor grid, a plain chart's mesh.  The cylinder's
+    loop 0 is its t = 0 row and loop 1 its t = T row; the Moebius band's one
+    loop is its t = T row, and its t = 0 row the antipodal seam.  Grid indices
+    give the identifications: the theta seam's (in t order), then the antipodal
+    ones (in theta order).  `_sited_chart` keeps the seam columns and boundary
+    rows, but for a row with arcs, graded as the disk's circle with the theta
+    seam a block of its own, so an arc may not cross it.
     """
-    placed = place_sites(spec, arc_sites, hole_sites)
     T, density = spec.T, spec.boundary_density
     mobius = isinstance(spec, MobiusCylinder)
     if mobius:  # the antipodal map needs theta and theta + pi on the same grid
@@ -1024,48 +1018,38 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     t = np.linspace(0.0, T, max(2, int(round(T / resolution))) + 1)
     grid_th, grid_t = np.meshgrid(theta, t)
     base = np.stack([grid_th.ravel(), grid_t.ravel()], axis=1)  # chart x = theta, y = t
+    cells, idx = _grid_cells(len(t), len(theta))
+    pairs = idx[:, [0, -1]]  # the theta seam, then the Moebius band's antipodal row
+    if mobius:
+        pairs = np.concatenate([pairs, idx[0, :-1].reshape(2, -1).T])
     if not placed:
-        return Component(base, _fan(_grid_cells(len(t), len(theta))[0]),
-                         _grid_identifications(base, mobius), density, ())
+        return Component(base, _fan(cells), pairs, density, ())
 
     du = TWO_PI / (len(theta) - 1)
-    sites, rows = [], {}
+    sites, blocks = [], {}
     for centre, w in placed[:len(arc_sites)]:
         th, t0 = centre  # a site's (theta, t), t0 its boundary row
         inward = 1.0 if t0 == 0.0 else -1.0
         arc, span = _arc_site(centre, w, lambda z: th + z.real + 1j * (t0 + inward * z.imag),
                               -inward * 0.5 * math.pi)
         sites.append(arc)
-        rows.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
-    sites += [_hole_site(p, s, resolution) for p, s in zip(placed[len(arc_sites):], hole_sites)]
-
-    # the layout is the uniform base grid; `actual` maps its nodes to the points
-    cells, idx = _grid_cells(len(t), len(theta))
-    actual = np.full(len(base), -1)
-    head, n_head = [np.zeros((0, 2))], 0
-    for t0, blocks in rows.items():
-        angles = np.concatenate([[0.0], _disk_boundary(theta[:-1], blocks)[0], [TWO_PI]])
-        at = np.minimum(np.searchsorted(angles, theta), len(angles) - 1)  # nodes kept
-        actual[idx[t == t0][0]] = np.where(angles[at] == theta, n_head + at, -1)
-        head.append(np.stack([angles, np.full(len(angles), t0)], axis=1))
-        n_head += len(angles)
-    on_rows = np.isin(base[:, 1], list(rows))
+        blocks.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
+    sites += [_hole_site(p, w, resolution) for p, w in zip(placed[len(arc_sites):], widths)]
+    rows = []
+    for t0, row_blocks in blocks.items():
+        angles = np.concatenate([[0.0], _disk_boundary(theta[:-1], row_blocks), [TWO_PI]])
+        rows.append((idx[t == t0][0], theta, angles,
+                     np.stack([angles, np.full(len(angles), t0)], axis=1)))
 
     def inside(q, s):
         return ((q[:, 1] > 0.45 * s) & (q[:, 1] < T - 0.45 * s)
                 & (q[:, 0] > 0.45 * s) & (q[:, 0] < TWO_PI - 0.45 * s))
 
-    # the seam columns and boundary rows keep every grid node: the pairings need them
-    edge = (base[:, 0] == 0.0) | (base[:, 0] == TWO_PI) | (base[:, 1] == 0.0) | (base[:, 1] == T)
-    points, background_ids, outer_ids, exclusions = _site_points(
-        np.concatenate(head), base[~on_rows], sites, resolution, inside,
-        pinned=edge[~on_rows])
-    actual[~on_rows] = background_ids
-    triangles = _band_delaunay(points, *_layout_split(
-        points, base, cells, actual, exclusions, 2.0 * max(du, t[1])))  # two grid steps
-    points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
-    return Component(points, triangles, _grid_identifications(points, mobius), density,
-                     tuple(true_ids))
+    edge = np.zeros(len(base), dtype=bool)  # the pairs need the seam columns kept
+    edge[idx[:, [0, -1]]] = edge[idx[[0, -1]]] = True
+    points, triangles, true_ids, actual = _sited_chart(
+        base, cells, rows, edge, sites, resolution, inside, 2.0 * max(du, t[1]))  # two grid steps
+    return Component(points, triangles, actual[pairs], density, tuple(true_ids))
 
 
 def build_mobius_mesh(T: float, resolution: float = 0.05) -> SurfaceMesh:
@@ -1098,14 +1082,20 @@ def check_mesh_budget(specs, resolution: float) -> None:
                                     f"above the budget of {MAX_MESH_VERTICES:.0e}")
 
 
+def mesh_placed(spec, resolution: float, arc_sites: Sequence[ArcSite],
+                placed: Sequence[Placement], widths: Sequence[float]) -> Component:
+    """Mesh a chart from its `place_sites` placements; rim i counts from `widths[i]`."""
+    build = _disk_component if isinstance(spec, UnitDisk) else _grid_component
+    return build(spec, resolution, arc_sites, placed, widths)
+
+
 def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
                     hole_sites: Sequence[HoleSite] = ()) -> Component:
     """Component mesh for a non-glued metric description."""
-    if not isinstance(spec, (UnitDisk, FlatCylinder, MobiusCylinder)):
-        raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")
+    placed = place_sites(spec, arc_sites, hole_sites)  # refuses an unknown chart too
     check_mesh_budget([spec], resolution)
-    build = _disk_component if isinstance(spec, UnitDisk) else _grid_component
-    return build(spec, resolution, arc_sites, hole_sites)
+    return mesh_placed(spec, resolution, arc_sites, placed,
+                       [p.size for p in placed[len(arc_sites):]])
 
 
 # ---------------------------------------------------------------------------

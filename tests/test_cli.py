@@ -157,6 +157,8 @@ class TestSpectrum:
     pytest.param(["bounds", "--k-max", "1000"], id="bounds-k-max-above-boundary-dofs"),
     pytest.param(["spectrum", "--surface", "cylinder", "--T", "1",
                   "--density", "1e-320"], id="density-subnormal"),
+    pytest.param(["spectrum", "--surface", "cylinder", "--T", "3e12", "--count", "4"],
+                 id="T-3e12-sigma1-in-zero-band"),
 ])
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     code, out = run(argv, tmp_path, monkeypatch)

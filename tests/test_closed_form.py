@@ -213,6 +213,22 @@ class TestSpectra:
         with pytest.raises(sk.InvalidParameterError):
             sk.mobius_spectrum(1.0, count=0)
 
+    # an exact sigma_1 inside the spectrum's zero band would read as a second
+    # constant mode, multiplicity 2 at sigma = 0
+    @pytest.mark.parametrize("build", [
+        lambda: sk.cylinder_spectrum(3e12, count=4),
+        lambda: sk.cylinder_spectrum(1.0, rho_b=1e13, count=4),
+        lambda: sk.mobius_spectrum(1e-13, count=4),
+    ], ids=["cylinder-T-3e12", "cylinder-density-1e13", "mobius-T-1e-13"])
+    def test_sigma1_in_the_zero_band_refused(self, build):
+        with pytest.raises(sk.InvalidParameterError, match="zero band"):
+            build()
+
+    def test_sigma1_above_the_zero_band_kept(self):
+        spec = sk.cylinder_spectrum(1e11, count=4)
+        assert spec.eigenvalues[1] == pytest.approx(2e-11, rel=1e-12)
+        assert spec.multiplicity(0) == 1
+
     @settings(max_examples=40)
     @given(st.floats(0.05, 20.0), st.floats(0.05, 20.0))
     def test_normalized_values_independent_of_density(self, T, rho_b):

@@ -86,7 +86,7 @@ def test_edgewise_stiffness_matches_corner_blocks(build, monkeypatch):
 
 def test_negative_leading_eigenvalue_is_a_solver_failure():
     # a chart far below MIN_CHART_HEIGHT, built past the budget check
-    mesh = meshes._grid_component(sk.FlatCylinder(1e-5), 0.1).mesh
+    mesh = meshes._grid_component(sk.FlatCylinder(1e-5), 0.1, (), (), ()).mesh
     with pytest.raises(sk.SolverError, match="leading eigenvalue"):
         sk.steklov_spectrum(mesh, 8)
 

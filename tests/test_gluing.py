@@ -116,7 +116,7 @@ class TestBoundaryGlue:
         def meshed(*args, **kwargs):
             raise AssertionError("a chart was meshed before the seam check")
 
-        monkeypatch.setattr(gluing, "build_spec_mesh", meshed)
+        monkeypatch.setattr(gluing, "mesh_placed", meshed)
         with pytest.raises(sk.InvalidGluingError, match="seam"):
             sk.build_glued_mesh(family, 0.1)
 
@@ -150,6 +150,40 @@ class TestInteriorGlue:
                      "conformal_factor", "boundary_edge_chart"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
         assert shared.boundary_loops == separate.boundary_loops
+
+    # a rim's segments once followed the physical rho while the ring sat at
+    # chart radius rho / lambda, so rims on charts of density 0.5 had 1.99h edges
+    @pytest.mark.parametrize("components, ends", [
+        ((sk.FlatCylinder(2.0, 0.5),), ((0, (0.5 * math.pi, 1.0)), (0, (1.5 * math.pi, 1.0)))),
+        ((sk.UnitDisk(), sk.FlatCylinder(3.0, 0.5)), ((0, (0.0, 0.0)), (1, (3.0, 1.5)))),
+    ], ids=["self-glued-cylinder", "disk-cylinder"])
+    def test_rim_edges_keep_the_resolution(self, components, ends):
+        h = 0.03
+        pair = tuple(Attachment(c, point=p) for c, p in ends)
+        family = GluedFamily(components, 0.1, (pair,), "interior-cylinder")
+        comps = prepare_components(family, h)
+        rims = [comp.vertices[ring] for comp in comps for ring in comp.interfaces]
+        assert len(rims) == 2 and len(rims[0]) == len(rims[1])
+        for rim in rims:
+            edges = np.linalg.norm(rim - np.roll(rim, 1, axis=0), axis=1)
+            assert edges.max() <= 1.05 * h
+        assert sk.validate_mesh(glue(comps, family)) == []
+
+    @pytest.mark.parametrize("family", [
+        two_disks(0.05), chain_family([sk.UnitDisk()] * 3, 0.05, "interior-cylinder"),
+        annulus_self_glued(1.0, 1e-3),
+    ], ids=["two-disks-boundary", "three-disks-interior", "self-glued-cylinder"])
+    def test_each_chart_placed_once(self, family):
+        calls, place = [], meshes.place_sites
+
+        def counted(*args):
+            calls.append(args[0])
+            return place(*args)
+
+        with mock.patch.object(gluing, "place_sites", counted), \
+                mock.patch.object(meshes, "place_sites", counted):
+            sk.build_glued_mesh(family, 0.1)
+        assert calls == list(family.components)
 
     def test_charts_keep_their_coordinates(self):
         # a chart shifted by an offset of order 1 would round its coordinates,
@@ -241,7 +275,7 @@ class TestUncommonConfigurations:
         def unexpected(*args):
             raise AssertionError("a chart was meshed before the attachment check")
 
-        monkeypatch.setattr(gluing, "build_spec_mesh", unexpected)
+        monkeypatch.setattr(gluing, "mesh_placed", unexpected)
         fam = GluedFamily((sk.UnitDisk(), sk.UnitDisk()), 0.05, (pair,), kind)
         with pytest.raises(sk.InvalidParameterError):
             sk.build_glued_mesh(fam, 0.1)
@@ -419,7 +453,7 @@ REFUSALS = (sk.InvalidGluingError, sk.InvalidParameterError)
 
 def _build_refusing_up_front(family, resolution):
     """The glued mesh; a refusal must come before any chart is meshed."""
-    with mock.patch.object(gluing, "build_spec_mesh", wraps=gluing.build_spec_mesh) as meshed:
+    with mock.patch.object(gluing, "mesh_placed", wraps=gluing.mesh_placed) as meshed:
         try:
             return sk.build_glued_mesh(family, resolution)
         except REFUSALS:

@@ -129,7 +129,11 @@ class TestRingDelaunayDisk:
 # left whole-chart Qhull for the layout split: only Delaunay ties moved, and its
 # stiffness stayed within 3e-15 of the old one, relative to its largest entry.
 # The glued meshes' vertices were pinned again when `glue` stopped shifting
-# charts side by side, and the Moebius band's when grid rows became one linspace
+# charts side by side, and the Moebius band's when grid rows became one linspace.
+# The meshes with arc sites were pinned before disks and grids shared one
+# sited-chart mesher: two-disk boundary necks at rho 0.025 (no half-collar) and
+# 1e-6 (a half-collar), arcs on a catenoid and on a Moebius band, and arcs on
+# both loops of one cylinder.
 PINNED_MESHES = {
     "disk 0.03": (lambda: sk.build_disk_mesh(0.03),
                   ("77c82e616083f18f", "ea5196df09d1eac5", "e3b0c44298fc1c14")),
@@ -142,16 +146,44 @@ PINNED_MESHES = {
         ("ec658e61f8c40f69", "3cf18b9dd9da7c4e", "5ea6566ee6329d22")),
     "Moebius 0.5": (lambda: sk.build_mobius_mesh(0.5, 0.05),
                     ("c65183008f26ee8b", "d022fe0521c66a26", "5c10961b224cba1a")),
+    "two-disk boundary 0.025": (
+        lambda: sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 0.025), 0.03),
+        ("1abb1c53a2595a40", "e37eca95d007231c", "f586bc3d83c08859")),
+    "two-disk boundary 1e-6": (
+        lambda: sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 1e-6), 0.03),
+        ("b4bbcc2ef720e5a9", "e289c5cdfcbcd055", "2ee44bcfe11e3b05")),
+    "catenoid+disk 0.1": (
+        lambda: sk.build_glued_mesh(
+            chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], 0.1), 0.05),
+        ("d5fcc0569072eee6", "73918058499666ce", "86730e4b1d640af8")),
+    "Moebius+disk 1e-5": (
+        lambda: sk.build_glued_mesh(
+            chain_family([sk.critical_mobius_metric(), sk.UnitDisk()], 1e-5), 0.05),
+        ("05982da8a9053b35", "33482185c9272c08", "cdb33dd4786eddc4")),
+    "cylinder arcs on both loops": (
+        lambda: sk.build_spec_mesh(sk.FlatCylinder(1.0), 0.05,
+                                   (ArcSite(0, 1.0, 0.05), ArcSite(1, 4.0, 1e-6))).mesh,
+        ("4d96ed60f236561b", "0d961c06ecd30d34", "df6eb148f6224ada")),
 }
+ARC_SITE_MESHES = list(PINNED_MESHES)[4:]  # from "two-disk boundary 0.025" on
 
 
-@pytest.mark.parametrize("case", list(PINNED_MESHES))
-def test_meshes_without_arc_sites_are_pinned(case):
+def _assert_pinned(case):
     build, digests = PINNED_MESHES[case]
     mesh = build()
     got = tuple(hashlib.sha256(getattr(mesh, name).tobytes()).hexdigest()[:16]
                 for name in ("vertices", "triangles", "identifications"))
     assert got == digests
+
+
+@pytest.mark.parametrize("case", [c for c in PINNED_MESHES if c not in ARC_SITE_MESHES])
+def test_meshes_without_arc_sites_are_pinned(case):
+    _assert_pinned(case)
+
+
+@pytest.mark.parametrize("case", ARC_SITE_MESHES)
+def test_meshes_with_arc_sites_are_pinned(case):
+    _assert_pinned(case)
 
 
 class TestArcSite:

@@ -27,7 +27,7 @@ def _raised_names(tree):
                 yield exc.id
 
 
-# one owner for neck-site refusals: `meshes.place_sites` and the mesher's own guard
+# one owner for neck-site refusals: `meshes.place_sites`
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "meshes.py"],
                          ids=lambda p: p.name)
 def test_only_meshes_refuses_gluings(path):
@@ -40,6 +40,24 @@ def test_dtn_never_reads_chart_geometry():
     reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in ("vertices", "triangles")]
     assert reads == [], f"dtn.py reads chart geometry at lines {reads}"
+
+
+# one sited-chart mesher: every chart with neck sites, disk or grid, goes
+# through `meshes._sited_chart`, the only caller of the site pipeline's stages
+def test_one_function_meshes_every_sited_chart():
+    stages = ("_site_points", "_layout_split", "_band_delaunay", "_attach_collars")
+    callers = {name: set() for name in stages}
+    for path in SOURCES:
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in callers:
+                        callers[name].add(f"{path.name}:{fn.name}")
+    assert callers == {name: {"meshes.py:_sited_chart"} for name in stages}
 
 
 def _report_writes(tree):
