@@ -155,14 +155,6 @@ def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     return dtn
 
 
-def _boundary_mass(mesh: SurfaceMesh, b: np.ndarray) -> np.ndarray:
-    """`boundary_mass_vector`, refused unless positive on the boundary vertices b."""
-    mass = boundary_mass_vector(mesh)
-    if np.any(mass[b] <= 0):
-        raise AssemblyError("boundary vertex with nonpositive lumped mass")
-    return mass
-
-
 def _relative_residuals(A, u: np.ndarray, mass: np.ndarray, w: np.ndarray) -> np.ndarray:
     """|A u - sigma M u| / |M u| of each eigenpair (sigma in w, u by columns)."""
     mu = mass[:, None] * u
@@ -194,7 +186,9 @@ class DtnOperator:
         b = self.boundary_index
         check_count(count, len(b), "boundary degrees of freedom")
         mesh = self.mesh if conformal is None else with_conformal_factor(self.mesh, conformal)
-        mass = _boundary_mass(mesh, b)[b]
+        mass = boundary_mass_vector(mesh)[b]
+        if np.any(mass <= 0):  # the dense DtN needs a mass on every boundary vertex
+            raise AssemblyError("boundary vertex with nonpositive lumped mass")
         s = 1.0 / np.sqrt(mass)
         H = self.matrix * np.outer(s, s)  # exactly symmetric: schur_dtn symmetrizes
         try:
@@ -240,7 +234,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
     if not _lanczos_fits(count, n_b):
         logger.debug("dense DtN: %d pairs of %d leave no room for Lanczos", count, n_b)
         return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
-    mass = _boundary_mass(mesh, b)
+    mass = boundary_mass_vector(mesh)  # a massless boundary vertex acts as a free one
     K = assemble_stiffness(mesh)
     K = _ground(K, _grounding_pins(K, b))
     try:

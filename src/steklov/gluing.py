@@ -1,17 +1,19 @@
 """Neck gluings between surface components.
 
 Boundary necks are squares of physical side 2*rho whose two opposite sides are
-identified node-for-node with boundary arcs of the components; the remaining
-two sides become new boundary, so the total boundary length is unchanged.
-Interior necks, tubes of circumference 2*pi*rho and length 2*rho between two
-removed disks, are one flat chart with their collars (`_neck_chart`).
+glued to boundary arcs of the components; the remaining two sides become new
+boundary, so the total boundary length is unchanged.  Each arc reaches its
+component through one flat collar chart (`_collar`).  Interior necks, tubes of
+circumference 2*pi*rho and length 2*rho between two removed disks, are one
+flat chart with their collars (`_neck_chart`).  So rho reaches a neck only
+through its charts' heights and boundary densities.
 
 `prepare_components` checks the neck kind, has `meshes.place_sites` place
 each component's sites once (every refusal comes before any chart is meshed),
-gives both rims of an interior neck one segment count, and meshes each
-component from its placements (`meshes.mesh_placed`), one interface per site
-in site order.  `glue` joins all necks in one pass, taking each attachment's
-interface by that position, and assembles the glued mesh once.
+gives both ends of a neck one segment count, and meshes each component from
+its placements (`meshes.mesh_placed`), one interface per site in site order.
+`glue` joins all necks in one pass, taking each attachment's interface by that
+position, and assembles the glued mesh once.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError
-from .meshes import (NECK_SEGMENTS, ArcSite, Component, HoleSite, SurfaceMesh, _fan,
-                     _fill_graded, _grid_cells, assemble_mesh,
-                     check_mesh_budget, mesh_placed, place_sites)
+from .meshes import (ArcSite, Component, HoleSite, SurfaceMesh, _fan, _fill_graded,
+                     _grid_cells, _arc_angles, assemble_mesh, check_mesh_budget, mesh_placed,
+                     place_sites)
 from .meshes import build_spec_mesh  # noqa: F401 -- a binding bench/tracer.py wraps
 
 TWO_PI = 2.0 * math.pi
@@ -59,17 +61,28 @@ class GluedFamily:
 # mesh-level assembly
 # ---------------------------------------------------------------------------
 
-def _square(rho: float, lam1: float, lam2: float, m: int):
-    """A boundary neck's rows, row nodes and row densities: a square of physical
-    side 2*rho, m cells each way, its density linear from lam1 to lam2."""
-    lam_mid = lam1 + (lam2 - lam1) * (np.arange(m) + 0.5) / m
-    xs = np.concatenate([[0.0], np.cumsum((2.0 * rho / m) / lam_mid)])
-    rows_lam = lam1 + (lam2 - lam1) * np.arange(m + 1) / m
-    return xs, np.linspace(-rho / rows_lam, rho / rows_lam, m + 1, axis=1), rows_lam
+def _collar(rho: float, lam: float, R: float, nu: np.ndarray):
+    """A boundary arc's collar, one flat chart [0, mu_R] x [0, pi] with w = rho /
+    lam and cosh(mu_R) = R / w: rows mu, row nodes nu, row factors and scales.
+
+    The Dirichlet energy sees only angles, and z = -w cosh(mu - i nu) maps the
+    chart onto the region between the arc (mu = 0) and its site's half-ellipse
+    (`meshes._arc_site`).  The sides nu = 0, pi lie on the boundary, where a
+    row's density is the mean of rho sinh(mu) over its half of each next step,
+    rho sinh(c) sinh(d) / d on c +- d: the sides' length lam (R - w) is exact.
+    mu_R = log(R + sqrt(R^2 - w^2)) - log(w) overflows nowhere.  Rows grow by a
+    factor 1 + pi / (2 m) per step from pi / m at both ends, m the segments."""
+    du, log_rho = math.pi / (len(nu) - 1), math.log(rho)
+    mu_R = math.log(R + math.sqrt((R - rho / lam) * (R + rho / lam))) - log_rho + math.log(lam)
+    mu = _fill_graded(0.0, mu_R, du, du, mu_R, growth=0.5 * du)
+    ends = np.concatenate([[0.0], 0.5 * (mu[1:] + mu[:-1]), [mu_R]])
+    c, d = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
+    density = 0.5 * (np.exp(log_rho + c) - np.exp(log_rho - c)) * np.sinh(d) / d
+    return mu, np.tile(nu, (len(mu), 1)), np.full(len(mu), lam), density / lam
 
 
 def _neck_chart(rho: float, rings, lams):
-    """An interior neck's rows, row nodes and row densities: one flat chart
+    """An interior neck's rows, row nodes, row factors and scales: one flat chart
     [0, H] x S^1 with a column per rim segment, m of them.
 
     The Dirichlet energy sees only angles.  Around a rim of chart radius R (read
@@ -82,7 +95,8 @@ def _neck_chart(rho: float, rings, lams):
     H = 2.0 + sum(math.log(np.linalg.norm(r[1] - r[0]) / (2.0 * math.sin(math.pi / m)) * lam)
                   - math.log(rho) for r, lam in zip(rings, lams))
     s = _fill_graded(0.0, H, du, du, H, growth=0.5 * du)
-    return s, np.tile(np.linspace(0.0, TWO_PI, m + 1), (len(s), 1)), np.interp(s, [0.0, H], lams)
+    nodes = np.tile(np.linspace(0.0, TWO_PI, m + 1), (len(s), 1))
+    return s, nodes, np.interp(s, [0.0, H], lams), np.ones(len(s))
 
 
 def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
@@ -90,50 +104,67 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
 
     Component i's interfaces are taken in the order `prepare_components` gave
     its sites: pair by pair, the first attachment of a pair before the second.
-    Each neck end takes the boundary density of its end's component.
+    Each neck end takes the boundary density of its end's component.  A
+    boundary neck's square is the chart [0, 2] x [-1, 1], graded as 1 - cos to
+    its corners, with scale rho on its free sides; its column at -cos(nu) meets
+    the arc at -w cos(nu), through the arc's collar unless R = w.
     """
     pieces = [c.vertices for c in components]
     offsets = np.cumsum([0] + [len(p) for p in pieces])
     triangles = [c.triangles + o for c, o in zip(components, offsets)]
     idents = [c.identifications + o for c, o in zip(components, offsets)]
     lam = [np.full(len(c.vertices), c.density) for c in components]
+    scale = [np.ones(len(c.vertices)) for c in components]
     wanted = np.bincount([att.component for pair in family.pairs for att in pair],
                          minlength=len(components))
     if wanted.tolist() != [len(c.interfaces) for c in components]:
         raise AssemblyError("components were not prepared for this family")
-    unused = [iter(c.interfaces) for c in components]
+    unused = [iter(zip(c.interfaces, c.sizes)) for c in components]
     sides = []
-    n = int(offsets[-1])
-    for a, b in family.pairs:
-        ca, cb = components[a.component], components[b.component]
-        ring_a, ring_b = next(unused[a.component]), next(unused[b.component])
-        ids_a, ids_b = ring_a + offsets[a.component], ring_b + offsets[b.component]
-        if family.neck_kind == BOUNDARY_NECK:
-            xs, ys, rows_lam = _square(family.rho, ca.density, cb.density, NECK_SEGMENTS)
-        elif len(ids_a) != len(ids_b):
-            raise AssemblyError("the two rims of an interior neck differ in segments")
-        else:
-            xs, ys, rows_lam = _neck_chart(family.rho, (ca.vertices[ring_a], cb.vertices[ring_b]),
-                                           (ca.density, cb.density))
-        cells, idx = _grid_cells(*ys.shape)
-        idx = idx + n
-        k = ys.shape[1] - 1
-        if family.neck_kind == BOUNDARY_NECK:  # sides 0 and k become boundary
-            sides.append(np.concatenate([idx[:, 0], idx[:, k]]))
-            idents += [np.stack([ids_a, idx[0]], axis=1),
-                       np.stack([ids_b, idx[-1, ::-1]], axis=1)]
-        else:  # the seam at columns 0 and k
-            reflect = (k - np.arange(k)) % k
+
+    def chart(rows, nodes, rows_lam, rows_scale):
+        """Add the neck chart with nodes (rows[i], nodes[i, j]); its chart ids."""
+        cells, idx = _grid_cells(*nodes.shape)
+        idx += sum(map(len, pieces))
+        pieces.append(np.stack([np.repeat(rows, nodes.shape[1]), nodes.ravel()], axis=1))
+        triangles.append(_fan(cells) + idx[0, 0])
+        lam.append(np.repeat(rows_lam, nodes.shape[1]))
+        scale.append(np.repeat(rows_scale, nodes.shape[1]))
+        return idx
+
+    for pair in family.pairs:
+        ends = [(components[att.component], *next(unused[att.component]), offsets[att.component])
+                for att in pair]
+        (ca, ring_a, _, off_a), (cb, ring_b, _, off_b) = ends
+        if len(ring_a) != len(ring_b):
+            raise AssemblyError("the two ends of a neck differ in segments")
+        if family.neck_kind == INTERIOR_NECK:
+            idx = chart(*_neck_chart(family.rho, (ca.vertices[ring_a], cb.vertices[ring_b]),
+                                     (ca.density, cb.density)))
+            k = len(ring_a)
+            reflect = (k - np.arange(k)) % k  # the seam at columns 0 and k
             idents += [np.stack([idx[:, 0], idx[:, k]], axis=1),
-                       np.stack([ids_a, idx[0, :k]], axis=1),
-                       np.stack([ids_b[reflect], idx[-1, :k]], axis=1)]
-        pieces.append(np.stack([np.repeat(xs, k + 1), ys.ravel()], axis=1))
-        triangles.append(_fan(cells) + n)
-        lam.append(np.repeat(rows_lam, k + 1))
-        n += len(pieces[-1])
+                       np.stack([ring_a + off_a, idx[0, :k]], axis=1),
+                       np.stack([ring_b[reflect] + off_b, idx[-1, :k]], axis=1)]
+            continue
+        arcs = []
+        for comp, ring, R, offset in ends:
+            nu, ids = _arc_angles(R, family.rho / comp.density, len(ring) - 1), ring + offset
+            if R > family.rho / comp.density:  # a collar between the site's ring and the arc
+                idx = chart(*_collar(family.rho, comp.density, R, nu))
+                idents.append(np.stack([ids, idx[-1]], axis=1))
+                ids = idx[0]
+            arcs.append((ids, -np.cos(nu)))
+        (ids_a, y_a), (ids_b, y_b) = arcs
+        x = 1.0 - np.cos(np.linspace(0.0, math.pi, len(y_a)))
+        rows_lam = np.interp(x, [0.0, 2.0], [ca.density, cb.density])
+        idx = chart(x, np.linspace(y_a, y_b, len(x)), rows_lam, family.rho / rows_lam)
+        sides.append(np.concatenate([idx[:, 0], idx[:, -1]]))  # they become boundary
+        idents += [np.stack([ids_a, idx[0]], axis=1), np.stack([ids_b, idx[-1, ::-1]], axis=1)]
     return assemble_mesh(np.concatenate(pieces), np.concatenate(triangles),
                          np.concatenate(idents), np.concatenate(lam),
-                         tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {})
+                         tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {},
+                         scale_chart=np.concatenate(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +191,9 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
                 arcs.append(ArcSite(att.loop, att.theta, family.rho))
     placed = [place_sites(spec, *s) for spec, s in zip(family.components, sites)]
     check_mesh_budget(family.components, resolution)  # both refuse before any meshing
-    widths = [[] for _ in family.components]  # both rims of a neck count from the wider
+    widths = [[] for _ in family.components]  # both ends of a neck count from the wider
     unused = [iter(p) for p in placed]
-    for pair in family.pairs if interior else ():
+    for pair in family.pairs:
         width = max(next(unused[att.component]).size for att in pair)
         for att in pair:
             widths[att.component].append(width)

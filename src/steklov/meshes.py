@@ -5,10 +5,11 @@ A surface is a union of flat chart pieces; logical vertices are equivalence
 classes of chart vertices under the identification list.  The metric is
 lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
 chart-only and the conformal factor enters solely through boundary lengths.
-`assemble_mesh` owns the P1 geometry: each triangle's edge vectors give its
-doubled area, which orients or refuses it, and its corner cotangents, summed
-into each unique edge's weight (`edge_weights`, shared by
-`with_conformal_factor`).
+A boundary edge's density is its logical ends' factors times their chart
+scales, 1 but on the neck charts of `gluing`.  `assemble_mesh` owns the P1
+geometry: each triangle's edge vectors give its doubled area, which orients or
+refuses it, and its corner cotangents, summed into each unique edge's weight
+(`edge_weights`, shared by `with_conformal_factor`).
 
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
@@ -18,17 +19,17 @@ every neck site on its chart and makes every refusal of one; a build places
 each chart's sites once, before anything is meshed.  Every chart with neck
 sites goes through `_sited_chart`: its boundary circle or rows graded around
 each arc (`_disk_boundary`), graded patches clear of every site
-(`_site_points`), a Delaunay stage, and each site cut open at the ring that
-stage meets (`_attach_collars`): a rim is that ring alone, and an arc below
-chart half-length 2.5e-4 gets a half-collar of confocal half-ellipses inside
-it, ending on the boundary (`_arc_site`).  The Delaunay stage keeps the
-site-free layout's cells (the disk's ring merge, or the grid's rectangles)
-away from the sites (`_layout_split`), and Qhull (`scipy.spatial`, imported
-only when needed) sees only the sites' neighbourhoods (`_band_delaunay`,
-logged at DEBUG).  A certificate on the interface (`_interface_delaunay`)
-joins the pieces, or the chart is refused with `AssemblyError`.
-`check_mesh_budget` refuses, before anything is built, meshes estimated above
-MAX_MESH_VERTICES and grid charts lower than MIN_CHART_HEIGHT.
+(`_site_points`), a Delaunay stage, and each site cut open at its ring: a
+rim's circle, or the half-ellipse of an arc's reach, confocal with the arc
+(`_arc_site`), which `gluing` fills with the arc's flat collar chart.  The
+Delaunay stage keeps the site-free layout's cells (the disk's ring merge, or
+the grid's rectangles) away from the sites (`_layout_split`), and Qhull
+(`scipy.spatial`, imported only when needed) sees only the sites'
+neighbourhoods (`_band_delaunay`, logged at DEBUG).  A certificate on the
+interface (`_interface_delaunay`) joins the pieces, or the chart is refused
+with `AssemblyError`.  `check_mesh_budget` refuses, before anything is built,
+meshes estimated above MAX_MESH_VERTICES and grid charts lower than
+MIN_CHART_HEIGHT.
 
 Every chart carries one constant boundary density: in two dimensions a metric
 reaches the Steklov spectrum only through it, and `with_conformal_factor` sets
@@ -39,11 +40,12 @@ a component's own `mesh` is assembled only when a plain surface asks for it.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,6 +94,7 @@ class SurfaceMesh:
     logical: np.ndarray               # (nv,) chart index -> logical vertex id
     n_logical: int
     conformal_factor: np.ndarray      # (n_logical,) positive
+    chart_scale: np.ndarray           # (nv,) nonnegative; density = factor * scale
     boundary_loops: tuple[tuple[int, ...], ...]  # ordered logical ids, closed
     boundary_edge_chart: np.ndarray   # (nb, 2) chart endpoints of the unique chart edge
     edges: np.ndarray                 # (ne, 2) unique logical edges (lo, hi), lexicographic
@@ -189,17 +192,24 @@ def _walk_loops(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def assemble_mesh(vertices, triangles, identifications, conformal_chart,
-                  tags_chart: dict[str, Sequence[int]] | None = None) -> SurfaceMesh:
-    """Build a SurfaceMesh from chart data, deriving logical structure and loops."""
+                  tags_chart: dict[str, Sequence[int]] | None = None,
+                  scale_chart=None) -> SurfaceMesh:
+    """Build a SurfaceMesh from chart data, deriving logical structure and loops.
+
+    `conformal_chart` is equal on identified chart vertices; `scale_chart` (1 if
+    not given) scales each chart vertex's boundary density on its own chart."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64).copy()
     identifications = (np.asarray(identifications, dtype=np.int64).reshape(-1, 2)
                        if len(identifications) else np.zeros((0, 2), dtype=np.int64))
     conformal_chart = np.asarray(conformal_chart, dtype=float)
+    scale_chart = np.ones(len(vertices)) if scale_chart is None else np.asarray(scale_chart)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise AssemblyError("vertices must be (nv, 2)")
     if conformal_chart.shape != (vertices.shape[0],):
         raise AssemblyError("conformal factor must be given per chart vertex")
+    if scale_chart.shape != conformal_chart.shape or not np.all(scale_chart >= 0):
+        raise AssemblyError("chart scales must be given per chart vertex, nonnegative")
 
     areas2, degenerate, cots = _corner_geometry(vertices, triangles)
     flip = areas2 < 0
@@ -239,6 +249,7 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         logical=_freeze(labels),
         n_logical=n_logical,
         conformal_factor=_freeze(lam),
+        chart_scale=_freeze(scale_chart),
         boundary_loops=loops,
         boundary_edge_chart=_freeze(boundary_edge_chart),
         edges=_freeze(edges),
@@ -262,12 +273,13 @@ def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 
 def boundary_edge_lengths(mesh: SurfaceMesh) -> np.ndarray:
-    """Physical length of each boundary edge: chart length times mean endpoint lambda."""
+    """Physical length of each boundary edge: chart length times the mean density
+    of its chart ends, each the conformal factor times the chart scale."""
     uv = mesh.boundary_edge_chart
     if len(uv) == 0:
         return np.zeros(0)
     chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
-    return chord * mesh.conformal_factor[mesh.logical[uv]].mean(axis=1)
+    return chord * (mesh.conformal_factor[mesh.logical[uv]] * mesh.chart_scale[uv]).mean(axis=1)
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:
@@ -287,6 +299,8 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
         report.append(f"{int(bad.sum())} chart triangles degenerate or misoriented")
     if np.any(mesh.conformal_factor <= 0):
         report.append("conformal factor not strictly positive")
+    if not np.all(mesh.chart_scale >= 0):
+        report.append("chart scale negative")
     # equal factors across identified pairs are structural here (one logical
     # slot per class); assemble_mesh rejects unequal chart inputs up front
 
@@ -364,7 +378,8 @@ class HoleSite:
 class Component:
     """Chart arrays of one surface, as `assemble_mesh` takes them, its boundary
     density and its interfaces: the ordered chart vertex chains where necks glue
-    on, one per site, arcs first, each kind in site order.
+    on, one per site, arcs first, each kind in site order, with the chart size
+    each site was placed at (an arc's reach, a rim's radius).
 
     A glue concatenates the chart arrays of its components and assembles the
     glued mesh once; `mesh` assembles a component alone, for a plain surface.
@@ -374,6 +389,7 @@ class Component:
     identifications: np.ndarray
     density: float
     interfaces: tuple[np.ndarray, ...]
+    sizes: tuple[float, ...]
 
     @cached_property
     def mesh(self) -> SurfaceMesh:
@@ -381,33 +397,25 @@ class Component:
                              np.full(len(self.vertices), self.density))
 
 
-def _smoothstep(s: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
-
-
-def _patch_rings(center, h0: float, resolution: float, r_start: float, keep,
-                 phase: float = 0.0):
-    """Concentric graded point rings around a refinement center.
-
-    Spacing grows ~0.42 * r from h0 up to the background resolution; `keep`
-    filters candidate points (inside the domain, outside other exclusions),
-    and `phase` turns every ring.  Returns the points and the exclusion
-    radius the patch covers.
+def _patch_rings(site: _Site, resolution: float, keep):
+    """Concentric graded point rings around a site's centre, from `site.r_start` to
+    past its reach, spacing growing ~0.42 * r from `site.h0` up to the background
+    resolution; `keep` filters candidate points (inside the domain, outside other
+    exclusions).  Returns the points and the exclusion radius the patch covers.
     """
     pts = []
-    r = r_start
+    r = site.r_start
     ring = 0
     while r < 40.0:
-        s = min(resolution, max(h0, 0.42 * r))
+        s = min(resolution, max(site.h0, 0.42 * r))
         n = max(8, int(round(TWO_PI * r / s)))
         offs = (ring % 2) * math.pi / n
-        ang = offs + TWO_PI * np.arange(n) / n + phase
-        q = np.asarray(center) + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        ang = offs + TWO_PI * np.arange(n) / n + site.phase
+        q = np.asarray(site.centre) + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         mask = keep(q, s)
         if np.any(mask):
             pts.append(q[mask])
-        if s >= 0.98 * resolution and r > 2.0 * resolution:
+        if s >= 0.98 * resolution and r > max(2.0 * resolution, site.reach):
             break
         r += 1.05 * s
         ring += 1
@@ -415,17 +423,16 @@ def _patch_rings(center, h0: float, resolution: float, r_start: float, keep,
 
 
 # ---------------------------------------------------------------------------
-# neck sites: graded patches, rims and arcs cut open, collars
+# neck sites: graded patches, rims and arcs cut open
 # ---------------------------------------------------------------------------
 
-# below this radius an arc's half-collar keeps its tiniest triangles from the Delaunay
-# stage, whose lifted-paraboloid predicates lose them; rim clearances count from it too
-COLLAR_RADIUS = 1e-3
-COLLAR_GROWTH = 1.3  # radius ratio between consecutive half-collar rings
-# arc chart sizes rho / lambda of 3.2e-14 and below made degenerate chart
-# triangles (grid arcs; disk arcs from 5.6e-15), and arc_collar overflows
-MIN_CHART_SIZE = 1e-12
+# the least chart radius of a rim and reach of an arc, from which clearances
+# count: smaller rings lose triangles to the Delaunay stage's predicates
+RIM_FLOOR, ARC_FLOOR = 1e-3, 2.5e-4
 RIM_RADIUS = 0.08  # chart radius of an interior rim where its chart has room
+# an arc's reach where its chart has room: its NECK_SEGMENTS columns are then a
+# resolution step apart from resolution 0.06 down, so all near it refines with h
+ARC_REACH = 0.32
 
 
 def _unit(angles: np.ndarray) -> np.ndarray:
@@ -436,23 +443,12 @@ def _ring_points(center, radius: float, m: int) -> np.ndarray:
     return np.asarray(center) + radius * _unit(TWO_PI * np.arange(m) / m)
 
 
-def _ring_strips(rings: np.ndarray, closed: bool = True) -> np.ndarray:
-    """Two triangles per cell between consecutive rings (rows of vertex ids).
-
-    Closed rings wrap around.  Open ones, which end on the boundary circle, do
-    not; their cells split along the diagonal that keeps the two end cells of
-    the innermost strip from joining three nodes of the circle.
-    """
+def _ring_strips(rings: np.ndarray) -> np.ndarray:
+    """Two triangles per cell between consecutive closed rings (rows of vertex ids)."""
     a, d = rings[:-1], rings[1:]
     b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
-    if closed:
-        return np.concatenate([np.stack([a, b, c], axis=2),
-                               np.stack([a, c, d], axis=2)], axis=1).reshape(-1, 3)
-    a, b, c, d = (x[:, :-1] for x in (a, b, c, d))
-    first = (np.arange(a.shape[1]) < a.shape[1] // 2)[:, None]
-    one = np.where(first, np.stack([a, b, c], axis=2), np.stack([a, b, d], axis=2))
-    two = np.where(first, np.stack([a, c, d], axis=2), np.stack([b, c, d], axis=2))
-    return np.concatenate([one, two], axis=1).reshape(-1, 3)
+    return np.concatenate([np.stack([a, b, c], axis=2),
+                           np.stack([a, c, d], axis=2)], axis=1).reshape(-1, 3)
 
 
 def _qhull_triangles(points: np.ndarray) -> np.ndarray:
@@ -465,20 +461,16 @@ def _qhull_triangles(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Site:
-    """A neck site as the site mesher sees it.
-
-    `outer` is the ring of points the Delaunay stage meets; `collar` (rings,
-    nodes, 2) holds an arc's half-collar inside it, from the true arc outwards,
-    and may be empty (the true rim or arc is then `outer`).  The graded patch
-    around `centre` starts at radius `r_start` with spacing `h0`, turned by
-    `phase`, and keeps its points outside radius `r_hole`.
-    """
+    """A neck site as the site mesher sees it: the ring `outer` where it is cut
+    open, within `reach` of `centre`, and `clear(q, s)`, which keeps points q at
+    spacing s off the ring's inside.  The graded patch around `centre` starts
+    at radius `r_start` with spacing `h0`, turned by `phase`."""
     centre: np.ndarray
-    collar: np.ndarray
     outer: np.ndarray
+    reach: float
     h0: float
     r_start: float
-    r_hole: float
+    clear: Callable[[np.ndarray, float], np.ndarray]
     phase: float = 0.0
 
 
@@ -488,60 +480,61 @@ def _hole_site(placed: Placement, width: float, resolution: float) -> _Site:
     centre, r = placed
     m = max(NECK_SEGMENTS, int(round(TWO_PI * max(RIM_RADIUS, width) / resolution)))
     h0 = TWO_PI * r / m
-    return _Site(centre, np.zeros((0, m, 2)), _ring_points(centre, r, m), h0, r + h0, r)
+    return _Site(centre, _ring_points(centre, r, m), r, h0, r + h0,
+                 lambda q, s: np.linalg.norm(q - centre, axis=1) > r + 0.45 * s)
 
 
-def arc_collar(w: float) -> tuple[float, float]:
-    """mu of the outer half-ellipse of an arc of chart half-length w (0, no
-    half-collar, from COLLAR_RADIUS / 4 up; else a reach of COLLAR_RADIUS), and
-    the half-length w cosh(mu) of the span the arc takes on the boundary."""
-    mu = math.acosh(COLLAR_RADIUS / w) if w < COLLAR_RADIUS / 4.0 else 0.0
-    return mu, w * math.cosh(mu)
+def _arc_angles(R: float, w: float, m: int) -> np.ndarray:
+    """Angles nu of the m + 1 columns of an arc of half-length w and reach R, at equal
+    steps along the half-ellipse -w cosh(mu_R - i nu), cosh(mu_R) = R / w."""
+    nu = np.linspace(0.0, math.pi, 64 * m + 1)
+    speed = np.hypot(math.sqrt((R - w) * (R + w)), w * np.sin(nu))  # |dz / dnu|
+    s = np.concatenate([[0.0], np.cumsum(speed[1:] + speed[:-1])])  # trapezoids, symmetric
+    return np.interp(np.linspace(0.0, s[-1], m + 1), s, nu)
 
 
-def _arc_site(centre: np.ndarray, w: float, carry, normal: float) -> tuple[_Site, float]:
-    """A boundary arc of chart half-length w centred on `centre`.
+def _frame(theta: float, row):
+    """Maps of an arc's coordinate z onto the chart and back: z -> exp(i (theta + z))
+    on the unit circle (row None), z -> (theta + x, t0 + inward y) on the grid row
+    (t0, inward)."""
+    if row is None:
+        turn = cmath.exp(1j * theta)
+        return (lambda z: turn * np.exp(1j * z)), (lambda q: -1j * np.log(q / turn))
+    origin, flip = complex(theta, row[0]), (np.conj if row[1] < 0 else np.asarray)
+    return (lambda z: origin + flip(z)), (lambda q: flip(q - origin))
+
+
+def _arc_site(placed: Placement, w: float, width: float, resolution: float, frame,
+              normal: float) -> _Site:
+    """A boundary arc of chart half-length w, cut open at its placed reach R.
 
     In a coordinate z = x + iy along the arc (x) and inward (y), the chart
-    boundary is the real line, and `carry` maps z onto the chart as complex
-    x + iy chart coordinates: z -> exp(i (theta + z)) on the unit disk, z ->
-    (theta + x, t0 +- y) on a grid chart's boundary row.  The arc has
-    NECK_SEGMENTS + 1 nodes, equally spaced.  An arc below COLLAR_RADIUS / 4
-    gets a half-collar: the confocal half-ellipses z = w cosh(mu + i nu) about
-    the arc's ends, for mu in steps of log COLLAR_GROWTH up to a reach of COLLAR_RADIUS,
-    whose ends lie on the real line, so that every ring ends on the boundary.
-    Along a ring, nu moves from the arc's own nodes (mu = 0) to equal steps by
-    mu = 2, where the ellipses are near circles.  The outer ring keeps every
-    other node, so that the Delaunay stage meets it as it meets a rim, at a
-    spacing of pi * COLLAR_RADIUS / 8.  The patch's rings are turned to the
-    outward `normal`.  Returns the site and the half-length of the span it
-    takes on the boundary.
+    boundary is the real line, and `frame` (`_frame`) maps z to complex chart
+    coordinates and back.  The site's ring is the half-ellipse z = -w cosh(mu_R
+    - i nu), cosh(mu_R) = R / w, from -R to R on the boundary (the arc itself
+    when R = w), with max(NECK_SEGMENTS, round(pi `width` / resolution)) + 1
+    nodes at the angles of `_arc_angles`; `gluing` fills it with the arc's
+    collar.  The patch's rings are turned to the outward `normal`.
     """
-    m = NECK_SEGMENTS
-    x = np.linspace(-1.0, 1.0, m + 1)
-    mu_end, half = arc_collar(w)
-    mu = np.zeros(1)
-    if mu_end:
-        mu = np.linspace(0.0, mu_end,
-                         max(2, math.ceil(mu_end / math.log(COLLAR_GROWTH))) + 1)
-    s = _smoothstep(mu / 2.0)[:, None]
-    nu = (1.0 - s) * np.arccos(x) + s * (0.5 * math.pi) * (1.0 - x)
-    z = w * np.cosh(mu[:, None] + 1j * nu)
-    z.imag[:, 0] = 0.0  # sin(nu) at nu = pi is not 0 in floating point
+    (carry, local), R = frame, placed.size
+    b = math.sqrt((R - w) * (R + w))  # the inward semi-axis
+    nu = _arc_angles(R, w, max(NECK_SEGMENTS, int(round(math.pi * width / resolution))))
+    z = -R * np.cos(nu) + 1j * b * np.sin(nu)
+    z.imag[[0, -1]] = 0.0  # sin(pi) is not 0 in floating point
     q = carry(z)
-    rings = np.stack([q.real, q.imag], axis=-1)
-    if len(mu) == 1:
-        h0 = 2.0 * w / m
-        return _Site(centre, rings[:0], rings[0], h0, 1.9 * h0, 0.0, normal), w
-    h0 = TWO_PI * COLLAR_RADIUS / m
-    site = _Site(centre, rings[:-1], rings[-1, ::2], h0, COLLAR_RADIUS + h0,
-                 COLLAR_RADIUS, normal)
-    return site, half
+    ring = np.stack([q.real, q.imag], axis=1)
+    h0 = float(np.linalg.norm(ring[1] - ring[0]))  # the ring's steps are equal
+
+    def clear(q, s):  # outside the half-ellipse widened by 0.45 s
+        z = local(q[:, 0] + 1j * q[:, 1])
+        return (z.real / (R + 0.45 * s)) ** 2 + (z.imag / (b + 0.45 * s)) ** 2 > 1.0
+
+    return _Site(placed.centre, ring, R, h0, b + h0, clear, normal)
 
 
 class Placement(NamedTuple):
     """A neck site on its chart: the chart centre, and the chart size (an arc's
-    half-length rho / lam, lam the chart's boundary density, or a rim's radius)."""
+    reach, or a rim's radius)."""
     centre: np.ndarray
     size: float
 
@@ -553,15 +546,17 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
     Every refusal of a site is made here, before anything is meshed.
     `InvalidParameterError`: an unknown chart, a T or boundary density that
     is not positive, an arc on a loop the chart lacks.  `InvalidGluingError`:
-    an arc's chart size rho / lam below MIN_CHART_SIZE, lam the chart's
-    boundary density; rho not below a quarter of an arc's clearance on its
-    loop (the angle to the nearest other arc there times lam, or 2 pi lam
-    alone); arc spans (`arc_collar`) that overlap each other or a grid
-    chart's theta seam; a rim whose floor f = max(rho / lam, COLLAR_RADIUS),
-    doubled, reaches its room (the chart distance to the boundary, rows or
-    seam); two rims closer than 4 (f_i + f_j).  Rim i of any rho > 0 is placed
-    at R_i = max(f_i, min(RIM_RADIUS, room_i / 3, (d_ij / 4 - f_j) / 2 over
-    rims j)), so 2 R_i < room_i and 4 (R_i + R_j) < d_ij.
+    rho not below a quarter of an arc's clearance on its loop (the angle to
+    the nearest other arc there times lam, lam the chart's boundary density,
+    or 2 pi lam alone); arc floors f = max(rho / lam, ARC_FLOOR) that overlap
+    each other or a grid chart's theta seam; a rim whose floor f = max(rho /
+    lam, RIM_FLOOR), doubled, reaches its room (the chart distance to the
+    boundary, rows or seam); two rims closer than 4 (f_i + f_j).  An arc is
+    placed at R = max(rho / lam, min(ARC_REACH, d / 4, T / 3 on a grid)), d the
+    chart distance to the nearest rim, seam or other arc on its loop (along
+    it), so arc spans [-R, R] stay apart; rim i at R_i = max(f_i, min(RIM_RADIUS,
+    room_i / 3, (d_ij / 4 - f_j) / 2 over rims j)), so 2 R_i < room_i and
+    4 (R_i + R_j) < d_ij.
     """
     if isinstance(spec, UnitDisk):
         lam = 1.0
@@ -572,6 +567,9 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
 
         def room(p):
             return 1.0 - np.linalg.norm(p)
+
+        def arc_caps(p):
+            return [ARC_REACH]
     elif isinstance(spec, (FlatCylinder, MobiusCylinder)):
         T, lam = spec.T, spec.boundary_density
         if not T > 0:
@@ -585,31 +583,33 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
 
         def room(p):  # np.min keeps a NaN
             return np.min([p[0], TWO_PI - p[0], p[1], T - p[1]])
+
+        def arc_caps(p):
+            return [ARC_REACH, T / 3.0, min(p[0], TWO_PI - p[0]) / 4.0]
     else:
         raise InvalidParameterError(f"cannot mesh {type(spec).__name__}")
     for site in arc_sites:
         if site.loop not in loops:
             raise InvalidParameterError(f"{type(spec).__name__} has boundary loops {loops}")
-    placed = [Placement(c, site.rho / lam) for site, c in zip(arc_sites, arcs)]
-    if any(p.size < MIN_CHART_SIZE for p in placed):
-        raise InvalidGluingError(f"boundary neck chart size rho / lambda below the floor "
-                                 f"{MIN_CHART_SIZE:g}")
 
-    by_loop: dict[int, list] = {}
-    for site, p in zip(arc_sites, placed):
-        by_loop.setdefault(site.loop, []).append((site, p))
-    for on in by_loop.values():
-        gaps = [(TWO_PI * lam, on[0][0].rho)] if len(on) == 1 else []
-        for i, (a, _) in enumerate(on):
-            for b, _ in on[i + 1:]:
-                d = abs(a.theta % TWO_PI - b.theta % TWO_PI)
-                gaps.append((min(d, TWO_PI - d) * lam, max(a.rho, b.rho)))
+    centres = [np.asarray(s.point, dtype=float) for s in hole_sites]
+    floors = [max(s.rho / lam, ARC_FLOOR) for s in arc_sites]
+    caps = [arc_caps(c) + [np.linalg.norm(c - p) / 4.0 for p in centres] for c in arcs]
+    for loop in sorted({site.loop for site in arc_sites}):
+        on = [i for i, site in enumerate(arc_sites) if site.loop == loop]
+        gaps = [(TWO_PI * lam, arc_sites[on[0]].rho)] if len(on) == 1 else []
+        for k, i in enumerate(on):
+            for j in on[k + 1:]:
+                d = abs((arc_sites[i].theta - arc_sites[j].theta + math.pi) % TWO_PI - math.pi)
+                gaps.append((d * lam, max(arc_sites[i].rho, arc_sites[j].rho)))
+                caps[i].append(d / 4.0)
+                caps[j].append(d / 4.0)
         if any(not rho < gap / 4.0 for gap, rho in gaps):
             raise InvalidGluingError("rho is not below a quarter of the attachment clearance")
         spans = list(seam)
-        for site, p in on:
-            mid, half = (site.theta - origin) % TWO_PI, arc_collar(p.size)[1]
-            spans.append((mid - half, mid + half))
+        for i in on:
+            mid = (arc_sites[i].theta - origin) % TWO_PI
+            spans.append((mid - floors[i], mid + floors[i]))
         spans.sort()  # as `_disk_boundary` takes them, the first again after the last
         if any(nxt <= hi for (_, hi), (nxt, _) in
                zip(spans, spans[1:] + [(spans[0][0] + TWO_PI, 0.0)])):
@@ -617,16 +617,16 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
 
     if any(not s.rho > 0 for s in hole_sites):
         raise InvalidGluingError("interior neck rho must be positive")
-    centres = [np.asarray(s.point, dtype=float) for s in hole_sites]
-    floors = [max(s.rho / lam, COLLAR_RADIUS) for s in hole_sites]
+    rim_floors = [max(s.rho / lam, RIM_FLOOR) for s in hole_sites]
     dist = [[np.linalg.norm(a - b) for b in centres] for a in centres]
-    for i, f in enumerate(floors):
+    for i, f in enumerate(rim_floors):
         if not 2.0 * f < room(centres[i]):
             raise InvalidGluingError("interior neck disk reaches the chart's boundary or seam")
-        if any(dist[i][j] <= 4.0 * (f + floors[j]) for j in range(i + 1, len(floors))):
+        if any(dist[i][j] <= 4.0 * (f + rim_floors[j]) for j in range(i + 1, len(rim_floors))):
             raise InvalidGluingError("interior neck disks too close together")
-    for i, (c, f) in enumerate(zip(centres, floors)):
-        caps = [(dist[i][j] / 4.0 - g) / 2.0 for j, g in enumerate(floors) if j != i]
+    placed = [Placement(c, max(s.rho / lam, min(cap))) for s, c, cap in zip(arc_sites, arcs, caps)]
+    for i, (c, f) in enumerate(zip(centres, rim_floors)):
+        caps = [(dist[i][j] / 4.0 - g) / 2.0 for j, g in enumerate(rim_floors) if j != i]
         placed.append(Placement(c, max(f, min([RIM_RADIUS, room(c) / 3.0] + caps))))
     return placed
 
@@ -644,17 +644,16 @@ def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site
     """
     patch_pts, exclusions = [], []
 
-    def keep(q, s):  # clear of every site's hole and of the earlier patches
+    def keep(q, s):  # clear of every site and of the earlier patches
         ok = inside(q, s)
         for other in sites:
-            ok &= np.linalg.norm(q - other.centre, axis=1) > other.r_hole + 0.45 * s
+            ok &= other.clear(q, s)
         for e, rr in exclusions:
             ok &= np.linalg.norm(q - e, axis=1) > 0.8 * rr
         return ok
 
     for site in sites:
-        pts, r_excl = _patch_rings(site.centre, site.h0, resolution, site.r_start, keep,
-                                   site.phase)
+        pts, r_excl = _patch_rings(site, resolution, keep)
         patch_pts.append(pts)
         exclusions.append((site.centre, r_excl))
     far = np.ones(len(background), dtype=bool)
@@ -668,34 +667,6 @@ def _site_points(head: np.ndarray, background: np.ndarray, sites: Sequence[_Site
     outer_ids = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
     background_ids = np.where(far, ends[-1] + np.cumsum(far) - 1, -1)
     return points, background_ids, outer_ids, exclusions
-
-
-def _attach_collars(points: np.ndarray, triangles: np.ndarray, sites: Sequence[_Site],
-                    outer_ids):
-    """Cut each site open at its outer ring and fill its collar inside.
-
-    Returns the points, the triangles and the ids of each site's true rim or
-    arc.
-    """
-    for ids in outer_ids:
-        triangles = triangles[~np.isin(triangles, ids).all(axis=1)]
-    pieces, strips, true_ids = [points], [triangles], []
-    n = len(points)
-    for site, ids in zip(sites, outer_ids):
-        k = site.collar.shape[0] * site.collar.shape[1]
-        if not k:
-            true_ids.append(ids)
-            continue
-        rings = np.arange(n, n + k).reshape(site.collar.shape[:2])
-        pieces.append(site.collar.reshape(-1, 2))
-        fine = rings[-1]  # an arc's half-collar meets an outer ring of every other node
-        strips += [_ring_strips(rings, closed=False),
-                   np.stack([fine[:-2:2], fine[1::2], ids[:-1]], axis=1),
-                   np.stack([fine[1::2], ids[1:], ids[:-1]], axis=1),
-                   np.stack([fine[1::2], fine[2::2], ids[1:]], axis=1)]
-        n += k
-        true_ids.append(rings[0])
-    return np.concatenate(pieces), np.concatenate(strips), true_ids
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +895,7 @@ def _sited_chart(layout: np.ndarray, cells: np.ndarray, rows, pinned: np.ndarray
     ids, their angles, its new angles (each ascending) and points, placed
     first; a node stays where its angle does.  `pinned` layout nodes off the
     rows stay however near a site.  Returns the points, triangles, ids of each
-    site's true rim or arc, and each layout vertex's point id (-1: dropped).
+    site's ring, and each layout vertex's point id (-1: dropped).
     """
     actual = np.full(len(layout), -1)
     on_rows = np.zeros(len(layout), dtype=bool)
@@ -939,8 +910,9 @@ def _sited_chart(layout: np.ndarray, cells: np.ndarray, rows, pinned: np.ndarray
     actual[~on_rows] = background_ids
     triangles = _band_delaunay(points, *_layout_split(points, layout, cells, actual,
                                                        exclusions, margin))
-    points, triangles, true_ids = _attach_collars(points, triangles, sites, outer_ids)
-    return points, triangles, true_ids, actual
+    for ids in outer_ids:  # cut each site open at its ring
+        triangles = triangles[~np.isin(triangles, ids).all(axis=1)]
+    return points, triangles, tuple(outer_ids), actual
 
 
 def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSite],
@@ -955,22 +927,23 @@ def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSi
         layout_tris = _qhull_triangles(layout.points)
     no_pairs = np.zeros((0, 2), dtype=np.int64)  # the disk has no seam
     if not placed:
-        return Component(layout.points, layout_tris, no_pairs, 1.0, ())
+        return Component(layout.points, layout_tris, no_pairs, 1.0, (), ())
     sites, blocks = [], []
-    for site, (p, w) in zip(arc_sites, placed):  # w: chart angle = arclength
-        arc, half = _arc_site(p, w, lambda z: np.exp(1j * (site.theta + z)), site.theta)
+    for site, p, width in zip(arc_sites, placed, widths):  # chart angle = arclength
+        arc = _arc_site(p, site.rho, width, resolution, _frame(site.theta, None), site.theta)
         sites.append(arc)
         mid = (site.theta - turn) % TWO_PI
-        blocks.append((mid - half, mid + half, arc.h0))
-    sites += [_hole_site(p, w, resolution) for p, w in zip(placed[len(arc_sites):], widths)]
+        blocks.append((mid - p.size, mid + p.size, arc.h0))
+    sites += [_hole_site(p, w, resolution)
+              for p, w in zip(placed[len(arc_sites):], widths[len(arc_sites):])]
     circle = np.linspace(0.0, TWO_PI, n_b + 1)[:-1]
     angles = _disk_boundary(circle, blocks) if blocks else circle
-    points, triangles, true_ids, _ = _sited_chart(
+    points, triangles, ids, _ = _sited_chart(
         layout.points, layout_tris, [(np.arange(n_b), circle, angles, _unit(angles + turn))],
         np.zeros(len(layout.points), dtype=bool), sites, resolution,
         lambda q, s: np.linalg.norm(q, axis=1) <= 1.0 - 0.45 * s,
         2.0 / (len(layout.counts) - 1))
-    return Component(points, triangles, no_pairs, 1.0, tuple(true_ids))
+    return Component(points, triangles, no_pairs, 1.0, ids, tuple(p.size for p in placed))
 
 
 def build_disk_mesh(resolution: float) -> SurfaceMesh:
@@ -1023,18 +996,19 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite],
     if mobius:
         pairs = np.concatenate([pairs, idx[0, :-1].reshape(2, -1).T])
     if not placed:
-        return Component(base, _fan(cells), pairs, density, ())
+        return Component(base, _fan(cells), pairs, density, (), ())
 
     du = TWO_PI / (len(theta) - 1)
     sites, blocks = [], {}
-    for centre, w in placed[:len(arc_sites)]:
-        th, t0 = centre  # a site's (theta, t), t0 its boundary row
+    for site, p, width in zip(arc_sites, placed, widths):
+        th, t0 = p.centre  # a site's (theta, t), t0 its boundary row
         inward = 1.0 if t0 == 0.0 else -1.0
-        arc, span = _arc_site(centre, w, lambda z: th + z.real + 1j * (t0 + inward * z.imag),
-                              -inward * 0.5 * math.pi)
+        arc = _arc_site(p, site.rho / density, width, resolution, _frame(th, (t0, inward)),
+                        -inward * 0.5 * math.pi)
         sites.append(arc)
-        blocks.setdefault(t0, [(0.0, 0.0, du)]).append((th - span, th + span, arc.h0))
-    sites += [_hole_site(p, w, resolution) for p, w in zip(placed[len(arc_sites):], widths)]
+        blocks.setdefault(t0, [(0.0, 0.0, du)]).append((th - p.size, th + p.size, arc.h0))
+    sites += [_hole_site(p, w, resolution)
+              for p, w in zip(placed[len(arc_sites):], widths[len(arc_sites):])]
     rows = []
     for t0, row_blocks in blocks.items():
         angles = np.concatenate([[0.0], _disk_boundary(theta[:-1], row_blocks), [TWO_PI]])
@@ -1047,9 +1021,9 @@ def _grid_component(spec, resolution: float, arc_sites: Sequence[ArcSite],
 
     edge = np.zeros(len(base), dtype=bool)  # the pairs need the seam columns kept
     edge[idx[:, [0, -1]]] = edge[idx[[0, -1]]] = True
-    points, triangles, true_ids, actual = _sited_chart(
+    points, triangles, ids, actual = _sited_chart(
         base, cells, rows, edge, sites, resolution, inside, 2.0 * max(du, t[1]))  # two grid steps
-    return Component(points, triangles, actual[pairs], density, tuple(true_ids))
+    return Component(points, triangles, actual[pairs], density, ids, tuple(p.size for p in placed))
 
 
 def build_mobius_mesh(T: float, resolution: float = 0.05) -> SurfaceMesh:
@@ -1084,7 +1058,7 @@ def check_mesh_budget(specs, resolution: float) -> None:
 
 def mesh_placed(spec, resolution: float, arc_sites: Sequence[ArcSite],
                 placed: Sequence[Placement], widths: Sequence[float]) -> Component:
-    """Mesh a chart from its `place_sites` placements; rim i counts from `widths[i]`."""
+    """Mesh a chart from its `place_sites` placements; site i counts from `widths[i]`."""
     build = _disk_component if isinstance(spec, UnitDisk) else _grid_component
     return build(spec, resolution, arc_sites, placed, widths)
 
@@ -1094,8 +1068,7 @@ def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),
     """Component mesh for a non-glued metric description."""
     placed = place_sites(spec, arc_sites, hole_sites)  # refuses an unknown chart too
     check_mesh_budget([spec], resolution)
-    return mesh_placed(spec, resolution, arc_sites, placed,
-                       [p.size for p in placed[len(arc_sites):]])
+    return mesh_placed(spec, resolution, arc_sites, placed, [p.size for p in placed])
 
 
 # ---------------------------------------------------------------------------

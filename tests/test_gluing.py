@@ -20,6 +20,11 @@ def two_disks(rho, kind="boundary-square"):
     return chain_family([sk.UnitDisk(), sk.UnitDisk()], rho, kind)
 
 
+def arc_nodes(reach, resolution):
+    """Nodes of an arc's ring: max(NECK_SEGMENTS, round(pi R / h)) segments."""
+    return max(meshes.NECK_SEGMENTS, round(math.pi * reach / resolution)) + 1
+
+
 class TestBoundaryGlue:
     def test_two_disks_connected_one_loop(self):
         mesh = sk.build_glued_mesh(two_disks(0.1), 0.06)
@@ -56,19 +61,29 @@ class TestBoundaryGlue:
         with pytest.raises(sk.InvalidGluingError):
             sk.build_glued_mesh(fam, 0.08)
 
-    # arcs this small once lost points in Qhull; a half-collar now carries them
+    # arcs this small once lost points in Qhull; a flat collar now carries them,
+    # and the component meets only its ring at the reach ARC_REACH
     @pytest.mark.parametrize("rho", [1e-6, 1e-7])
     def test_tiny_arcs_build(self, rho):
         family = two_disks(rho)
         for comp in prepare_components(family, 0.03):
-            assert [len(i) for i in comp.interfaces] == [meshes.NECK_SEGMENTS + 1]
+            assert comp.sizes == (meshes.ARC_REACH,)
+            assert [len(i) for i in comp.interfaces] == [arc_nodes(meshes.ARC_REACH, 0.03)]
         mesh = glue(prepare_components(family, 0.03), family)
         assert sk.validate_mesh(mesh) == []
         assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, abs=1e-2)
 
+    # the collar, the square and the mesh about the arc all refine with h: sigma_1
+    # of a boundary neck converges at order >= 1.5 (with half-collars it moved
+    # 0.21% per halving of h, order about 0)
+    def test_sigma1_converges_in_h(self):
+        sigma = [sk.steklov_spectrum(sk.build_glued_mesh(two_disks(1e-3), h), 2).eigenvalues[1]
+                 for h in (0.06, 0.03, 0.015)]
+        assert abs(sigma[0] - sigma[1]) >= 2.8 * abs(sigma[1] - sigma[2])
+
     def test_overlapping_half_collars_rejected(self):
         # 1e-4 apart passes the clearance check at rho 1e-10, but the two arcs'
-        # half-collars reach 1e-3 along the circle
+        # floors, ARC_FLOOR = 2.5e-4 along the circle each, overlap
         fam = GluedFamily(
             (sk.UnitDisk(), sk.UnitDisk()), 1e-10,
             ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
@@ -96,12 +111,14 @@ class TestBoundaryGlue:
         assert sk.validate_mesh(mesh) == []
         assert sk.boundary_length(mesh) == pytest.approx(want, rel=1e-2)
 
-    # a grid chart's theta seam is refused before any chart is meshed: an arc
-    # takes w = rho / density on each side, or its half-collar's reach 1e-3
+    # a grid chart's theta seam is refused before any chart is meshed: an arc's
+    # floor max(w, ARC_FLOOR), w = rho / density, may not reach it, and its reach
+    # shrinks to a quarter of its distance to the seam, or to w (the half-collar
+    # of reach 1e-3 that refused theta = 5e-4 is gone)
     @pytest.mark.parametrize("grid, rho, theta, refused", [
         (sk.FlatCylinder(1.0), 0.05, 0.01, True),
         (sk.MobiusCylinder(1.0), 0.05, 6.25, True),
-        (sk.FlatCylinder(1.0), 1e-8, 5e-4, True),
+        (sk.FlatCylinder(1.0), 1e-8, 5e-4, False),
         (sk.FlatCylinder(1.0), 0.05, 0.2, False),
         (sk.MobiusCylinder(1.0), 1e-8, 2e-3, False),
     ], ids=["cylinder-0.01", "mobius-6.25", "collar-5e-4", "cylinder-0.2", "collar-2e-3"])
@@ -414,7 +431,8 @@ class TestGridNeckProperties:
                              ((Attachment(0, loop=loop, theta=theta),
                                Attachment(1, theta=disk_theta)),))
         comps = prepare_components(family, resolution)
-        assert [len(c.interfaces[0]) for c in comps] == [meshes.NECK_SEGMENTS + 1] * 2
+        reach = max(c.sizes[0] for c in comps)  # both ends count from the wider
+        assert [len(c.interfaces[0]) for c in comps] == [arc_nodes(reach, resolution)] * 2
         mesh = glue(comps, family)
         assert sk.validate_mesh(mesh) == []
         loops = 1 if mobius else 2  # the disk's loop joins the arc's
@@ -466,6 +484,13 @@ CLOSE_ARCS = GluedFamily(
     (sk.UnitDisk(), sk.UnitDisk()), 1e-3,
     ((Attachment(0, theta=1.0), Attachment(1, theta=1.0)),
      (Attachment(0, theta=1.01), Attachment(1, theta=4.0))))
+
+
+# an arc whose floor reaches to 7e-12 of a cylinder's seam: placed at that floor,
+# its ring lost a point in Qhull; it is placed at its own half-length instead
+SEAM_FLOOR_ARC = GluedFamily(
+    (sk.FlatCylinder(1.0),), 1e-4,
+    ((Attachment(0, theta=0.0019531250066490108), Attachment(0, theta=0.00025000000664901056)),))
 
 
 # a three-disk interior chain whose ring layout kept tied cells between band
@@ -526,6 +551,7 @@ class TestGluingFamilyProperties:
     @example(family=LATE_REFUSALS["cylinder rim at t = 0.001"][0], resolution=0.05)
     @example(family=LATE_REFUSALS["cylinder arc on loop 2"][0], resolution=0.05)
     @example(family=CLOSE_ARCS, resolution=0.05)
+    @example(family=SEAM_FLOOR_ARC, resolution=0.0625)
     @example(family=TIED_CELLS_CHAIN[0], resolution=TIED_CELLS_CHAIN[1])
     def test_builds_or_is_refused_before_meshing(self, family, resolution):
         try:
@@ -560,7 +586,7 @@ class TestPlacement:
             except sk.InvalidGluingError:
                 continue
             lam = getattr(spec, "boundary_density", 1.0)
-            floor = max(family.rho / lam, meshes.COLLAR_RADIUS)
+            floor = max(family.rho / lam, meshes.RIM_FLOOR)
             for i, (p, r) in enumerate(placed):
                 room = (1.0 - np.linalg.norm(p) if isinstance(spec, sk.UnitDisk)
                         else min(p[0], TWO_PI - p[0], p[1], spec.T - p[1]))
@@ -595,7 +621,7 @@ class TestPlacement:
 
 
 # the presets' glued charts, with each neck kind they take
-FLOOR_FAMILIES = {
+PRESET_FAMILIES = {
     "two-disks": two_disks,
     "two-disks-interior": lambda rho: two_disks(rho, "interior-cylinder"),
     "mobius-critical": lambda rho: chain_family(
@@ -606,31 +632,28 @@ FLOOR_FAMILIES = {
 }
 
 
-class TestChartSizeFloor:
-    """A boundary neck whose chart size rho / lambda is below
-    `meshes.MIN_CHART_SIZE` is refused before any chart is meshed, with the
-    floor named; from the floor up, at the presets' rho >= 1e-10, and for
-    interior necks at every positive rho, the glued mesh builds and solves."""
+class TestNecksAtAnyRho:
+    """Necks of both kinds on the presets' charts build, pass `validate_mesh`
+    and solve at every rho > 0: rho reaches a neck only through its charts'
+    heights and boundary densities."""
 
     @settings(max_examples=25, deadline=None)
-    @given(name=st.sampled_from(list(FLOOR_FAMILIES)),
-           rho=st.floats(-323.0, -10.0).map(lambda e: 10.0 ** e)
+    @given(name=st.sampled_from(list(PRESET_FAMILIES)),
+           rho=st.floats(-323.0, -2.0).map(lambda e: 10.0 ** e)
            | st.sampled_from([5e-324, 1e-300, 1e-16, 1e-12, 1e-10]))
     @example(name="two-disks", rho=5e-324)
-    @example(name="two-disks-interior", rho=1e-16)
+    @example(name="two-disks", rho=1e-100)
     @example(name="two-disks", rho=1e-12)
-    @example(name="mobius-critical", rho=1e-10)
-    @example(name="catenoid-disk", rho=1e-10)
+    @example(name="mobius-critical", rho=5e-324)
+    @example(name="mobius-critical", rho=1e-100)
+    @example(name="mobius-critical", rho=1e-12)
+    @example(name="catenoid-disk", rho=5e-324)
+    @example(name="catenoid-disk", rho=1e-100)
+    @example(name="catenoid-disk", rho=1e-12)
     @example(name="two-disks-interior", rho=5e-324)
     @example(name="cylinder-rims", rho=5e-324)
-    def test_refused_below_the_floor(self, name, rho):
-        family = FLOOR_FAMILIES[name](rho)
-        lam = max(getattr(spec, "boundary_density", 1.0) for spec in family.components)
-        if family.neck_kind == gluing.BOUNDARY_NECK and rho / lam < meshes.MIN_CHART_SIZE:
-            with pytest.raises(sk.InvalidGluingError, match="floor 1e-12"):
-                _build_refusing_up_front(family, 0.1)
-            return
-        mesh = _build_refusing_up_front(family, 0.1)
+    def test_builds_and_solves(self, name, rho):
+        mesh = _build_refusing_up_front(PRESET_FAMILIES[name](rho), 0.1)
         assert sk.validate_mesh(mesh) == []
         assert np.all(np.isfinite(sk.steklov_spectrum(mesh, 4).eigenvalues))
 
@@ -650,9 +673,9 @@ def three_disk_interior_chains(rng, n):
 
 def mixed_gluings(rng, n):
     """Arcs on disks, cylinders and Moebius bands, or holes in cylinders: one to
-    three charts, one or two necks, rho log-uniform in [1e-10, 0.3], arcs near
-    one angle or anywhere, holes near an edge or anywhere, resolution uniform
-    in [0.04, 0.1]."""
+    three charts, one or two necks, rho log-uniform in [1e-10, 0.3] (for half
+    the boundary necks in [1e-323, 0.3]), arcs near one angle or anywhere,
+    holes near an edge or anywhere, resolution uniform in [0.04, 0.1]."""
     def edge(T):  # a height near either edge of the chart, or anywhere on it
         d = 10.0 ** rng.uniform(-3.5, -0.5)
         return [d, T - d, rng.uniform(0.0, T)][rng.integers(3)]
@@ -678,7 +701,9 @@ def mixed_gluings(rng, n):
                 rng.integers(2)] % TWO_PI)
 
         pairs = tuple((attachment(), attachment()) for _ in range(rng.integers(1, 3)))
-        rho = 10.0 ** rng.uniform(-10.0, math.log10(0.3))
+        # half the boundary necks reach below 1e-10, down to the subnormal doubles
+        low = -10.0 if interior or rng.uniform() < 0.5 else -323.0
+        rho = 10.0 ** rng.uniform(low, math.log10(0.3))
         yield (GluedFamily(tuple(specs), rho, pairs,
                            "interior-cylinder" if interior else "boundary-square"),
                rng.uniform(0.04, 0.1))

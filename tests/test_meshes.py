@@ -12,7 +12,7 @@ import pytest
 import steklov as sk
 from steklov import meshes
 from steklov.experiments import annulus_self_glued, chain_family
-from steklov.meshes import (COLLAR_RADIUS, NECK_SEGMENTS, ArcSite, _fill_graded,
+from steklov.meshes import (NECK_SEGMENTS, ArcSite, _fill_graded,
                             _ring_delaunay, assemble_mesh)
 from test_dtn import corner_block_stiffness
 from test_gluing import TIED_CELLS_CHAIN
@@ -130,10 +130,9 @@ class TestRingDelaunayDisk:
 # stiffness stayed within 3e-15 of the old one, relative to its largest entry.
 # The glued meshes' vertices were pinned again when `glue` stopped shifting
 # charts side by side, and the Moebius band's when grid rows became one linspace.
-# The meshes with arc sites were pinned before disks and grids shared one
-# sited-chart mesher: two-disk boundary necks at rho 0.025 (no half-collar) and
-# 1e-6 (a half-collar), arcs on a catenoid and on a Moebius band, and arcs on
-# both loops of one cylinder.
+# The meshes with arc sites (two-disk boundary necks at rho 0.025 and 1e-6, arcs
+# on a catenoid and on a Moebius band, and arcs on both loops of one cylinder)
+# were pinned again when each arc became a flat collar chart out to its reach.
 PINNED_MESHES = {
     "disk 0.03": (lambda: sk.build_disk_mesh(0.03),
                   ("77c82e616083f18f", "ea5196df09d1eac5", "e3b0c44298fc1c14")),
@@ -148,22 +147,22 @@ PINNED_MESHES = {
                     ("c65183008f26ee8b", "d022fe0521c66a26", "5c10961b224cba1a")),
     "two-disk boundary 0.025": (
         lambda: sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 0.025), 0.03),
-        ("1abb1c53a2595a40", "e37eca95d007231c", "f586bc3d83c08859")),
+        ("dc894207e076e6f5", "33a93e67299d649b", "681cfefb269ca3fa")),
     "two-disk boundary 1e-6": (
         lambda: sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 1e-6), 0.03),
-        ("b4bbcc2ef720e5a9", "e289c5cdfcbcd055", "2ee44bcfe11e3b05")),
+        ("1da4de77216d7d59", "862e0f7ff7ec9bcf", "94e28bc241caaa75")),
     "catenoid+disk 0.1": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], 0.1), 0.05),
-        ("d5fcc0569072eee6", "73918058499666ce", "86730e4b1d640af8")),
+        ("cd35342a289d2edf", "ca41bc16bf6b5f42", "cbd5ca77c6f4ff8c")),
     "Moebius+disk 1e-5": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.critical_mobius_metric(), sk.UnitDisk()], 1e-5), 0.05),
-        ("05982da8a9053b35", "33482185c9272c08", "cdb33dd4786eddc4")),
+        ("1cd3080b7a270f21", "489a78bded5338c4", "f65e59499cc213cc")),
     "cylinder arcs on both loops": (
         lambda: sk.build_spec_mesh(sk.FlatCylinder(1.0), 0.05,
                                    (ArcSite(0, 1.0, 0.05), ArcSite(1, 4.0, 1e-6))).mesh,
-        ("4d96ed60f236561b", "0d961c06ecd30d34", "df6eb148f6224ada")),
+        ("76f692f0f8c2da95", "e50234cbeec78e18", "65a0af08f031c2ba")),
 }
 ARC_SITE_MESHES = list(PINNED_MESHES)[4:]  # from "two-disk boundary 0.025" on
 
@@ -186,59 +185,67 @@ def test_meshes_with_arc_sites_are_pinned(case):
     _assert_pinned(case)
 
 
+def _steps(ring):
+    return np.linalg.norm(np.diff(ring, axis=0), axis=1)
+
+
 class TestArcSite:
-    """Boundary arcs: equally spaced arc nodes, and a half-collar below COLLAR_RADIUS / 4."""
+    """Boundary arcs: the ring the Delaunay stage meets is the half-ellipse of the
+    arc's reach R, confocal with the arc, in equal steps; the arc itself when R = w."""
 
     @pytest.mark.parametrize("w", [0.1, 1e-4, 1e-10])
     def test_rings_end_on_the_circle(self, w):
-        theta = 2.5
+        theta, R = 2.5, max(w, 0.05)
         centre = np.array([math.cos(theta), math.sin(theta)])
-        site, half = meshes._arc_site(centre, w, lambda z: np.exp(1j * (theta + z)), theta)
-        arc = site.collar[0] if len(site.collar) else site.outer
-        assert len(arc) == NECK_SEGMENTS + 1
-        angles = np.unwrap(np.arctan2(arc[:, 1], arc[:, 0]))
-        assert angles == pytest.approx(np.linspace(theta - w, theta + w, NECK_SEGMENTS + 1),
-                                       rel=0, abs=1e-15)
-        ends = [site.outer[[0, -1]]] + [ring[[0, -1]] for ring in site.collar]
-        assert np.linalg.norm(np.concatenate(ends), axis=1) == pytest.approx(1.0, abs=1e-15)
-        if w < COLLAR_RADIUS / 4:
-            # the Delaunay stage meets a near-circle of 8 segments at the collar radius
-            assert len(site.outer) == NECK_SEGMENTS // 2 + 1
-            reach = np.linalg.norm(site.outer - centre, axis=1)
-            assert reach == pytest.approx(COLLAR_RADIUS, rel=0.05)
-            assert half == pytest.approx(COLLAR_RADIUS, rel=1e-12)
-            depth = 1.0 - np.linalg.norm(np.concatenate(list(site.collar)), axis=1)
-            assert depth.min() >= 0.0
-        else:
-            assert len(site.collar) == 0 and half == w
+        site = meshes._arc_site(meshes.Placement(centre, R), w, R, 0.05,
+                                meshes._frame(theta, None), theta)
+        ring = site.outer
+        assert len(ring) == NECK_SEGMENTS + 1
+        assert np.linalg.norm(ring[[0, -1]], axis=1) == pytest.approx(1.0, abs=1e-15)
+        angles = np.unwrap(np.arctan2(ring[:, 1], ring[:, 0]))
+        assert angles[[0, -1]] == pytest.approx([theta - R, theta + R], rel=0, abs=1e-15)
+        # equal steps in z; the disk's chart shrinks them by exp(-y) inside
+        assert _steps(ring) == pytest.approx(_steps(ring).mean(), rel=R)
+        if w == R:  # the arc itself, on the circle
+            assert angles == pytest.approx(np.linspace(theta - w, theta + w, NECK_SEGMENTS + 1),
+                                           rel=0, abs=1e-5 * w)
+            return
+        # inside the disk, on the ellipse with foci at the arc's ends
+        assert np.all(np.linalg.norm(ring[1:-1], axis=1) < 1.0)
+        z = -1j * np.log((ring[:, 0] + 1j * ring[:, 1]) * np.exp(-1j * theta))
+        assert np.abs(z - w) + np.abs(z + w) == pytest.approx(2.0 * R, rel=1e-12)
 
     @pytest.mark.parametrize("w", [0.1, 1e-4, 1e-10])
     @pytest.mark.parametrize("t0, inward", [(0.0, 1.0), (1.3, -1.0)])
     def test_rings_end_on_the_row(self, w, t0, inward):
-        theta = 2.5
-        site, half = meshes._arc_site(np.array([theta, t0]), w,
-                                      lambda z: theta + z.real + 1j * (t0 + inward * z.imag),
-                                      -inward * 0.5 * math.pi)
-        rings = list(site.collar) + [site.outer]  # from the arc outwards
-        arc = rings[0]
+        theta, R = 2.5, max(w, 0.05)
+        site = meshes._arc_site(meshes.Placement(np.array([theta, t0]), R), w, R, 0.05,
+                                meshes._frame(theta, (t0, inward)), -inward * 0.5 * math.pi)
+        ring = site.outer
         # exactly on the boundary row, which Qhull meets as a straight line
-        assert np.all(arc[:, 1] == t0)
-        assert all(np.array_equal(ring[[0, -1], 1], [t0, t0]) for ring in rings)
-        assert all(np.all(inward * (ring[1:-1, 1] - t0) > 0) for ring in rings[1:])
-        assert arc[:, 0] == pytest.approx(np.linspace(theta - w, theta + w, NECK_SEGMENTS + 1),
-                                          rel=0, abs=1e-15)
-        assert half == (pytest.approx(COLLAR_RADIUS, rel=1e-12) if w < COLLAR_RADIUS / 4 else w)
+        assert np.array_equal(ring[[0, -1], 1], [t0, t0])
+        assert ring[[0, -1], 0] == pytest.approx([theta - R, theta + R], rel=0, abs=1e-15)
+        assert _steps(ring) == pytest.approx(_steps(ring).mean(), rel=1e-3)
+        if w == R:
+            assert np.all(ring[:, 1] == t0)
+            return
+        assert np.all(inward * (ring[1:-1, 1] - t0) > 0)
+        z = ring[:, 0] - theta + 1j * inward * (ring[:, 1] - t0)
+        assert np.abs(z - w) + np.abs(z + w) == pytest.approx(2.0 * R, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [1e-4, 1e-10])
     def test_collared_disk_is_valid(self, rho):
-        comp = sk.build_spec_mesh(sk.UnitDisk(), 0.05, (meshes.ArcSite(0, 1.0, rho),))
+        h = 0.05
+        comp = sk.build_spec_mesh(sk.UnitDisk(), h, (meshes.ArcSite(0, 1.0, rho),))
         assert sk.validate_mesh(comp.mesh) == []
         assert len(comp.mesh.boundary_loops) == 1
-        assert sk.boundary_length(comp.mesh) == pytest.approx(TWO_PI, rel=1e-3)
-        [iface] = comp.interfaces
-        assert len(iface) == NECK_SEGMENTS + 1
-        chord = np.linalg.norm(comp.vertices[iface[-1]] - comp.vertices[iface[0]])
-        assert chord == pytest.approx(2.0 * rho, rel=1e-4)
+        [iface], [R] = comp.interfaces, comp.sizes
+        assert R == meshes.ARC_REACH
+        assert len(iface) == max(NECK_SEGMENTS, round(math.pi * R / h)) + 1
+        ends = comp.vertices[iface[[0, -1]]]
+        assert np.arctan2(ends[:, 1], ends[:, 0]) == pytest.approx([1.0 - R, 1.0 + R], abs=1e-15)
+        # the component's boundary runs over the ring, at most a resolution step apart
+        assert _steps(comp.vertices[iface]).max() <= h
 
 
 def test_patch_keeps_the_background_beyond_a_wide_rim():
@@ -507,10 +514,13 @@ class TestGrids:
         comp = sk.build_spec_mesh(sk.FlatCylinder(1.0, 2.0), 0.1,
                                   (ArcSite(1, 2.0, 0.2), ArcSite(0, 2.0, 0.2)),
                                   (meshes.HoleSite((4.0, 0.5), 0.1),))
+        reach = meshes.ARC_REACH  # T / 3, and a quarter of the seam's or hole's distance, above it
+        assert comp.sizes[:2] == (reach, reach)
         for iface, t0 in zip(comp.interfaces, (1.0, 0.0)):
-            arc = comp.vertices[iface]
-            assert np.all(arc[:, 1] == t0)
-            assert arc[:, 0] == pytest.approx(np.linspace(1.9, 2.1, NECK_SEGMENTS + 1))
+            ring = comp.vertices[iface]
+            assert np.array_equal(ring[[0, -1], 1], [t0, t0])
+            assert ring[[0, -1], 0] == pytest.approx([2.0 - reach, 2.0 + reach])
+            assert _steps(ring) == pytest.approx(_steps(ring).mean(), rel=1e-3)
         # the hole's chart size rho / lambda is 0.05, and the rim is placed at RIM_RADIUS
         rim = comp.vertices[comp.interfaces[2]]
         assert np.linalg.norm(rim - [4.0, 0.5], axis=1) == pytest.approx(0.08)

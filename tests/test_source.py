@@ -42,11 +42,9 @@ def test_dtn_never_reads_chart_geometry():
     assert reads == [], f"dtn.py reads chart geometry at lines {reads}"
 
 
-# one sited-chart mesher: every chart with neck sites, disk or grid, goes
-# through `meshes._sited_chart`, the only caller of the site pipeline's stages
-def test_one_function_meshes_every_sited_chart():
-    stages = ("_site_points", "_layout_split", "_band_delaunay", "_attach_collars")
-    callers = {name: set() for name in stages}
+def _callers(names):
+    """The module-level functions, as "module.py:function", that call each name."""
+    callers = {name: set() for name in names}
     for path in SOURCES:
         for fn in ast.parse(path.read_text()).body:
             if not isinstance(fn, ast.FunctionDef):
@@ -57,7 +55,36 @@ def test_one_function_meshes_every_sited_chart():
                     name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                     if name in callers:
                         callers[name].add(f"{path.name}:{fn.name}")
-    assert callers == {name: {"meshes.py:_sited_chart"} for name in stages}
+    return callers
+
+
+# one sited-chart mesher: every chart with neck sites, disk or grid, goes
+# through `meshes._sited_chart`, the only caller of the site pipeline's stages
+def test_one_function_meshes_every_sited_chart():
+    stages = ("_site_points", "_layout_split", "_band_delaunay")
+    assert _callers(stages) == {name: {"meshes.py:_sited_chart"} for name in stages}
+
+
+# every neck chart, an interior neck's cylinder or a boundary arc's collar, is
+# built by `gluing.glue` on `_fill_graded` rows; `meshes` grades only boundary rows
+def test_neck_charts_are_built_in_gluing_from_graded_rows():
+    assert _callers(("_fill_graded", "_collar", "_neck_chart")) == {
+        "_fill_graded": {"meshes.py:_disk_boundary", "gluing.py:_collar",
+                         "gluing.py:_neck_chart"},
+        "_collar": {"gluing.py:glue"},
+        "_neck_chart": {"gluing.py:glue"},
+    }
+
+
+# one owner of boundary densities: `meshes` turns the conformal factor and the
+# chart scales into boundary lengths (`boundary_edge_lengths`, `with_conformal_factor`)
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "meshes.py"],
+                         ids=lambda p: p.name)
+def test_only_meshes_reads_boundary_densities(path):
+    reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("conformal_factor", "chart_scale")]
+    assert reads == [], f"{path.name} reads boundary densities at lines {reads}"
 
 
 def _report_writes(tree):
