@@ -26,7 +26,9 @@ L_bb U_bb = DtN + I, with no solve against a dense n_interior x n_boundary
 right-hand side.  The interior order is SuperLU's minimum-degree column order
 (with its elimination-tree postorder) of the interior block, taken from an
 incomplete LU that drops every entry, so the ordering costs no numeric
-interior factorization.
+interior factorization.  Its spectrum is one eigh of M_b^{-1/2} DtN M_b^{-1/2}
+for masses within a factor 1e3, else of H (DtN - s M_b)^{-1} H as in the
+pencil, where massless vertices are free ones.
 
 All three SuperLU calls take `_SPD_FACTOR`, which also turns off relaxed
 supernodes and column panels: on these meshes the pencil factor takes about a
@@ -44,8 +46,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
 
-from .errors import (AssemblyError, FactorizationError, InvalidParameterError,
-                     SolverError)
+from .errors import FactorizationError, InvalidParameterError, SolverError
 from .meshes import SurfaceMesh, boundary_edge_lengths, with_conformal_factor
 from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum, zero_band
 
@@ -183,19 +184,25 @@ class DtnOperator:
     boundary_index: np.ndarray
 
     def spectrum(self, count: int, conformal=None, want_vectors: bool = False) -> Spectrum:
-        b = self.boundary_index
-        check_count(count, len(b), "boundary degrees of freedom")
+        b, n = self.boundary_index, len(self.boundary_index)
         mesh = self.mesh if conformal is None else with_conformal_factor(self.mesh, conformal)
         mass = boundary_mass_vector(mesh)[b]
-        if np.any(mass <= 0):  # the dense DtN needs a mass on every boundary vertex
-            raise AssemblyError("boundary vertex with nonpositive lumped mass")
-        s = 1.0 / np.sqrt(mass)
-        H = self.matrix * np.outer(s, s)  # exactly symmetric: schur_dtn symmetrizes
+        check_count(count, np.count_nonzero(mass), "boundary degrees of freedom with a mass")
         try:
-            w, y = scipy.linalg.eigh(H, subset_by_index=[0, count - 1])
+            if mass.min() > 1e-3 * mass.max():  # residuals about 5e-15 / that ratio
+                s = 1.0 / np.sqrt(mass)  # exactly symmetric: schur_dtn symmetrizes
+                w, y = scipy.linalg.eigh(self.matrix * np.outer(s, s),
+                                         subset_by_index=[0, count - 1])
+                vectors = s[:, None] * y
+            else:  # the pencil's shift-invert form, dense: massless vertices are free
+                h = np.sqrt(mass)
+                B = scipy.linalg.cho_factor(self.matrix - PENCIL_SHIFT * np.diag(mass))
+                theta, y = scipy.linalg.eigh(h[:, None] * scipy.linalg.cho_solve(B, np.diag(h)),
+                                             subset_by_index=[n - count, n - 1])
+                w = PENCIL_SHIFT + 1.0 / theta[::-1]
+                vectors = scipy.linalg.cho_solve(B, h[:, None] * y[:, ::-1]) * (w - PENCIL_SHIFT)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"dense eigensolve failed: {exc}") from exc
-        vectors = s[:, None] * y
         return _contracted(w, _relative_residuals(self.matrix, vectors, mass, w), mass,
                            vectors if want_vectors else None, b)
 

@@ -12,6 +12,8 @@ through its charts' heights and boundary densities.
 each component's sites once (every refusal comes before any chart is meshed),
 gives both ends of a neck one segment count, and meshes each component from
 its placements (`meshes.mesh_placed`), one interface per site in site order.
+Alike components are meshed once: a disk whose sites match a meshed disk's up
+to the turn that puts its first arc on a circle node takes that mesh, turned.
 `glue` joins all necks in one pass, taking each attachment's interface by that
 position, and assembles the glued mesh once.
 """
@@ -19,12 +21,12 @@ position, and assembles the glued mesh once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError
-from .meshes import (ArcSite, Component, HoleSite, SurfaceMesh, _fan, _fill_graded,
+from .meshes import (ArcSite, Component, HoleSite, SurfaceMesh, UnitDisk, _fan, _fill_graded,
                      _grid_cells, _arc_angles, assemble_mesh, check_mesh_budget, mesh_placed,
                      place_sites)
 from .meshes import build_spec_mesh  # noqa: F401 -- a binding bench/tracer.py wraps
@@ -106,8 +108,9 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     its sites: pair by pair, the first attachment of a pair before the second.
     Each neck end takes the boundary density of its end's component.  A
     boundary neck's square is the chart [0, 2] x [-1, 1], graded as 1 - cos to
-    its corners, with scale rho on its free sides; its column at -cos(nu) meets
-    the arc at -w cos(nu), through the arc's collar unless R = w.
+    its corners, with scale rho on its free sides and ceil((m + 1) / 2) + 1 rows
+    for the m + 1 columns; its column at -cos(nu) meets the arc at -w cos(nu),
+    through the arc's collar unless R = w.
     """
     pieces = [c.vertices for c in components]
     offsets = np.cumsum([0] + [len(p) for p in pieces])
@@ -156,7 +159,7 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
                 ids = idx[0]
             arcs.append((ids, -np.cos(nu)))
         (ids_a, y_a), (ids_b, y_b) = arcs
-        x = 1.0 - np.cos(np.linspace(0.0, math.pi, len(y_a)))
+        x = 1.0 - np.cos(np.linspace(0.0, math.pi, (len(y_a) + 1) // 2 + 1))
         rows_lam = np.interp(x, [0.0, 2.0], [ca.density, cb.density])
         idx = chart(x, np.linspace(y_a, y_b, len(x)), rows_lam, family.rho / rows_lam)
         sides.append(np.concatenate([idx[:, 0], idx[:, -1]]))  # they become boundary
@@ -197,13 +200,18 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
         width = max(next(unused[att.component]).size for att in pair)
         for att in pair:
             widths[att.component].append(width)
-    built: dict = {}  # equal specs with equal sites mesh identically: build each once
+    built: dict = {}  # (turn, component) by the sites relative to the turn
     comps = []
     for spec, (arcs, holes), at, w in zip(family.components, sites, placed, widths):
-        key = (spec, tuple(arcs), tuple(holes), tuple(w))
+        turn = arcs[0].theta if arcs and isinstance(spec, UnitDisk) else 0.0
+        key = (spec, tuple((a.loop, a.theta - turn, a.rho) for a in arcs), tuple(holes),
+               tuple(p.size for p in at), tuple(w))
         if key not in built:
-            built[key] = mesh_placed(spec, resolution, arcs, at, w)
-        comps.append(built[key])
+            built[key] = (turn, mesh_placed(spec, resolution, arcs, at, w))
+        first, comp = built[key]
+        c, s = math.cos(turn - first), math.sin(turn - first)
+        comps.append(comp if turn == first else
+                     replace(comp, vertices=comp.vertices @ np.array([[c, s], [-s, c]])))
     return comps
 
 

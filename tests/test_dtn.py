@@ -324,6 +324,24 @@ class TestPencil:
             overlap = pencil.eigenvectors[:, j] @ (mass * dense.eigenvectors[:, j])
             assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
+    # at rho = 5e-324 the neck sides' lumped masses underflow to 0, or lie far below
+    # the disks' ones: the dense route takes the pencil's shift-invert form there,
+    # and its traces still cover every boundary vertex, the massless ones too
+    def test_massless_boundary_vertices_match_the_pencil(self):
+        family = sk.chain_family([sk.UnitDisk(), sk.UnitDisk()], 5e-324, BOUNDARY_NECK)
+        mesh = sk.build_glued_mesh(family, 0.1)
+        pencil = sk.steklov_spectrum(mesh, 6, want_vectors=True)
+        dense = build_dtn(mesh).spectrum(6, want_vectors=True)
+        mass = boundary_mass_vector(mesh)[dense.boundary_index]
+        assert np.count_nonzero(mass == 0) > 0
+        assert dense.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
+        assert dense.eigenvalues[1:] == pytest.approx(pencil.eigenvalues[1:], rel=1e-10)
+        assert dense.eigenvectors.shape == (len(mass), 6)
+        for j in (1, 2):  # simple: the traces agree up to sign on every vertex
+            u, v = pencil.eigenvectors[:, j], dense.eigenvectors[:, j]
+            v = v * np.sign(u @ (mass * v))
+            assert np.max(np.abs(u - v)) <= 1e-8 * np.max(np.abs(u))
+
     def test_reruns_bit_identical(self, coarse_disk_mesh):
         first = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)
         second = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)

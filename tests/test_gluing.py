@@ -81,6 +81,12 @@ class TestBoundaryGlue:
                  for h in (0.06, 0.03, 0.015)]
         assert abs(sigma[0] - sigma[1]) >= 2.8 * abs(sigma[1] - sigma[2])
 
+    # sigma_2..sigma_5 converge at order 1.5 or more too, with the square's half rows
+    def test_higher_sigmas_converge_in_h(self):
+        sigma = np.array([sk.steklov_spectrum(sk.build_glued_mesh(two_disks(1e-3), h),
+                                              6).eigenvalues[2:6] for h in (0.06, 0.03, 0.015)])
+        assert np.all(np.abs(sigma[0] - sigma[1]) >= 2.8 * np.abs(sigma[1] - sigma[2]))
+
     def test_overlapping_half_collars_rejected(self):
         # 1e-4 apart passes the clearance check at rho 1e-10, but the two arcs'
         # floors, ARC_FLOOR = 2.5e-4 along the circle each, overlap
@@ -167,6 +173,34 @@ class TestInteriorGlue:
                      "conformal_factor", "boundary_edge_chart"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
         assert shared.boundary_loops == separate.boundary_loops
+
+    # `meshes._disk_component` turns a disk to put its first arc on a circle node,
+    # so alike disks are meshed once and the others get that mesh turned: it glues
+    # like disks built apart, up to rounding
+    @pytest.mark.parametrize("n_disks, builds", [(2, 1), (3, 2)],
+                             ids=["two-disks-boundary", "three-disks-boundary"])
+    def test_alike_disks_meshed_once_and_turned(self, n_disks, builds):
+        family, h = chain_family([sk.UnitDisk()] * n_disks, 0.05), 0.05
+        calls, mesh_placed = [], gluing.mesh_placed
+
+        def counted(*args):
+            calls.append(args[0])
+            return mesh_placed(*args)
+
+        with mock.patch.object(gluing, "mesh_placed", counted):
+            turned = glue(prepare_components(family, h), family)
+        assert len(calls) == builds
+        assert sk.validate_mesh(turned) == []
+        sites = [[] for _ in family.components]
+        for pair in family.pairs:
+            for att in pair:
+                sites[att.component].append(ArcSite(att.loop, att.theta, family.rho))
+        separate = glue([sk.build_spec_mesh(sk.UnitDisk(), h, arcs) for arcs in sites], family)
+        a, b = np.sort(turned.edge_weights), np.sort(separate.edge_weights)
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        sigma, want = (sk.steklov_spectrum(m, 8).eigenvalues[1:] for m in (turned, separate))
+        assert sigma == pytest.approx(want, rel=1e-12)
 
     # a rim's segments once followed the physical rho while the ring sat at
     # chart radius rho / lambda, so rims on charts of density 0.5 had 1.99h edges

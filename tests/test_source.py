@@ -65,6 +65,13 @@ def test_one_function_meshes_every_sited_chart():
     assert _callers(stages) == {name: {"meshes.py:_sited_chart"} for name in stages}
 
 
+# every glued component is meshed through `gluing.prepare_components`, which
+# meshes alike disks once; a plain surface through `meshes.build_spec_mesh`
+def test_components_are_meshed_through_one_reuse_step():
+    assert _callers(("mesh_placed",)) == {
+        "mesh_placed": {"gluing.py:prepare_components", "meshes.py:build_spec_mesh"}}
+
+
 # every neck chart, an interior neck's cylinder or a boundary arc's collar, is
 # built by `gluing.glue` on `_fill_graded` rows; `meshes` grades only boundary rows
 def test_neck_charts_are_built_in_gluing_from_graded_rows():
