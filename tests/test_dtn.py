@@ -324,16 +324,18 @@ class TestPencil:
             overlap = pencil.eigenvectors[:, j] @ (mass * dense.eigenvectors[:, j])
             assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
-    # at rho = 5e-324 the neck sides' lumped masses underflow to 0, or lie far below
-    # the disks' ones: the dense route takes the pencil's shift-invert form there,
-    # and its traces still cover every boundary vertex, the massless ones too
-    def test_massless_boundary_vertices_match_the_pencil(self):
-        family = sk.chain_family([sk.UnitDisk(), sk.UnitDisk()], 5e-324, BOUNDARY_NECK)
+    # the neck sides' lumped masses lie far below the disks' ones (rho 1e-8) or
+    # underflow to 0 (rho 5e-324): the dense route takes the pencil's shift-invert
+    # form there, and its traces still cover every boundary vertex, massless or not
+    @pytest.mark.parametrize("rho", [1e-8, 5e-324])
+    def test_massless_boundary_vertices_match_the_pencil(self, rho):
+        family = sk.chain_family([sk.UnitDisk(), sk.UnitDisk()], rho, BOUNDARY_NECK)
         mesh = sk.build_glued_mesh(family, 0.1)
         pencil = sk.steklov_spectrum(mesh, 6, want_vectors=True)
         dense = build_dtn(mesh).spectrum(6, want_vectors=True)
         mass = boundary_mass_vector(mesh)[dense.boundary_index]
-        assert np.count_nonzero(mass == 0) > 0
+        assert mass.min() < 1e-3 * mass.max()
+        assert np.any(mass == 0) == (rho < 1e-300)
         assert dense.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
         assert dense.eigenvalues[1:] == pytest.approx(pencil.eigenvalues[1:], rel=1e-10)
         assert dense.eigenvectors.shape == (len(mass), 6)
