@@ -7,14 +7,15 @@ edge lengths.  K is conformally invariant in two dimensions: lambda never
 enters it.
 
 `steklov_spectrum` solves the sparse pencil K u = sigma M_b u by shift-invert
-Lanczos.  K - s M_b is symmetric positive definite at s = PENCIL_SHIFT < 0, so
-it is factored once by SuperLU in symmetric mode (diagonal pivots, one
-symmetric fill-reducing ordering).  Since M_b vanishes on interior vertices,
-the pencil has n_boundary finite eigenvalues, and Lanczos runs on the
-n_boundary x n_boundary operator C = H E_b' (K - s M_b)^{-1} E_b H, with E_b
-the zero extension of boundary values and H = sqrt(M_b) on the boundary.  C is
-symmetric with eigenvalues theta = 1 / (sigma - s); one block solve lifts its
-eigenvectors to the full vertex vectors, whose boundary rows are the traces.
+block Lanczos (`_block_lanczos`).  K - s M_b is symmetric positive definite at
+s = PENCIL_SHIFT < 0, so it is factored once by SuperLU in symmetric mode
+(diagonal pivots, one symmetric fill-reducing ordering).  Since M_b vanishes
+on interior vertices, the pencil has n_boundary finite eigenvalues, and
+Lanczos runs on the n_boundary x n_boundary operator C = H E_b' (K - s M_b)^{-1}
+E_b H, with E_b the zero extension of boundary values and H = sqrt(M_b) on the
+boundary.  C is symmetric with eigenvalues theta = 1 / (sigma - s); one block
+solve lifts its eigenvectors to the full vertex vectors, whose boundary rows
+are the traces.
 
 The dense discrete Dirichlet-to-Neumann operator (`schur_dtn`, the Schur
 complement of K onto the boundary) is kept where it pays for itself:
@@ -44,7 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, spilu, splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import FactorizationError, InvalidParameterError, SolverError
 from .meshes import SurfaceMesh, boundary_edge_lengths, with_conformal_factor
@@ -224,16 +225,42 @@ def _lanczos_fits(wanted: int, n_boundary: int) -> bool:
     return 2 * wanted + 20 <= n_boundary
 
 
+def _block_lanczos(op, n: int, wanted: int):
+    """The `wanted` largest eigenpairs, largest first, of a symmetric n x n operator
+    `op` on column blocks: block Lanczos with full reorthogonalization.
+
+    Blocks of two: from one start vector, Lanczos meets the second copy of a
+    double eigenvalue (two alike components glued) only through rounding, and
+    may stop without it.  Stops when each wanted pair's residual estimate (the
+    last block's image off the basis) is within 1e-13 of its Ritz value, or
+    when the basis fills the space.
+    """
+    # a fixed start block keeps reruns bit-identical
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 2)))[0]
+    CQ = op(Q)
+    T = Q.T @ CQ  # Q' C Q, grown by its last block rows (eigh reads the lower half)
+    while True:
+        theta, S = np.linalg.eigh(T)
+        theta, S = theta[:-wanted - 1:-1], S[:, :-wanted - 1:-1]
+        W = CQ[:, -2:] - Q @ T[-2:].T
+        if Q.shape[1] + 2 > n or (len(theta) == wanted and np.all(
+                np.linalg.norm(W @ S[-2:], axis=0) <= 1e-13 * theta)):
+            return theta, Q @ S
+        for _ in range(2):  # the second pass also turns a breakdown's noise into new directions
+            W = np.linalg.qr(W - Q @ (Q.T @ W))[0]
+        Q, CQ = np.hstack([Q, W]), np.hstack([CQ, op(W)])
+        T = np.block([[T, np.zeros((len(T), 2))], [W.T @ CQ]])
+
+
 def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) -> Spectrum:
     """Smallest `count` discrete Steklov eigenvalues with optional boundary traces.
 
-    Shift-invert Lanczos on the sparse pencil K u = sigma M_b u, run in
+    Shift-invert block Lanczos on the sparse pencil K u = sigma M_b u, run in
     boundary space (see the module docstring).  The pencil has only
     n_boundary finite eigenvalues, so a `count` too close to that for a
-    Lanczos basis goes through the dense DtN instead.  When `count` splits a
-    degenerate pair, the last Ritz vector is a mixture of the pair and misses
-    the residual contract; the solve then asks once for two more pairs.  The
-    retry and the dense route are logged at DEBUG.
+    Lanczos basis goes through the dense DtN instead.  Should a pair miss the
+    residual contract, the solve asks once for two more pairs.  The retry and
+    the dense route are logged at DEBUG.
     """
     b = _boundary_index(mesh)
     n_b = len(b)
@@ -258,25 +285,13 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
         x[b] = boundary_values
         return x
 
-    # C = H E_b' (K - s M_b)^{-1} E_b H with H = sqrt(M_b) on the boundary is
-    # symmetric, and its eigenvalues are theta = 1 / (sigma - s)
-    op = LinearOperator((n_b, n_b), matvec=lambda y: h * lu.solve(lifted(h * y))[b],
-                        dtype=float)
-
     def lowest_pairs(wanted: int):
         """The `count` lowest pairs of a Lanczos run for `wanted` pairs, with residuals."""
-        # a fixed start vector keeps reruns bit-identical (ARPACK's own seed moves on)
-        v0 = np.random.default_rng(0).standard_normal(n_b)
-        # single-vector Lanczos finds a repeated eigenvalue's copies only through
-        # rounding, so tol stays at machine precision, ARPACK's default: on the two-disk
-        # rho = 1e-9 interior neck, every residual passes, yet tol 1e-14 loses a copy of
-        # the 4-fold sigma ~ 1 at resolution 0.05 (TestPencil), and 1e-11 one at 0.03
-        try:
-            theta, y = eigsh(op, k=wanted, which="LA", v0=v0)
-        except ArpackError as exc:
-            raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
-        order = np.argsort(-theta)[:count]
-        theta, y = theta[order], y[:, order]
+        # C = H E_b' (K - s M_b)^{-1} E_b H with H = sqrt(M_b) on the boundary is
+        # symmetric, and its eigenvalues are theta = 1 / (sigma - s)
+        theta, y = _block_lanczos(lambda y: h[:, None] * lu.solve(lifted(h[:, None] * y))[b],
+                                  n_b, wanted)
+        theta, y = theta[:count], y[:, :count]
         w = PENCIL_SHIFT + 1.0 / theta
         u = lu.solve(lifted(h[:, None] * y)) / theta
         u = u / np.sqrt(np.einsum("ij,i,ij->j", u, mass, u))

@@ -13,7 +13,7 @@ each component's sites once (every refusal comes before any chart is meshed),
 gives both ends of a neck one segment count, and meshes each component from
 its placements (`meshes.mesh_placed`), one interface per site in site order.
 Alike components are meshed once: a disk whose sites match a meshed disk's up
-to the turn that puts its first arc on a circle node takes that mesh, turned.
+to the turn of its layout takes that mesh, turned (`mesh_placed`).
 `glue` joins all necks in one pass, taking each attachment's interface by that
 position, and assembles the glued mesh once.
 """
@@ -21,12 +21,12 @@ position, and assembles the glued mesh once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError
-from .meshes import (ArcSite, Component, HoleSite, SurfaceMesh, UnitDisk, _fan, _fill_graded,
+from .meshes import (ArcSite, Component, HoleSite, SurfaceMesh, _fan, _fill_graded,
                      _grid_cells, _arc_angles, assemble_mesh, check_mesh_budget, mesh_placed,
                      place_sites)
 from .meshes import build_spec_mesh  # noqa: F401 -- a binding bench/tracer.py wraps
@@ -200,19 +200,9 @@ def prepare_components(family: GluedFamily, resolution: float) -> list[Component
         width = max(next(unused[att.component]).size for att in pair)
         for att in pair:
             widths[att.component].append(width)
-    built: dict = {}  # (turn, component) by the sites relative to the turn
-    comps = []
-    for spec, (arcs, holes), at, w in zip(family.components, sites, placed, widths):
-        turn = arcs[0].theta if arcs and isinstance(spec, UnitDisk) else 0.0
-        key = (spec, tuple((a.loop, a.theta - turn, a.rho) for a in arcs), tuple(holes),
-               tuple(p.size for p in at), tuple(w))
-        if key not in built:
-            built[key] = (turn, mesh_placed(spec, resolution, arcs, at, w))
-        first, comp = built[key]
-        c, s = math.cos(turn - first), math.sin(turn - first)
-        comps.append(comp if turn == first else
-                     replace(comp, vertices=comp.vertices @ np.array([[c, s], [-s, c]])))
-    return comps
+    built: dict = {}  # alike components are meshed once (`mesh_placed`)
+    return [mesh_placed(spec, resolution, arcs, at, w, built)
+            for spec, (arcs, _), at, w in zip(family.components, sites, placed, widths)]
 
 
 def build_glued_mesh(family: GluedFamily, resolution: float) -> SurfaceMesh:

@@ -562,8 +562,6 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
         lam = 1.0
         arcs = [np.array([math.cos(s.theta), math.sin(s.theta)]) for s in arc_sites]
         loops, seam = (0,), []
-        # the circle's angles count from the first arc, as `_disk_component` turns them
-        origin = arc_sites[0].theta if arc_sites else 0.0
 
         def room(p):
             return 1.0 - np.linalg.norm(p)
@@ -579,7 +577,7 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
         mobius = isinstance(spec, MobiusCylinder)
         arcs = [np.array([s.theta % TWO_PI, 0.0 if s.loop == 0 and not mobius else T])
                 for s in arc_sites]
-        loops, seam, origin = ((0,) if mobius else (0, 1)), [(0.0, 0.0)], 0.0
+        loops, seam = ((0,) if mobius else (0, 1)), [(0.0, 0.0)]
 
         def room(p):  # np.min keeps a NaN
             return np.min([p[0], TWO_PI - p[0], p[1], T - p[1]])
@@ -608,7 +606,7 @@ def place_sites(spec, arc_sites: Sequence[ArcSite] = (),
             raise InvalidGluingError("rho is not below a quarter of the attachment clearance")
         spans = list(seam)
         for i in on:
-            mid = (arc_sites[i].theta - origin) % TWO_PI
+            mid = (arc_sites[i].theta - _turn(spec, arc_sites)) % TWO_PI
             spans.append((mid - floors[i], mid + floors[i]))
         spans.sort()  # as `_disk_boundary` takes them, the first again after the last
         if any(nxt <= hi for (_, hi), (nxt, _) in
@@ -917,9 +915,7 @@ def _sited_chart(layout: np.ndarray, cells: np.ndarray, rows, pinned: np.ndarray
 
 def _disk_component(spec: UnitDisk, resolution: float, arc_sites: Sequence[ArcSite],
                     placed: Sequence[Placement], widths: Sequence[float]) -> Component:
-    # turned to put the first arc on a circle node: a disk with one arc then
-    # meshes alike at every angle
-    turn = arc_sites[0].theta if arc_sites else 0.0
+    turn = _turn(spec, arc_sites)
     layout = _disk_layout(resolution, turn)
     n_b = layout.counts[-1]
     layout_tris = _ring_delaunay(*layout)
@@ -1056,11 +1052,33 @@ def check_mesh_budget(specs, resolution: float) -> None:
                                     f"above the budget of {MAX_MESH_VERTICES:.0e}")
 
 
+def _turn(spec, arc_sites: Sequence[ArcSite]) -> float:
+    """The angle a chart's layout is turned by: a disk's puts its first arc on a
+    circle node, so a disk with one arc meshes alike at every angle."""
+    return arc_sites[0].theta if arc_sites and isinstance(spec, UnitDisk) else 0.0
+
+
 def mesh_placed(spec, resolution: float, arc_sites: Sequence[ArcSite],
-                placed: Sequence[Placement], widths: Sequence[float]) -> Component:
-    """Mesh a chart from its `place_sites` placements; site i counts from `widths[i]`."""
-    build = _disk_component if isinstance(spec, UnitDisk) else _grid_component
-    return build(spec, resolution, arc_sites, placed, widths)
+                placed: Sequence[Placement], widths: Sequence[float],
+                built: dict | None = None) -> Component:
+    """Mesh a chart from its `place_sites` placements; site i counts from `widths[i]`.
+
+    `built`, kept across calls, meshes alike charts once: a chart whose arcs
+    match a meshed one's relative to the turn (`_turn`), with equal widths and
+    rims (and turn, since rims are not turned), takes that mesh, turned.
+    """
+    turn, built = _turn(spec, arc_sites), {} if built is None else built
+    key = (spec, resolution, tuple(widths),
+           tuple((a.loop, a.theta - turn, a.rho) for a in arc_sites),
+           tuple((*p.centre, p.size, turn) for p in placed[len(arc_sites):]))
+    if key not in built:
+        build = _disk_component if isinstance(spec, UnitDisk) else _grid_component
+        built[key] = (turn, build(spec, resolution, arc_sites, placed, widths))
+    first, comp = built[key]
+    if turn == first:
+        return comp
+    c, s = math.cos(turn - first), math.sin(turn - first)
+    return replace(comp, vertices=comp.vertices @ np.array([[c, s], [-s, c]]))
 
 
 def build_spec_mesh(spec, resolution: float, arc_sites: Sequence[ArcSite] = (),

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, spilu, splu
+from scipy.sparse.linalg import spilu, splu
 
 import steklov as sk
 from steklov import dtn, meshes
-from steklov.dtn import boundary_mass_vector, build_dtn
+from steklov.dtn import _block_lanczos as block_lanczos, boundary_mass_vector, build_dtn
 from steklov.gluing import BOUNDARY_NECK, INTERIOR_NECK
 from steklov.meshes import assemble_mesh
 
@@ -344,6 +344,18 @@ class TestPencil:
             v = v * np.sign(u @ (mass * v))
             assert np.max(np.abs(u - v)) <= 1e-8 * np.max(np.abs(u))
 
+    # alike disks on a boundary neck have exactly double eigenvalues, one mode on
+    # each disk vanishing at the neck; single-vector Lanczos returned sigma_4 =
+    # 1.0401 in place of the second copy of sigma_3 = 1.00025 in the first case
+    @pytest.mark.parametrize("n_disks, rho, resolution, count", [
+        (2, 1e-10, 0.06, 5), (2, 1e-300, 0.06, 5), (3, 1e-300, 0.06, 8)])
+    def test_alike_disks_keep_both_copies(self, n_disks, rho, resolution, count):
+        family = sk.chain_family([sk.UnitDisk()] * n_disks, rho, BOUNDARY_NECK)
+        mesh = sk.build_glued_mesh(family, resolution)
+        pencil = sk.steklov_spectrum(mesh, count).eigenvalues
+        dense = build_dtn(mesh).spectrum(count).eigenvalues
+        assert pencil[1:] == pytest.approx(dense[1:], rel=1e-10)
+
     def test_reruns_bit_identical(self, coarse_disk_mesh):
         first = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)
         second = sk.steklov_spectrum(coarse_disk_mesh, 8, want_vectors=True)
@@ -360,12 +372,12 @@ class TestPencil:
         # coarse disk: 63 boundary DOFs, so 21 pairs fit a Lanczos basis but 23 do not
         wanted = []
 
-        def spoiled_eigsh(op, k, **kwargs):
-            theta, y = eigsh(op, k=k, **kwargs)
+        def spoiled_lanczos(op, n, k):
+            theta, y = block_lanczos(op, n, k)
             wanted.append(k)
             return theta, (y + 1e-3 if len(wanted) <= failing_runs else y)
 
-        monkeypatch.setattr(dtn, "eigsh", spoiled_eigsh)
+        monkeypatch.setattr(dtn, "_block_lanczos", spoiled_lanczos)
         caplog.set_level(logging.DEBUG, logger="steklov.dtn")
         if outcome == "error":
             with pytest.raises(sk.SolverError):
@@ -390,7 +402,7 @@ class TestPencil:
     def test_full_count_takes_dense_route(self, coarse_disk_mesh, monkeypatch, caplog):
         n_b = len(build_dtn(coarse_disk_mesh).boundary_index)
         dense = build_dtn(coarse_disk_mesh).spectrum(n_b)
-        monkeypatch.setattr(dtn, "eigsh", _forbidden)
+        monkeypatch.setattr(dtn, "_block_lanczos", _forbidden)
         caplog.set_level(logging.DEBUG, logger="steklov.dtn")
         spec = sk.steklov_spectrum(coarse_disk_mesh, n_b)
         assert _routes(caplog) == ["dense DtN"]

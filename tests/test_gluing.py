@@ -181,14 +181,9 @@ class TestInteriorGlue:
                              ids=["two-disks-boundary", "three-disks-boundary"])
     def test_alike_disks_meshed_once_and_turned(self, n_disks, builds):
         family, h = chain_family([sk.UnitDisk()] * n_disks, 0.05), 0.05
-        calls, mesh_placed = [], gluing.mesh_placed
-
-        def counted(*args):
-            calls.append(args[0])
-            return mesh_placed(*args)
-
-        with mock.patch.object(gluing, "mesh_placed", counted):
+        with mock.patch.object(meshes, "_disk_component", wraps=meshes._disk_component) as built:
             turned = glue(prepare_components(family, h), family)
+        calls = built.call_args_list
         assert len(calls) == builds
         assert sk.validate_mesh(turned) == []
         sites = [[] for _ in family.components]
