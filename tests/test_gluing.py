@@ -183,8 +183,7 @@ class TestInteriorGlue:
         family, h = chain_family([sk.UnitDisk()] * n_disks, 0.05), 0.05
         with mock.patch.object(meshes, "_disk_component", wraps=meshes._disk_component) as built:
             turned = glue(prepare_components(family, h), family)
-        calls = built.call_args_list
-        assert len(calls) == builds
+        assert built.call_count == builds
         assert sk.validate_mesh(turned) == []
         sites = [[] for _ in family.components]
         for pair in family.pairs:
