@@ -19,17 +19,18 @@ are the traces.
 
 The dense discrete Dirichlet-to-Neumann operator (`schur_dtn`, the Schur
 complement of K onto the boundary) is kept where it pays for itself:
-`DtnOperator` reuse across many boundary densities, and a `count` too close to
-n_boundary for Lanczos.  It checks its own symmetry and kernel.  It is read off
-one sparse LU of the SPD matrix K + E_b E_b' eliminated interior first, in a
-fill-reducing order, and boundary last: the trailing factor block gives
-L_bb U_bb = DtN + I, with no solve against a dense n_interior x n_boundary
-right-hand side.  The interior order is SuperLU's minimum-degree column order
-(with its elimination-tree postorder) of the interior block, taken from an
-incomplete LU that drops every entry, so the ordering costs no numeric
-interior factorization.  Its spectrum is one eigh of M_b^{-1/2} DtN M_b^{-1/2}
-for masses within a factor 1e3, else of H (DtN - s M_b)^{-1} H as in the
-pencil, where massless vertices are free ones.
+`DtnOperator` reuse across many boundary densities, a `count` close to
+n_boundary, where its one eigh beats Lanczos, and the one fallback of a Lanczos
+solve whose pairs miss the residual contract.  It checks its own symmetry and
+kernel.  It is read off one sparse LU of the SPD matrix K + E_b E_b' eliminated
+interior first, in a fill-reducing order, and boundary last: the trailing
+factor block gives L_bb U_bb = DtN + I, with no solve against a dense
+n_interior x n_boundary right-hand side.  The interior order is SuperLU's
+minimum-degree column order (with its elimination-tree postorder) of the
+interior block, taken from an incomplete LU that drops every entry, so the
+ordering costs no numeric interior factorization.  Its spectrum is one eigh of
+M_b^{-1/2} DtN M_b^{-1/2} for masses within a factor 1e3, else of
+H (DtN - s M_b)^{-1} H as in the pencil, where massless vertices are free ones.
 
 All three SuperLU calls take `_SPD_FACTOR`, which also turns off relaxed
 supernodes and column panels: on these meshes the pencil factor takes about a
@@ -220,11 +221,6 @@ def _boundary_index(mesh: SurfaceMesh) -> np.ndarray:
     return np.unique(np.concatenate([np.asarray(loop) for loop in mesh.boundary_loops]))
 
 
-def _lanczos_fits(wanted: int, n_boundary: int) -> bool:
-    """Whether a Lanczos basis for `wanted` pairs fits in the n_boundary finite ones."""
-    return 2 * wanted + 20 <= n_boundary
-
-
 def _block_lanczos(op, n: int, wanted: int):
     """The `wanted` largest eigenpairs, largest first, of a symmetric n x n operator
     `op` on column blocks: block Lanczos with full reorthogonalization.
@@ -256,17 +252,17 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
     """Smallest `count` discrete Steklov eigenvalues with optional boundary traces.
 
     Shift-invert block Lanczos on the sparse pencil K u = sigma M_b u, run in
-    boundary space (see the module docstring).  The pencil has only
-    n_boundary finite eigenvalues, so a `count` too close to that for a
-    Lanczos basis goes through the dense DtN instead.  Should a pair miss the
-    residual contract, the solve asks once for two more pairs.  The retry and
-    the dense route are logged at DEBUG.
+    boundary space (see the module docstring).  A `count` close to n_boundary,
+    or any pair that misses the residual contract, goes through the dense DtN
+    instead; that route is logged at DEBUG.
     """
     b = _boundary_index(mesh)
     n_b = len(b)
     check_count(count, n_b, "boundary degrees of freedom")
-    if not _lanczos_fits(count, n_b):
-        logger.debug("dense DtN: %d pairs of %d leave no room for Lanczos", count, n_b)
+    # a cost rule, not basis room (block Lanczos may fill the boundary space):
+    # near count = n_boundary the dense route is 3-10x faster
+    if 2 * count + 20 > n_b:
+        logger.debug("dense DtN: %d pairs of %d boundary DOFs", count, n_b)
         return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
     mass = boundary_mass_vector(mesh)  # a massless boundary vertex acts as a free one
     K = assemble_stiffness(mesh)
@@ -285,26 +281,17 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
         x[b] = boundary_values
         return x
 
-    def lowest_pairs(wanted: int):
-        """The `count` lowest pairs of a Lanczos run for `wanted` pairs, with residuals."""
-        # C = H E_b' (K - s M_b)^{-1} E_b H with H = sqrt(M_b) on the boundary is
-        # symmetric, and its eigenvalues are theta = 1 / (sigma - s)
-        theta, y = _block_lanczos(lambda y: h[:, None] * lu.solve(lifted(h[:, None] * y))[b],
-                                  n_b, wanted)
-        theta, y = theta[:count], y[:, :count]
-        w = PENCIL_SHIFT + 1.0 / theta
-        u = lu.solve(lifted(h[:, None] * y)) / theta
-        u = u / np.sqrt(np.einsum("ij,i,ij->j", u, mass, u))
-        return w, u, _relative_residuals(K, u, mass, w)
-
-    w, u, rel = lowest_pairs(count)
+    # C = H E_b' (K - s M_b)^{-1} E_b H with H = sqrt(M_b) on the boundary is
+    # symmetric, and its eigenvalues are theta = 1 / (sigma - s)
+    theta, y = _block_lanczos(lambda y: h[:, None] * lu.solve(lifted(h[:, None] * y))[b],
+                              n_b, count)
+    w = PENCIL_SHIFT + 1.0 / theta
+    u = lu.solve(lifted(h[:, None] * y)) / theta
+    u = u / np.sqrt(np.einsum("ij,i,ij->j", u, mass, u))
+    rel = _relative_residuals(K, u, mass, w)
     if np.any(rel > RESIDUAL_RTOL):
-        if not _lanczos_fits(count + 2, n_b):
-            logger.debug("dense DtN: residual %.2e, and %d pairs of %d leave no room for "
-                         "Lanczos", rel.max(), count + 2, n_b)
-            return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
-        logger.debug("Lanczos retry: %d pairs, residual %.2e", count + 2, rel.max())
-        w, u, rel = lowest_pairs(count + 2)
+        logger.debug("dense DtN: Lanczos residual %.2e", rel.max())
+        return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
     return _contracted(w, rel, mass[b], u[b] if want_vectors else None, b)
 
 

@@ -225,7 +225,7 @@ class TestSpectrumArgumentProperties:
 def _assert_finite_report_or_usage_error(argv, count):
     """One CLI run: exit 0 with one report of `count` finite rows and nothing
     non-finite printed, or exit 2 with a usage error and nothing written; never
-    a warning."""
+    a warning.  Returns the exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
             warnings.catch_warnings(record=True) as caught:
@@ -241,10 +241,11 @@ def _assert_finite_report_or_usage_error(argv, count):
     assert code in (0, 2), stderr.getvalue()
     if code == 2:
         assert written == [] and "usage error:" in stderr.getvalue()
-        return
+        return code
     assert len(reports) == 1 and len(reports[0]) == count
     printed = stdout.getvalue().lower()
     assert "nan" not in printed and "inf" not in printed
+    return code
 
 
 def _run_quietly(argv):
@@ -396,6 +397,12 @@ class TestFemDensityProperties:
         _assert_finite_report_or_usage_error(
             ["spectrum", "--surface", surface, "--method", "fem", f"--T={T!r}",
              f"--density={density!r}", f"--resolution={resolution!r}"], 8)
+
+    def test_lanczos_residual_miss_exits_0(self):
+        # Lanczos misses the residual contract on this band; the dense DtN meets it
+        argv = ["spectrum", "--surface", "mobius", "--T", "0.1", "--density", "0.01",
+                "--resolution", "0.1", "--count", "12", "--method", "fem"]
+        assert _assert_finite_report_or_usage_error(argv, 12) == 0
 
 
 # one bad value for --trials, --seed or --k-max: not an integer, below its

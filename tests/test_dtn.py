@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import os
@@ -362,42 +363,43 @@ class TestPencil:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
-    @pytest.mark.parametrize("count, failing_runs, outcome", [
-        pytest.param(8, 1, "retry", id="retry-with-two-more"),
-        pytest.param(21, 1, "dense", id="retry-too-large-for-lanczos"),
-        pytest.param(8, 2, "error", id="retry-misses-too"),
+    # coarse disk: 63 boundary DOFs, so count 21 is the largest that Lanczos takes
+    @pytest.mark.parametrize("count, spoiled", [
+        pytest.param(8, "lanczos", id="lanczos-misses"),
+        pytest.param(21, "lanczos", id="lanczos-misses-at-count-21"),
+        pytest.param(8, "contract", id="both-routes-miss"),
     ])
-    def test_residual_miss_retries_once(self, coarse_disk_mesh, monkeypatch, caplog,
-                                        count, failing_runs, outcome):
-        # coarse disk: 63 boundary DOFs, so 21 pairs fit a Lanczos basis but 23 do not
+    def test_residual_miss_takes_dense_route(self, coarse_disk_mesh, monkeypatch, caplog,
+                                             count, spoiled):
         wanted = []
 
         def spoiled_lanczos(op, n, k):
             theta, y = block_lanczos(op, n, k)
             wanted.append(k)
-            return theta, (y + 1e-3 if len(wanted) <= failing_runs else y)
+            return theta, (y + 1e-3 if spoiled == "lanczos" else y)
 
         monkeypatch.setattr(dtn, "_block_lanczos", spoiled_lanczos)
         caplog.set_level(logging.DEBUG, logger="steklov.dtn")
-        if outcome == "error":
-            with pytest.raises(sk.SolverError):
+        if spoiled == "contract":  # no residual can meet a zero tolerance
+            monkeypatch.setattr(dtn, "RESIDUAL_RTOL", 0.0)
+            with pytest.raises(sk.SolverError, match="residual"):
                 sk.steklov_spectrum(coarse_disk_mesh, count)
-            assert wanted == [count, count + 2]
-            assert _routes(caplog) == ["Lanczos retry"]
-            return
-        spec = sk.steklov_spectrum(coarse_disk_mesh, count)
-        routes = _routes(caplog)
-        dense = build_dtn(coarse_disk_mesh).spectrum(count)
-        if outcome == "dense":
-            assert wanted == [count]
-            assert routes == ["dense DtN"]
-            assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
         else:
-            assert wanted == [count, count + 2]
-            assert routes == ["Lanczos retry"]
-            scale = np.max(dense.eigenvalues)
-            assert np.allclose(spec.eigenvalues, dense.eigenvalues, rtol=1e-12,
-                               atol=1e-12 * scale)
+            spec = sk.steklov_spectrum(coarse_disk_mesh, count)
+            dense = build_dtn(coarse_disk_mesh).spectrum(count)
+            assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        assert wanted == [count]
+        assert _routes(caplog) == ["dense DtN"]
+
+    # Moebius bands at density 0.01 where Lanczos misses the residual contract
+    # (1.5e-10 to 3e-10) and the dense route meets it
+    @pytest.mark.parametrize("T, resolution", [(0.1, 0.05), (0.1, 0.1), (2.0, 0.1)])
+    def test_natural_residual_miss_returns_the_dense_spectrum(self, caplog, T, resolution):
+        mesh = sk.build_spec_mesh(sk.MobiusCylinder(T, 0.01), resolution).mesh
+        caplog.set_level(logging.DEBUG, logger="steklov.dtn")
+        spec = sk.steklov_spectrum(mesh, 12)
+        assert _routes(caplog) == ["dense DtN"]
+        assert np.array_equal(spec.eigenvalues, build_dtn(mesh).spectrum(12).eigenvalues)
 
     def test_full_count_takes_dense_route(self, coarse_disk_mesh, monkeypatch, caplog):
         n_b = len(build_dtn(coarse_disk_mesh).boundary_index)
@@ -412,6 +414,31 @@ class TestPencil:
         caplog.set_level(logging.DEBUG, logger="steklov.dtn")
         sk.steklov_spectrum(coarse_disk_mesh, 8)
         assert caplog.records == []
+
+
+@pytest.mark.slow
+class TestRouteScan:
+    """The CLI's FEM ranges of --surface, --density, --T, --resolution and
+    --count (`pytest -m slow`, 250 meshes at 3 counts each): wherever the
+    dense DtN meets the residual contract, `steklov_spectrum` returns too."""
+
+    def test_pencil_meets_the_contract_where_the_dense_route_does(self):
+        misses = []
+        for surface, density, T, resolution in itertools.product(
+                [sk.FlatCylinder, sk.MobiusCylinder], [0.01, 0.1, 1.0, 10.0, 100.0],
+                [1e-3, 1e-2, 0.1, 0.5, 2.0], [0.05, 0.07, 0.1, 0.2, 0.3]):
+            mesh = sk.build_spec_mesh(surface(T, density), resolution).mesh
+            operator = build_dtn(mesh)
+            for count in (6, 8, 12):
+                try:
+                    operator.spectrum(count)
+                except sk.SolverError:
+                    continue
+                try:
+                    sk.steklov_spectrum(mesh, count)
+                except sk.SolverError as exc:
+                    misses.append((surface.__name__, density, T, resolution, count, str(exc)))
+        assert misses == []
 
 
 def disk_and_cylinder(disk, cylinder):
