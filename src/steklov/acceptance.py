@@ -163,7 +163,7 @@ def _c6_boundary_sweep():
         if row.failure:
             return False, {"failure": row.failure}
         errs.append(abs(row.spectrum.sigma_bar(2) - FOUR_PI) / FOUR_PI)
-        lengths.append(abs(row.boundary_length - FOUR_PI) / FOUR_PI)
+        lengths.append(abs(row.spectrum.boundary_length - FOUR_PI) / FOUR_PI)
     details = {"sigma_bar2_rel_errors": errs, "length_rel_errors": lengths}
     ok = errs[-1] <= 0.05 and errs[-1] <= errs[-2] <= errs[-3]
     ok &= max(lengths) <= 0.02
@@ -181,7 +181,7 @@ def _c7_interior_sweep():
     # scale-referenced error: targets 0, 0, 1, 1 share the unit eigenvalue scale
     scale = float(sweep.target.eigenvalues[3])
     errors = [e / scale for e in last.eigenvalue_errors[1:]]
-    lengths = [abs(row.boundary_length - FOUR_PI) / FOUR_PI
+    lengths = [abs(row.spectrum.boundary_length - FOUR_PI) / FOUR_PI
                for row in sweep.rows if row.failure is None]
     details["final_errors_j1_j3"] = errors
     details["length_rel_errors"] = lengths

@@ -144,7 +144,7 @@ def cmd_sweep(args) -> int:
         if row.failure:
             rows.append({"rho": row.rho, "failure": row.failure})
             continue
-        entry = {"rho": row.rho, "boundary_length": row.boundary_length,
+        entry = {"rho": row.rho, "boundary_length": row.spectrum.boundary_length,
                  "sigma_bar_k": row.spectrum.sigma_bar(k),
                  "target_sigma_bar_k": sweep.target.sigma_bar(k)}
         for j, err in enumerate(row.eigenvalue_errors):

@@ -25,13 +25,14 @@ MAX_COUNT eigenvalues.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BracketError, InvalidParameterError, SolverError
-from .meshes import FlatCylinder, MobiusCylinder
+from .meshes import FlatCylinder, MobiusCylinder, UnitDisk
 from .spectra import CLUSTER_RTOL_EXACT, Spectrum, check_count, make_spectrum, zero_band
 
 ROOT_TOL = 1e-14
@@ -257,7 +258,7 @@ def cylinder_spectrum(T: float, rho_b: float = 1.0, count: int = 10) -> Spectrum
     return _spectrum_from_branches("cylinder", T, rho_b, count)
 
 
-def mobius_spectrum(T: float, count: int = 10, rho_b: float = 1.0) -> Spectrum:
+def mobius_spectrum(T: float, rho_b: float = 1.0, count: int = 10) -> Spectrum:
     """Smallest `count` Steklov eigenvalues of the flat Moebius band."""
     return _spectrum_from_branches("mobius", T, rho_b, count)
 
@@ -271,11 +272,10 @@ def disk_spectrum(count: int = 10) -> Spectrum:
 
 def spectrum_for(spec, count: int) -> Spectrum:
     """Closed-form spectrum of a disk, cylinder or Moebius metric description."""
-    from .meshes import UnitDisk
     if isinstance(spec, FlatCylinder):
         return cylinder_spectrum(spec.T, spec.boundary_density, count)
     if isinstance(spec, MobiusCylinder):
-        return mobius_spectrum(spec.T, count, spec.boundary_density)
+        return mobius_spectrum(spec.T, spec.boundary_density, count)
     if isinstance(spec, UnitDisk):
         return disk_spectrum(count)
     raise InvalidParameterError(f"no closed form for {type(spec).__name__}")
@@ -332,11 +332,13 @@ def invariant_supremum(surface: str, k: int) -> SupremumResult:
         lower[br] = seen.get(br.kind, 0)
         seen[br.kind] = lower[br] + br.multiplicity
     best, T_best = _limit_sigma_k(surface, k), None
+    falling = [br for br in branches if not br.increasing]
+    copies = [lower[br] for br in falling]  # nondecreasing
     for up in (br for br in branches if br.increasing):
-        for down in (br for br in branches if not br.increasing):
+        # the k-th value needs k - 5 <= below < k: a crossing adds 2 + 2 + the linear branch
+        lo, hi = (bisect_left(copies, k - lower[up] - j) for j in (5, 0))
+        for down in falling[lo:hi]:
             below = lower[up] + lower[down]
-            if below >= k:  # and at every higher falling mode
-                break
             if down.kind == ODD:
                 below += seen.get(ZERO_LINEAR, 0)
             if not (below < k <= below + up.multiplicity + down.multiplicity

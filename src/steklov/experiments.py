@@ -82,7 +82,6 @@ def annulus_self_glued(T: float, rho: float) -> GluedFamily:
 class SweepRow:
     rho: float
     spectrum: Spectrum | None
-    boundary_length: float | None
     eigenvalue_errors: tuple[float, ...] | None  # |sigma_j(M_rho) - sigma_j(target)|, j <= k
     neck_fractions: tuple[float, ...] | None     # boundary L^2 mass on the neck, j = 0..k
     failure: str | None = None
@@ -147,10 +146,9 @@ def _run_sweep(components, k: int, rho_list, resolution: float,
             errors = tuple(float(abs(spec.eigenvalues[j] - target.eigenvalues[j]))
                            for j in range(k + 1))
             fractions = _neck_fractions(mesh, spec, k) if traced else None
-            rows.append(SweepRow(rho, spec.drop_vectors(), spec.boundary_length,
-                                 errors, fractions))
+            rows.append(SweepRow(rho, spec.drop_vectors(), errors, fractions))
         except SteklovError as exc:  # recorded, sweep continues
-            rows.append(SweepRow(rho, None, None, None, None,
+            rows.append(SweepRow(rho, None, None, None,
                                  failure=f"{type(exc).__name__}: {exc}"))
     return SweepResult(k, target, tuple(rows))
 

@@ -6,7 +6,8 @@ boundary, so the total boundary length is unchanged.  Each arc reaches its
 component through one flat collar chart (`_collar`).  Interior necks, tubes of
 circumference 2*pi*rho and length 2*rho between two removed disks, are one
 flat chart with their collars (`_neck_chart`).  So rho reaches a neck only
-through its charts' heights and boundary densities.
+through its charts' heights and boundary densities: a square's sides carry rho
+and a collar's sides rho sinh(mu), on their own chart vertices.
 
 `prepare_components` checks the neck kind, has `meshes.place_sites` place
 each component's sites once (every refusal comes before any chart is meshed),
@@ -65,7 +66,7 @@ class GluedFamily:
 
 def _collar(rho: float, lam: float, R: float, nu: np.ndarray):
     """A boundary arc's collar, one flat chart [0, mu_R] x [0, pi] with w = rho /
-    lam and cosh(mu_R) = R / w: rows mu, row nodes nu, row factors and scales.
+    lam and cosh(mu_R) = R / w: rows mu, row nodes nu and row densities.
 
     The Dirichlet energy sees only angles, and z = -w cosh(mu - i nu) maps the
     chart onto the region between the arc (mu = 0) and its site's half-ellipse
@@ -80,12 +81,12 @@ def _collar(rho: float, lam: float, R: float, nu: np.ndarray):
     ends = np.concatenate([[0.0], 0.5 * (mu[1:] + mu[:-1]), [mu_R]])
     c, d = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
     density = 0.5 * (np.exp(log_rho + c) - np.exp(log_rho - c)) * np.sinh(d) / d
-    return mu, np.tile(nu, (len(mu), 1)), np.full(len(mu), lam), density / lam
+    return mu, np.tile(nu, (len(mu), 1)), density
 
 
 def _neck_chart(rho: float, rings, lams):
-    """An interior neck's rows, row nodes, row factors and scales: one flat chart
-    [0, H] x S^1 with a column per rim segment, m of them.
+    """An interior neck's rows and row nodes: one flat chart [0, H] x S^1 with a
+    column per rim segment, m of them.
 
     The Dirichlet energy sees only angles.  Around a rim of chart radius R (read
     off its ring) on a chart of density lam, rho < |z - p| < R lam is the flat
@@ -97,8 +98,7 @@ def _neck_chart(rho: float, rings, lams):
     H = 2.0 + sum(math.log(np.linalg.norm(r[1] - r[0]) / (2.0 * math.sin(math.pi / m)) * lam)
                   - math.log(rho) for r, lam in zip(rings, lams))
     s = _fill_graded(0.0, H, du, du, H, growth=0.5 * du)
-    nodes = np.tile(np.linspace(0.0, TWO_PI, m + 1), (len(s), 1))
-    return s, nodes, np.interp(s, [0.0, H], lams), np.ones(len(s))
+    return s, np.tile(np.linspace(0.0, TWO_PI, m + 1), (len(s), 1))
 
 
 def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
@@ -107,17 +107,16 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     Component i's interfaces are taken in the order `prepare_components` gave
     its sites: pair by pair, the first attachment of a pair before the second.
     Each neck end takes the boundary density of its end's component.  A
-    boundary neck's square is the chart [0, 2] x [-1, 1], graded as 1 - cos to
-    its corners, with scale rho on its free sides and ceil((m + 1) / 2) + 1 rows
-    for the m + 1 columns; its column at -cos(nu) meets the arc at -w cos(nu),
-    through the arc's collar unless R = w.
+    boundary neck's square is the chart [0, 2] x [-1, 1] of density rho, graded
+    as 1 - cos to its corners, with ceil((m + 1) / 2) + 1 rows for the m + 1
+    columns; its column at -cos(nu) meets the arc at -w cos(nu), through the
+    arc's collar unless R = w.
     """
     pieces = [c.vertices for c in components]
     offsets = np.cumsum([0] + [len(p) for p in pieces])
     triangles = [c.triangles + o for c, o in zip(components, offsets)]
     idents = [c.identifications + o for c, o in zip(components, offsets)]
-    lam = [np.full(len(c.vertices), c.density) for c in components]
-    scale = [np.ones(len(c.vertices)) for c in components]
+    density = [np.full(len(c.vertices), c.density) for c in components]
     wanted = np.bincount([att.component for pair in family.pairs for att in pair],
                          minlength=len(components))
     if wanted.tolist() != [len(c.interfaces) for c in components]:
@@ -125,14 +124,14 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     unused = [iter(zip(c.interfaces, c.sizes)) for c in components]
     sides = []
 
-    def chart(rows, nodes, rows_lam, rows_scale):
-        """Add the neck chart with nodes (rows[i], nodes[i, j]); its chart ids."""
+    def chart(rows, nodes, rows_density):
+        """Add the neck chart with nodes (rows[i], nodes[i, j]) and each row's
+        boundary density (or one for all); its chart ids."""
         cells, idx = _grid_cells(*nodes.shape)
         idx += sum(map(len, pieces))
         pieces.append(np.stack([np.repeat(rows, nodes.shape[1]), nodes.ravel()], axis=1))
         triangles.append(_fan(cells) + idx[0, 0])
-        lam.append(np.repeat(rows_lam, nodes.shape[1]))
-        scale.append(np.repeat(rows_scale, nodes.shape[1]))
+        density.append(np.repeat(np.broadcast_to(rows_density, rows.shape), nodes.shape[1]))
         return idx
 
     for pair in family.pairs:
@@ -143,7 +142,7 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
             raise AssemblyError("the two ends of a neck differ in segments")
         if family.neck_kind == INTERIOR_NECK:
             idx = chart(*_neck_chart(family.rho, (ca.vertices[ring_a], cb.vertices[ring_b]),
-                                     (ca.density, cb.density)))
+                                     (ca.density, cb.density)), 1.0)  # no boundary to read it
             k = len(ring_a)
             reflect = (k - np.arange(k)) % k  # the seam at columns 0 and k
             idents += [np.stack([idx[:, 0], idx[:, k]], axis=1),
@@ -160,14 +159,12 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
             arcs.append((ids, -np.cos(nu)))
         (ids_a, y_a), (ids_b, y_b) = arcs
         x = 1.0 - np.cos(np.linspace(0.0, math.pi, (len(y_a) + 1) // 2 + 1))
-        rows_lam = np.interp(x, [0.0, 2.0], [ca.density, cb.density])
-        idx = chart(x, np.linspace(y_a, y_b, len(x)), rows_lam, family.rho / rows_lam)
+        idx = chart(x, np.linspace(y_a, y_b, len(x)), family.rho)
         sides.append(np.concatenate([idx[:, 0], idx[:, -1]]))  # they become boundary
         idents += [np.stack([ids_a, idx[0]], axis=1), np.stack([ids_b, idx[-1, ::-1]], axis=1)]
     return assemble_mesh(np.concatenate(pieces), np.concatenate(triangles),
-                         np.concatenate(idents), np.concatenate(lam),
-                         tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {},
-                         scale_chart=np.concatenate(scale))
+                         np.concatenate(idents), np.concatenate(density),
+                         tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Triangulated surfaces with chart coordinates, seam identifications, and a
-per-vertex conformal factor.
+boundary density per chart vertex.
 
 A surface is a union of flat chart pieces; logical vertices are equivalence
 classes of chart vertices under the identification list.  The metric is
-lambda^2 * (flat chart metric), so in two dimensions the Dirichlet energy is
-chart-only and the conformal factor enters solely through boundary lengths.
-A boundary edge's density is its logical ends' factors times their chart
-scales, 1 but on the neck charts of `gluing`.  `assemble_mesh` owns the P1
-geometry: each triangle's edge vectors give its doubled area, which orients or
-refuses it, and its corner cotangents, summed into each unique edge's weight
-(`edge_weights`, shared by `with_conformal_factor`).
+conformal to the flat chart metric, so in two dimensions the Dirichlet energy
+is chart-only and the metric enters solely through boundary lengths: a
+boundary edge's length is its chart length times the mean density of its chart
+ends, each its chart density times its logical vertex's conformal factor (1
+unless `with_conformal_factor` sets one).  Identified chart vertices may carry
+different densities: each chart's boundary is measured on that chart.
+`assemble_mesh` owns the P1 geometry: each triangle's edge vectors give its
+doubled area, which orients or refuses it, and its corner cotangents, summed
+into each unique edge's weight (`edge_weights`, shared by
+`with_conformal_factor`), and labels the boundary loops in one pass.
 
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
@@ -31,11 +34,11 @@ with `AssemblyError`.  `check_mesh_budget` refuses, before anything is built,
 meshes estimated above MAX_MESH_VERTICES and grid charts lower than
 MIN_CHART_HEIGHT.
 
-Every chart carries one constant boundary density: in two dimensions a metric
-reaches the Steklov spectrum only through it, and `with_conformal_factor` sets
-any other.  Builders return a `Component`: chart arrays, that density and the
-neck interfaces.  A glued mesh is assembled once from its components' arrays;
-a component's own `mesh` is assembled only when a plain surface asks for it.
+Every surface chart carries one constant boundary density, which
+`with_conformal_factor` multiplies by any other.  Builders return a
+`Component`: chart arrays, that density and the neck interfaces.  A glued mesh
+is assembled once from its components' arrays; a component's own `mesh` is
+assembled only when a plain surface asks for it.
 """
 
 from __future__ import annotations
@@ -93,9 +96,9 @@ class SurfaceMesh:
     identifications: np.ndarray       # (ni, 2) chart index pairs merged logically
     logical: np.ndarray               # (nv,) chart index -> logical vertex id
     n_logical: int
-    conformal_factor: np.ndarray      # (n_logical,) positive
-    chart_scale: np.ndarray           # (nv,) nonnegative; density = factor * scale
-    boundary_loops: tuple[tuple[int, ...], ...]  # ordered logical ids, closed
+    conformal_factor: np.ndarray      # (n_logical,) positive, 1 unless set
+    chart_density: np.ndarray         # (nv,) finite, nonnegative; read on the boundary
+    boundary_loops: tuple[tuple[int, ...], ...]  # logical ids, ascending; by lowest id
     boundary_edge_chart: np.ndarray   # (nb, 2) chart endpoints of the unique chart edge
     edges: np.ndarray                 # (ne, 2) unique logical edges (lo, hi), lexicographic
     edge_weights: np.ndarray          # (ne,) P1 cotangent weight of each edge
@@ -163,53 +166,37 @@ def _edge_census(tri_logical: np.ndarray, triangles: np.ndarray, cots: np.ndarra
     return np.stack(np.divmod(sorted_key[starts], n), axis=1), counts, chart, weights
 
 
-def _walk_loops(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Closed loops of boundary vertices, each from its lowest edge in that edge's order."""
-    ends = boundary_edges.tolist()
-    incident: dict[int, list[int]] = {}
-    for eid, (a, b) in enumerate(ends):
-        incident.setdefault(a, []).append(eid)
-        incident.setdefault(b, []).append(eid)
-    for v, eids in incident.items():
-        if len(eids) != 2:
-            raise AssemblyError(f"boundary vertex {v} lies on {len(eids)} boundary edges")
-    used = [False] * len(ends)
-    loops = []
-    for eid, (a, current) in enumerate(ends):
-        if used[eid]:
-            continue
-        used[eid] = True
-        loop = [a]
-        while current != a:  # every vertex has two edges: leave by the other one
-            loop.append(current)
-            e1, e2 = incident[current]
-            eid = e2 if e1 == eid else e1
-            used[eid] = True
-            u, v = ends[eid]
-            current = v if u == current else u
-        loops.append(tuple(loop))
-    return tuple(loops)
+def _boundary_loops(edges: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Vertices of each loop of the boundary `edges` among n vertices, ascending,
+    loops in order of their lowest vertex (`_component_labels` numbers them so)."""
+    on = np.bincount(edges.ravel(), minlength=n)
+    bad = np.flatnonzero((on != 0) & (on != 2))
+    if len(bad):
+        raise AssemblyError(f"boundary vertex {bad[0]} lies on {on[bad[0]]} boundary edges")
+    ids = np.flatnonzero(on)
+    labels = _component_labels(len(ids), np.searchsorted(ids, edges))[0]
+    order = np.argsort(labels, kind="stable")
+    loops = np.split(ids[order], np.flatnonzero(np.diff(labels[order])) + 1)
+    return tuple(tuple(loop.tolist()) for loop in loops)
 
 
-def assemble_mesh(vertices, triangles, identifications, conformal_chart,
-                  tags_chart: dict[str, Sequence[int]] | None = None,
-                  scale_chart=None) -> SurfaceMesh:
+def assemble_mesh(vertices, triangles, identifications, density_chart,
+                  tags_chart: dict[str, Sequence[int]] | None = None) -> SurfaceMesh:
     """Build a SurfaceMesh from chart data, deriving logical structure and loops.
 
-    `conformal_chart` is equal on identified chart vertices; `scale_chart` (1 if
-    not given) scales each chart vertex's boundary density on its own chart."""
+    `density_chart` is each chart vertex's boundary density, finite and
+    nonnegative; the conformal factor starts at 1."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64).copy()
     identifications = (np.asarray(identifications, dtype=np.int64).reshape(-1, 2)
                        if len(identifications) else np.zeros((0, 2), dtype=np.int64))
-    conformal_chart = np.asarray(conformal_chart, dtype=float)
-    scale_chart = np.ones(len(vertices)) if scale_chart is None else np.asarray(scale_chart)
+    density_chart = np.asarray(density_chart, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise AssemblyError("vertices must be (nv, 2)")
-    if conformal_chart.shape != (vertices.shape[0],):
-        raise AssemblyError("conformal factor must be given per chart vertex")
-    if scale_chart.shape != conformal_chart.shape or not np.all(scale_chart >= 0):
-        raise AssemblyError("chart scales must be given per chart vertex, nonnegative")
+    if density_chart.shape != (vertices.shape[0],):
+        raise AssemblyError("boundary density must be given per chart vertex")
+    if not np.all(np.isfinite(density_chart) & (density_chart >= 0)):
+        raise AssemblyError("boundary density must be finite and nonnegative")
 
     areas2, degenerate, cots = _corner_geometry(vertices, triangles)
     flip = areas2 < 0
@@ -220,38 +207,23 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
         raise AssemblyError("degenerate chart triangle")
 
     labels, n_logical = _component_labels(vertices.shape[0], identifications)
-    lam = np.zeros(n_logical)
-    np.maximum.at(lam, labels, conformal_chart)
-    lam_min = np.full(n_logical, np.inf)
-    np.minimum.at(lam_min, labels, conformal_chart)
-    if np.any(lam - lam_min > 1e-9 * (np.abs(lam) + 1.0)):
-        raise AssemblyError("identified vertices carry unequal conformal factors")
-    if np.any(lam <= 0):
-        raise AssemblyError("conformal factor must be positive")
-
-    tri_logical = labels[triangles]
-    edges, counts, chart_rep, weights = _edge_census(tri_logical, triangles, cots)
+    edges, counts, chart_rep, weights = _edge_census(labels[triangles], triangles, cots)
     if np.any(counts > 2):
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
-    boundary_edge_chart = chart_rep[bmask]
-    loops = _walk_loops(edges[bmask]) if bmask.any() else ()
 
-    tags = {}
-    if tags_chart:
-        for name, ids in tags_chart.items():
-            tags[name] = frozenset(int(labels[i]) for i in ids)
-
+    tags = {name: frozenset(labels[np.asarray(ids, dtype=np.int64)].tolist())
+            for name, ids in (tags_chart or {}).items()}
     return SurfaceMesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         identifications=_freeze(identifications),
         logical=_freeze(labels),
         n_logical=n_logical,
-        conformal_factor=_freeze(lam),
-        chart_scale=_freeze(scale_chart),
-        boundary_loops=loops,
-        boundary_edge_chart=_freeze(boundary_edge_chart),
+        conformal_factor=_freeze(np.ones(n_logical)),
+        chart_density=_freeze(density_chart),
+        boundary_loops=_boundary_loops(edges[bmask], n_logical) if bmask.any() else (),
+        boundary_edge_chart=_freeze(chart_rep[bmask]),
         edges=_freeze(edges),
         edge_weights=_freeze(weights),
         tags=tags,
@@ -259,7 +231,11 @@ def assemble_mesh(vertices, triangles, identifications, conformal_chart,
 
 
 def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
-    """The mesh with the factor `lam_logical`, refused unless finite and positive."""
+    """The mesh with the factor `lam_logical`, refused unless finite and positive.
+
+    The factor multiplies the mesh's built boundary density, so on a
+    unit-density mesh (disks, glued disks, cylinders and Moebius bands of
+    density 1) it is the boundary density."""
     lam = np.array(lam_logical, dtype=float)
     if lam.shape != (mesh.n_logical,):
         raise InvalidParameterError("conformal factor must have one value per logical vertex")
@@ -274,12 +250,12 @@ def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
 
 def boundary_edge_lengths(mesh: SurfaceMesh) -> np.ndarray:
     """Physical length of each boundary edge: chart length times the mean density
-    of its chart ends, each the conformal factor times the chart scale."""
+    of its chart ends, each the conformal factor times the chart density."""
     uv = mesh.boundary_edge_chart
     if len(uv) == 0:
         return np.zeros(0)
     chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
-    return chord * (mesh.conformal_factor[mesh.logical[uv]] * mesh.chart_scale[uv]).mean(axis=1)
+    return chord * (mesh.conformal_factor[mesh.logical[uv]] * mesh.chart_density[uv]).mean(axis=1)
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:
@@ -299,23 +275,20 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
         report.append(f"{int(bad.sum())} chart triangles degenerate or misoriented")
     if np.any(mesh.conformal_factor <= 0):
         report.append("conformal factor not strictly positive")
-    if not np.all(mesh.chart_scale >= 0):
-        report.append("chart scale negative")
-    # equal factors across identified pairs are structural here (one logical
-    # slot per class); assemble_mesh rejects unequal chart inputs up front
+    if not np.all(np.isfinite(mesh.chart_density) & (mesh.chart_density >= 0)):
+        report.append("chart density negative or not finite")
 
     edges, counts, _, weights = _edge_census(mesh.logical[mesh.triangles], mesh.triangles, cots)
     if np.any(counts > 2):
         report.append("edge shared by more than two triangles")
     if not np.array_equal(weights, mesh.edge_weights):
         report.append("edge weights disagree with the chart geometry")
-    derived = {tuple(e) for e in edges[counts == 1]}
-    stored = {tuple(sorted(e)) for loop in mesh.boundary_loops
-              for e in zip(loop, loop[1:] + loop[:1])}
+    derived = {tuple(e) for e in edges[counts == 1].tolist()}
+    stored = {tuple(sorted(e)) for e in mesh.logical[mesh.boundary_edge_chart].tolist()}
     if derived != stored:
-        report.append(f"boundary loops disagree with single-triangle edges "
+        report.append(f"boundary edges disagree with single-triangle edges "
                       f"({len(derived - stored)} open edges unlisted, "
-                      f"{len(stored - derived)} stale loop edges)")
+                      f"{len(stored - derived)} stale boundary edges)")
     return report
 
 

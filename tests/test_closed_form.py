@@ -196,6 +196,15 @@ class TestSpectra:
         assert spec.sigma_bar(1) == pytest.approx(spec.sigma_bar(2), abs=1e-9)
         assert spec.multiplicity(1) >= 2
 
+    @pytest.mark.parametrize("spectrum", [sk.cylinder_spectrum, sk.mobius_spectrum])
+    def test_positional_and_keyword_calls_agree(self, spectrum):
+        # one argument order for every closed form: (T, rho_b, count)
+        a = spectrum(0.7, 1.3, 6)
+        b = spectrum(T=0.7, rho_b=1.3, count=6)
+        assert len(a.eigenvalues) == 6
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a.boundary_length == b.boundary_length
+
     def test_mobius_large_T_limit(self):
         spec = sk.mobius_spectrum(60.0, count=3)
         assert spec.eigenvalues[1] == pytest.approx(1.0, abs=1e-9)

@@ -448,8 +448,7 @@ def disk_and_cylinder(disk, cylinder):
         np.vstack([disk.vertices, cylinder.vertices + [3.0, 0.0]]),
         np.vstack([disk.triangles, cylinder.triangles + n0]),
         np.vstack([disk.identifications, cylinder.identifications + n0]),
-        np.concatenate([disk.conformal_factor[disk.logical],
-                        cylinder.conformal_factor[cylinder.logical]]))
+        np.concatenate([disk.chart_density, cylinder.chart_density]))
 
 
 def dense_rhs_dtn(mesh):

@@ -122,7 +122,7 @@ class TestInteriorSweep:
     def test_boundary_length_constant(self):
         sweep = sk.interior_glue_sweep([sk.UnitDisk(), sk.UnitDisk()], k=3,
                                        rho_list=(0.1, 0.01), resolution=0.07)
-        lengths = [row.boundary_length for row in sweep.rows]
+        lengths = [row.spectrum.boundary_length for row in sweep.rows]
         assert lengths[0] == pytest.approx(lengths[1], rel=1e-12)
         assert lengths[0] == pytest.approx(FOUR_PI, rel=1e-2)
 
@@ -138,7 +138,7 @@ class TestInteriorSweep:
         sweep = sk.interior_glue_sweep([sk.FlatCylinder(1.0)], k=1,
                                        rho_list=(1e-2, 1e-4, 1e-6, 1e-9), resolution=0.06)
         assert [row.failure for row in sweep.rows] == [None] * 4
-        lengths = [row.boundary_length for row in sweep.rows]
+        lengths = [row.spectrum.boundary_length for row in sweep.rows]
         assert lengths == pytest.approx([lengths[0]] * 4, rel=1e-12)
         target = sk.cylinder_spectrum(1.0, count=3).eigenvalues[1]  # 0.4621
         assert sweep.rows[-1].spectrum.eigenvalues[1] == pytest.approx(target, rel=0.05)
@@ -290,7 +290,7 @@ class TestNeckDiagnostic:
         row = two_disk_sweep.rows[-1]
         neck_length = 4 * row.rho
         assert row.neck_fractions[0] == pytest.approx(
-            neck_length / row.boundary_length, rel=1e-6)
+            neck_length / row.spectrum.boundary_length, rel=1e-6)
 
     def test_fractions_match_edge_loop(self, two_disk_sweep):
         """The vectorized neck membership reproduces a per-edge loop bit for bit."""

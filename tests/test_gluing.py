@@ -170,7 +170,7 @@ class TestInteriorGlue:
         apart = [sk.build_spec_mesh(sk.UnitDisk(), 0.07, (), site) for _ in range(2)]
         shared, separate = glue(comps, family), glue(apart, family)
         for name in ("vertices", "triangles", "identifications", "logical",
-                     "conformal_factor", "boundary_edge_chart"):
+                     "chart_density", "boundary_edge_chart"):
             assert np.array_equal(getattr(shared, name), getattr(separate, name))
         assert shared.boundary_loops == separate.boundary_loops
 
@@ -410,12 +410,35 @@ class TestCleanliness:
         mesh = sk.build_glued_mesh(two_disks(0.08, kind), 0.08)
         assert sk.validate_mesh(mesh) == []
 
-    def test_identified_vertices_share_density(self):
-        fam = chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], 0.1)
-        mesh = sk.build_glued_mesh(fam, 0.08)
-        lam = mesh.conformal_factor[mesh.logical]
-        for a, b in mesh.identifications:
-            assert lam[a] == pytest.approx(lam[b], rel=1e-9)
+    def test_boundary_densities_of_a_boundary_neck(self):
+        # chart order: the catenoid, the disk, each arc's collar, the square
+        rho, t10 = 0.1, sk.constant_T10().value
+        fam = chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], rho)
+        comps = prepare_components(fam, 0.08)
+        mesh = glue(comps, fam)
+        n0, n1 = len(comps[0].vertices), len(comps[1].vertices)
+        m = len(comps[0].interfaces[0])  # the square's columns
+        square = mesh.n_chart - ((m + 1) // 2 + 1) * m  # its first chart vertex
+        # a collar's chart starts at its origin (mu, nu) = (0, 0)
+        collars = n0 + n1 + np.flatnonzero(np.all(mesh.vertices[n0 + n1:square] == 0.0, axis=1))
+        assert len(collars) == 2  # both arcs reach past their half-length
+        uv = mesh.boundary_edge_chart
+        density = mesh.chart_density[uv]
+        lengths = sk.meshes.boundary_edge_lengths(mesh)
+
+        def within(lo, hi):
+            return np.all((uv >= lo) & (uv < hi), axis=1)
+
+        assert np.all(density[within(0, n0)] == 1.0 / t10)
+        assert np.all(density[within(n0, n0 + n1)] == 1.0)
+        assert np.all(density[within(square, mesh.n_chart)] == rho)
+        assert lengths[within(square, mesh.n_chart)].sum() == pytest.approx(4.0 * rho, rel=1e-12)
+        nu = mesh.vertices[uv, 1]
+        for comp, lo, hi, lam in zip(comps, collars, (collars[1], square), (1.0 / t10, 1.0)):
+            for side in (0.0, math.pi):
+                on = within(lo, hi) & np.all(nu == side, axis=1)
+                assert lengths[on].sum() == pytest.approx(lam * (comp.sizes[0] - rho / lam),
+                                                          rel=1e-12)
 
 
 class TestBoundaryNeckProperties:

@@ -124,10 +124,11 @@ class TestRingDelaunayDisk:
 
 
 # sha256 prefixes of the (little-endian float64 / int64) bytes of vertices,
-# triangles and identifications; these meshes must stay bitwise.  The
-# self-glued cylinder's triangles were pinned again when grid charts with sites
-# left whole-chart Qhull for the layout split: only Delaunay ties moved, and its
-# stiffness stayed within 3e-15 of the old one, relative to its largest entry.
+# triangles, identifications and boundary edge lengths; these meshes must stay
+# bitwise.  The self-glued cylinder's triangles were pinned again when grid
+# charts with sites left whole-chart Qhull for the layout split: only Delaunay
+# ties moved, and its stiffness stayed within 3e-15 of the old one, relative to
+# its largest entry.
 # The glued meshes' vertices were pinned again when `glue` stopped shifting
 # charts side by side, and the Moebius band's when grid rows became one linspace.
 # The meshes with arc sites (two-disk boundary necks at rho 0.025 and 1e-6, arcs
@@ -136,36 +137,48 @@ class TestRingDelaunayDisk:
 # The glued ones with arcs were pinned again when a boundary neck's square kept
 # half its rows ("catenoid+disk 0.1", "Moebius+disk 1e-5") and, for the two-disk
 # necks, also when the second disk became the first one's mesh, turned by pi.
+# The boundary lengths were pinned as the chart densities came in; those of
+# "Moebius+disk 1e-5" then moved in 2 of 389 edges by rounding, since its square
+# stopped dividing rho by the interpolated component densities.
 PINNED_MESHES = {
     "disk 0.03": (lambda: sk.build_disk_mesh(0.03),
-                  ("77c82e616083f18f", "ea5196df09d1eac5", "e3b0c44298fc1c14")),
+                  ("77c82e616083f18f", "ea5196df09d1eac5", "e3b0c44298fc1c14",
+                   "0b216d15b6f58af1")),
     "two-disk interior 1e-9": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.UnitDisk()] * 2, 1e-9, "interior-cylinder"), 0.03),
-        ("2434d1b0318f66cb", "5cc4d1436c30acc6", "48e459e04daec274")),
+        ("2434d1b0318f66cb", "5cc4d1436c30acc6", "48e459e04daec274",
+         "3cd819a8c3f4a4f2")),
     "self-glued cylinder 1e-3": (
         lambda: sk.build_glued_mesh(annulus_self_glued(1.0, 1e-3), 0.05),
-        ("ec658e61f8c40f69", "3cf18b9dd9da7c4e", "5ea6566ee6329d22")),
+        ("ec658e61f8c40f69", "3cf18b9dd9da7c4e", "5ea6566ee6329d22",
+         "c150aaa063ef6fd4")),
     "Moebius 0.5": (lambda: sk.build_mobius_mesh(0.5, 0.05),
-                    ("c65183008f26ee8b", "d022fe0521c66a26", "5c10961b224cba1a")),
+                    ("c65183008f26ee8b", "d022fe0521c66a26", "5c10961b224cba1a",
+                     "e5b3a57b734fa166")),
     "two-disk boundary 0.025": (
         lambda: sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 0.025), 0.03),
-        ("7e591f0ee2f7f317", "e5971fdeef771f51", "c28a2b70b214f4e8")),
+        ("7e591f0ee2f7f317", "e5971fdeef771f51", "c28a2b70b214f4e8",
+         "d1ebe81dc3d3d030")),
     "two-disk boundary 1e-6": (
         lambda: sk.build_glued_mesh(chain_family([sk.UnitDisk()] * 2, 1e-6), 0.03),
-        ("d1957791989570db", "fa0f0879d750b42f", "20b4418a2b60309c")),
+        ("d1957791989570db", "fa0f0879d750b42f", "20b4418a2b60309c",
+         "b03a530eee327835")),
     "catenoid+disk 0.1": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.critical_catenoid_metric(), sk.UnitDisk()], 0.1), 0.05),
-        ("249d5424130645d5", "350903b012f5fb53", "2c56a8e76cfb6a97")),
+        ("249d5424130645d5", "350903b012f5fb53", "2c56a8e76cfb6a97",
+         "ece722f64d53dc37")),
     "Moebius+disk 1e-5": (
         lambda: sk.build_glued_mesh(
             chain_family([sk.critical_mobius_metric(), sk.UnitDisk()], 1e-5), 0.05),
-        ("587bf29cb18dea99", "e6a24e5888671c2a", "b0176f53281775ef")),
+        ("587bf29cb18dea99", "e6a24e5888671c2a", "b0176f53281775ef",
+         "07e75499b5744e78")),
     "cylinder arcs on both loops": (
         lambda: sk.build_spec_mesh(sk.FlatCylinder(1.0), 0.05,
                                    (ArcSite(0, 1.0, 0.05), ArcSite(1, 4.0, 1e-6))).mesh,
-        ("76f692f0f8c2da95", "e50234cbeec78e18", "65a0af08f031c2ba")),
+        ("76f692f0f8c2da95", "e50234cbeec78e18", "65a0af08f031c2ba",
+         "423656a8b953ede0")),
 }
 ARC_SITE_MESHES = list(PINNED_MESHES)[4:]  # from "two-disk boundary 0.025" on
 
@@ -173,8 +186,9 @@ ARC_SITE_MESHES = list(PINNED_MESHES)[4:]  # from "two-disk boundary 0.025" on
 def _assert_pinned(case):
     build, digests = PINNED_MESHES[case]
     mesh = build()
-    got = tuple(hashlib.sha256(getattr(mesh, name).tobytes()).hexdigest()[:16]
-                for name in ("vertices", "triangles", "identifications"))
+    arrays = [getattr(mesh, name) for name in ("vertices", "triangles", "identifications")]
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                for a in arrays + [sk.meshes.boundary_edge_lengths(mesh)])
     assert got == digests
 
 
@@ -321,7 +335,7 @@ class TestBandDelaunay:
 
     def test_everything_but_triangles_bitwise_equal(self, pair):
         band, whole, _ = pair
-        for name in ("vertices", "identifications", "logical", "conformal_factor",
+        for name in ("vertices", "identifications", "logical", "chart_density",
                      "boundary_edge_chart"):
             assert np.array_equal(getattr(band, name), getattr(whole, name)), name
         assert band.boundary_loops == whole.boundary_loops
@@ -477,15 +491,30 @@ class TestValidation:
             else:
                 sk.build_dtn(coarse_disk_mesh).spectrum(3, conformal=lam)
 
-    def test_assembly_rejects_unequal_identified_densities(self):
-        from steklov.meshes import assemble_mesh
-        from steklov.errors import AssemblyError
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
-                        [2.0, 0.0], [3.0, 0.0], [2.5, 1.0]])
-        tris = [[0, 1, 2], [3, 4, 5]]
-        lam = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
-        with pytest.raises(AssemblyError):
-            assemble_mesh(pts, tris, [[1, 4]], lam)
+    def test_identified_vertices_may_carry_different_densities(self):
+        # the unit square as two one-triangle charts, the second of density 2,
+        # glued along the diagonal: each chart's boundary is measured on that chart
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                        [2.0, 0.0], [3.0, 1.0], [2.0, 1.0]])
+        mesh = assemble_mesh(pts, [[0, 1, 2], [3, 4, 5]], [[0, 3], [2, 4]],
+                             [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        assert sk.validate_mesh(mesh) == []
+        assert mesh.boundary_loops == ((0, 1, 2, 3),)
+        assert sorted(sk.meshes.boundary_edge_lengths(mesh)) == [1.0, 1.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_assembly_refuses_a_bad_density(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(sk.AssemblyError, match="finite and nonnegative"):
+            assemble_mesh(pts, [[0, 1, 2]], [], [1.0, bad, 1.0])
+
+    def test_conformal_factor_multiplies_the_built_density(self):
+        mesh = sk.build_spec_mesh(sk.FlatCylinder(1.0, 0.5), 0.1).mesh
+        scaled = sk.with_conformal_factor(mesh, np.full(mesh.n_logical, 3.0))
+        lengths = sk.meshes.boundary_edge_lengths(mesh)
+        assert sk.boundary_length(mesh) == pytest.approx(0.5 * 2 * TWO_PI, rel=5e-3)
+        assert sk.meshes.boundary_edge_lengths(scaled) == pytest.approx(3.0 * lengths,
+                                                                       rel=1e-15)
 
 
 class TestGrids:
@@ -586,6 +615,31 @@ class TestAssemblyOrdering:
     def test_conformal_factor_shares_the_edge_weights(self, any_mesh):
         scaled = sk.with_conformal_factor(any_mesh, 3.7 * any_mesh.conformal_factor)
         assert scaled.edge_weights is any_mesh.edge_weights
+
+    def test_boundary_loops_are_the_walked_cycles(self, any_mesh):
+        # reference: walk each cycle of boundary edges from its lowest vertex
+        nbrs = {}
+        for a, b in any_mesh.logical[any_mesh.boundary_edge_chart].tolist():
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        assert all(len(v) == 2 for v in nbrs.values())
+        loops, seen = [], set()
+        for start in sorted(nbrs):
+            if start in seen:
+                continue
+            prev, cur, loop = None, start, []
+            while cur not in loop:
+                loop.append(cur)
+                prev, cur = cur, next(v for v in nbrs[cur] if v != prev)
+            seen.update(loop)
+            loops.append(tuple(sorted(loop)))
+        assert any_mesh.boundary_loops == tuple(loops)
+
+    def test_pinched_boundary_vertex_refused(self):
+        # two triangles sharing only vertex 0, which then lies on four boundary edges
+        pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        with pytest.raises(sk.AssemblyError, match="vertex 0 lies on 4 boundary edges"):
+            assemble_mesh(pts, [[0, 1, 2], [0, 3, 4]], [], np.ones(5))
 
 
 def _loop_lengths(mesh):

@@ -84,13 +84,13 @@ def test_neck_charts_are_built_in_gluing_from_graded_rows():
 
 
 # one owner of boundary densities: `meshes` turns the conformal factor and the
-# chart scales into boundary lengths (`boundary_edge_lengths`, `with_conformal_factor`)
+# chart densities into boundary lengths (`boundary_edge_lengths`, `with_conformal_factor`)
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "meshes.py"],
                          ids=lambda p: p.name)
 def test_only_meshes_reads_boundary_densities(path):
     reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute)
-             and node.attr in ("conformal_factor", "chart_scale")]
+             and node.attr in ("conformal_factor", "chart_density")]
     assert reads == [], f"{path.name} reads boundary densities at lines {reads}"
 
 
