@@ -39,38 +39,41 @@ CUTOFF_RESOLUTION = 0.05  # log-step and angle step of cutoff_energy_law's annul
 # chain layouts
 # ---------------------------------------------------------------------------
 
+def _interior_point(spec, side: int) -> tuple[float, float]:
+    """Where an interior neck lands: the disk's centre or 0.35 right (side 1) or left
+    (-1) of it; a grid chart's mid-height at theta pi or pi/2 right or left of it."""
+    if isinstance(spec, UnitDisk):
+        return (0.35 * side, 0.0)
+    return (math.pi + side * 0.5 * math.pi, 0.5 * spec.T)
+
+
 def chain_family(components, rho: float, neck_kind: str = BOUNDARY_NECK) -> GluedFamily:
     """Linear chain: neck i joins component i to component i+1 at antipodal points.
 
     Boundary necks land on loop 0 at chart angles pi/2 (right) and 3*pi/2
     (left), away from the angle-0 seam so the refined arcs never wrap it.
+    Interior necks land at `_interior_point`: side 0 for one link, else 1 and -1.
     """
     components = tuple(components)
     if len(components) < 2:
         raise InvalidParameterError("a chain needs at least two components")
+    right, left = (0, 0) if len(components) == 2 else (1, -1)
     pairs = []
-    # interior necks land at disk centers for a single link, off-center for chains
-    if len(components) == 2:
-        interior_right = interior_left = (0.0, 0.0)
-    else:
-        interior_right, interior_left = (0.35, 0.0), (-0.35, 0.0)
     for i in range(len(components) - 1):
         if neck_kind == BOUNDARY_NECK:
             pairs.append((Attachment(i, theta=0.5 * math.pi),
                           Attachment(i + 1, theta=1.5 * math.pi)))
         else:
-            pairs.append((Attachment(i, point=interior_right),
-                          Attachment(i + 1, point=interior_left)))
+            pairs.append((Attachment(i, point=_interior_point(components[i], right)),
+                          Attachment(i + 1, point=_interior_point(components[i + 1], left))))
     return GluedFamily(components, rho, tuple(pairs), neck_kind)
 
 
 def annulus_self_glued(T: float, rho: float) -> GluedFamily:
     """One flat cylinder glued to itself near two interior points (genus +1)."""
     spec = FlatCylinder(T)
-    p1 = (0.5 * math.pi, 0.5 * T)
-    p2 = (1.5 * math.pi, 0.5 * T)
-    return GluedFamily((spec,), rho,
-                       ((Attachment(0, point=p1), Attachment(0, point=p2)),),
+    return GluedFamily((spec,), rho, ((Attachment(0, point=_interior_point(spec, -1)),
+                                       Attachment(0, point=_interior_point(spec, 1))),),
                        INTERIOR_NECK)
 
 
@@ -96,7 +99,6 @@ class SweepResult:
 
 def _neck_fractions(mesh: SurfaceMesh, spectrum: Spectrum, j_max: int) -> tuple[float, ...]:
     """Share of each eigenfunction's boundary L^2 norm carried by the neck sides."""
-    tag = mesh.tags.get("neck_boundary", frozenset())
     lengths = boundary_edge_lengths(mesh)
     uv = mesh.logical[mesh.boundary_edge_chart]
     pos = -np.ones(mesh.n_logical, dtype=np.int64)
@@ -104,7 +106,7 @@ def _neck_fractions(mesh: SurfaceMesh, spectrum: Spectrum, j_max: int) -> tuple[
     ua = spectrum.eigenvectors[pos[uv[:, 0]]]
     ub = spectrum.eigenvectors[pos[uv[:, 1]]]
     per_edge = lengths[:, None] * 0.5 * (ua ** 2 + ub ** 2)
-    on_neck = np.isin(uv, np.fromiter(tag, dtype=np.int64, count=len(tag))).all(axis=1)
+    on_neck = np.isin(uv, mesh.neck_boundary).all(axis=1)
     total = per_edge.sum(axis=0)
     fractions = per_edge[on_neck].sum(axis=0) / total
     return tuple(float(f) for f in fractions[:j_max + 1])
@@ -191,7 +193,11 @@ class ComparisonRecord:
 
 
 def glued_limit_spectrum(surface_kind: str, k: int) -> Spectrum:
-    """Closed-form spectrum of (critical surface) + (k-1) unit disks, disjoint."""
+    """Closed-form spectrum of (critical surface) + (k-1) unit disks, disjoint, of
+    LIMIT_COUNT eigenvalues each: refused above MAX_COUNT before any is built."""
+    if LIMIT_COUNT * k > cf.MAX_COUNT:
+        raise InvalidParameterError(f"k = {k} needs {LIMIT_COUNT * k} eigenvalues, above "
+                                    f"the closed-form budget of {cf.MAX_COUNT}")
     if surface_kind == "annulus":
         head = cf.spectrum_for(cf.critical_catenoid_metric(), LIMIT_COUNT)
     elif surface_kind == "mobius":

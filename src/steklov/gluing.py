@@ -84,19 +84,17 @@ def _collar(rho: float, lam: float, R: float, nu: np.ndarray):
     return mu, np.tile(nu, (len(mu), 1)), density
 
 
-def _neck_chart(rho: float, rings, lams):
+def _neck_chart(rho: float, sizes, lams, m: int):
     """An interior neck's rows and row nodes: one flat chart [0, H] x S^1 with a
     column per rim segment, m of them.
 
-    The Dirichlet energy sees only angles.  Around a rim of chart radius R (read
-    off its ring) on a chart of density lam, rho < |z - p| < R lam is the flat
-    cylinder [0, log(R lam) - log(rho)] x S^1 (logs apart: no ratio overflows),
-    and the tube scaled by 1 / rho is [0, 2] x S^1; H sums the three.  Rows
-    grow by a factor 1 + pi / m per step from 2 pi / m at both ends."""
-    m = len(rings[0])
+    The Dirichlet energy sees only angles.  Around a rim of placed chart radius
+    R (`Component.sizes`) on a chart of density lam, rho < |z - p| < R lam is
+    the flat cylinder [0, log(R lam) - log(rho)] x S^1 (logs apart: no ratio
+    overflows), and the tube scaled by 1 / rho is [0, 2] x S^1; H sums the
+    three.  Rows grow by a factor 1 + pi / m per step from 2 pi / m at both ends."""
     du = TWO_PI / m
-    H = 2.0 + sum(math.log(np.linalg.norm(r[1] - r[0]) / (2.0 * math.sin(math.pi / m)) * lam)
-                  - math.log(rho) for r, lam in zip(rings, lams))
+    H = 2.0 + sum(math.log(R * lam) - math.log(rho) for R, lam in zip(sizes, lams))
     s = _fill_graded(0.0, H, du, du, H, growth=0.5 * du)
     return s, np.tile(np.linspace(0.0, TWO_PI, m + 1), (len(s), 1))
 
@@ -106,7 +104,7 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
 
     Component i's interfaces are taken in the order `prepare_components` gave
     its sites: pair by pair, the first attachment of a pair before the second.
-    Each neck end takes the boundary density of its end's component.  A
+    Each neck end takes its component's boundary density and its site's size.  A
     boundary neck's square is the chart [0, 2] x [-1, 1] of density rho, graded
     as 1 - cos to its corners, with ceil((m + 1) / 2) + 1 rows for the m + 1
     columns; its column at -cos(nu) meets the arc at -w cos(nu), through the
@@ -137,13 +135,13 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
     for pair in family.pairs:
         ends = [(components[att.component], *next(unused[att.component]), offsets[att.component])
                 for att in pair]
-        (ca, ring_a, _, off_a), (cb, ring_b, _, off_b) = ends
+        (ca, ring_a, size_a, off_a), (cb, ring_b, size_b, off_b) = ends
         if len(ring_a) != len(ring_b):
             raise AssemblyError("the two ends of a neck differ in segments")
         if family.neck_kind == INTERIOR_NECK:
-            idx = chart(*_neck_chart(family.rho, (ca.vertices[ring_a], cb.vertices[ring_b]),
-                                     (ca.density, cb.density)), 1.0)  # no boundary to read it
             k = len(ring_a)
+            idx = chart(*_neck_chart(family.rho, (size_a, size_b), (ca.density, cb.density),
+                                     k), 1.0)  # no boundary to read it
             reflect = (k - np.arange(k)) % k  # the seam at columns 0 and k
             idents += [np.stack([idx[:, 0], idx[:, k]], axis=1),
                        np.stack([ring_a + off_a, idx[0, :k]], axis=1),
@@ -164,7 +162,7 @@ def glue(components: list[Component], family: GluedFamily) -> SurfaceMesh:
         idents += [np.stack([ids_a, idx[0]], axis=1), np.stack([ids_b, idx[-1, ::-1]], axis=1)]
     return assemble_mesh(np.concatenate(pieces), np.concatenate(triangles),
                          np.concatenate(idents), np.concatenate(density),
-                         tags_chart={"neck_boundary": np.concatenate(sides)} if sides else {})
+                         np.concatenate(sides) if sides else ())
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ classes of chart vertices under the identification list.  The metric is
 conformal to the flat chart metric, so in two dimensions the Dirichlet energy
 is chart-only and the metric enters solely through boundary lengths: a
 boundary edge's length is its chart length times the mean density of its chart
-ends, each its chart density times its logical vertex's conformal factor (1
-unless `with_conformal_factor` sets one).  Identified chart vertices may carry
-different densities: each chart's boundary is measured on that chart.
-`assemble_mesh` owns the P1 geometry: each triangle's edge vectors give its
-doubled area, which orients or refuses it, and its corner cotangents, summed
-into each unique edge's weight (`edge_weights`, shared by
-`with_conformal_factor`), and labels the boundary loops in one pass.
+ends (`chart_density`, which `with_conformal_factor` multiplies).  Identified
+chart vertices may carry different densities: each chart's boundary is
+measured on that chart.  `assemble_mesh` owns the P1 geometry: each triangle's
+edge vectors give its doubled area, which orients or refuses it, and its
+corner cotangents, summed into each unique edge's weight (`edge_weights`,
+shared by `with_conformal_factor`), and labels the boundary loops in one pass.
 
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
@@ -34,11 +33,10 @@ with `AssemblyError`.  `check_mesh_budget` refuses, before anything is built,
 meshes estimated above MAX_MESH_VERTICES and grid charts lower than
 MIN_CHART_HEIGHT.
 
-Every surface chart carries one constant boundary density, which
-`with_conformal_factor` multiplies by any other.  Builders return a
-`Component`: chart arrays, that density and the neck interfaces.  A glued mesh
-is assembled once from its components' arrays; a component's own `mesh` is
-assembled only when a plain surface asks for it.
+Every surface chart carries one constant boundary density.  Builders return a
+`Component`: chart arrays, that density, the neck interfaces and each site's
+placed chart size.  A glued mesh is assembled once from its components' arrays;
+a component's own `mesh` is assembled only when a plain surface asks for it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -96,13 +94,12 @@ class SurfaceMesh:
     identifications: np.ndarray       # (ni, 2) chart index pairs merged logically
     logical: np.ndarray               # (nv,) chart index -> logical vertex id
     n_logical: int
-    conformal_factor: np.ndarray      # (n_logical,) positive, 1 unless set
     chart_density: np.ndarray         # (nv,) finite, nonnegative; read on the boundary
     boundary_loops: tuple[tuple[int, ...], ...]  # logical ids, ascending; by lowest id
     boundary_edge_chart: np.ndarray   # (nb, 2) chart endpoints of the unique chart edge
     edges: np.ndarray                 # (ne, 2) unique logical edges (lo, hi), lexicographic
     edge_weights: np.ndarray          # (ne,) P1 cotangent weight of each edge
-    tags: dict[str, frozenset[int]] = field(default_factory=dict)
+    neck_boundary: np.ndarray         # logical ids on a boundary neck's free sides, ascending
 
     @property
     def n_chart(self) -> int:
@@ -181,11 +178,11 @@ def _boundary_loops(edges: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def assemble_mesh(vertices, triangles, identifications, density_chart,
-                  tags_chart: dict[str, Sequence[int]] | None = None) -> SurfaceMesh:
+                  neck_chart: Sequence[int] = ()) -> SurfaceMesh:
     """Build a SurfaceMesh from chart data, deriving logical structure and loops.
 
     `density_chart` is each chart vertex's boundary density, finite and
-    nonnegative; the conformal factor starts at 1."""
+    nonnegative; `neck_chart` lists boundary necks' free-side chart vertices."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64).copy()
     identifications = (np.asarray(identifications, dtype=np.int64).reshape(-1, 2)
@@ -212,36 +209,32 @@ def assemble_mesh(vertices, triangles, identifications, density_chart,
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
 
-    tags = {name: frozenset(labels[np.asarray(ids, dtype=np.int64)].tolist())
-            for name, ids in (tags_chart or {}).items()}
     return SurfaceMesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         identifications=_freeze(identifications),
         logical=_freeze(labels),
         n_logical=n_logical,
-        conformal_factor=_freeze(np.ones(n_logical)),
         chart_density=_freeze(density_chart),
         boundary_loops=_boundary_loops(edges[bmask], n_logical) if bmask.any() else (),
         boundary_edge_chart=_freeze(chart_rep[bmask]),
         edges=_freeze(edges),
         edge_weights=_freeze(weights),
-        tags=tags,
+        neck_boundary=_freeze(np.unique(labels[np.asarray(neck_chart, dtype=np.int64)])),
     )
 
 
 def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
-    """The mesh with the factor `lam_logical`, refused unless finite and positive.
-
-    The factor multiplies the mesh's built boundary density, so on a
-    unit-density mesh (disks, glued disks, cylinders and Moebius bands of
-    density 1) it is the boundary density."""
+    """The mesh with its boundary density times the factor `lam_logical`, refused
+    unless finite and positive: on a unit-density mesh (disks, glued disks,
+    cylinders and Moebius bands of density 1) the factor is the density.  A
+    second application multiplies again; no caller applies two."""
     lam = np.array(lam_logical, dtype=float)
     if lam.shape != (mesh.n_logical,):
         raise InvalidParameterError("conformal factor must have one value per logical vertex")
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise InvalidParameterError("conformal factor must be finite and positive")
-    return replace(mesh, conformal_factor=_freeze(lam))
+    return replace(mesh, chart_density=_freeze(mesh.chart_density * lam[mesh.logical]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +242,12 @@ def with_conformal_factor(mesh: SurfaceMesh, lam_logical) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 
 def boundary_edge_lengths(mesh: SurfaceMesh) -> np.ndarray:
-    """Physical length of each boundary edge: chart length times the mean density
-    of its chart ends, each the conformal factor times the chart density."""
+    """Physical length of each boundary edge: chart length times its ends' mean density."""
     uv = mesh.boundary_edge_chart
     if len(uv) == 0:
         return np.zeros(0)
     chord = np.linalg.norm(mesh.vertices[uv[:, 0]] - mesh.vertices[uv[:, 1]], axis=1)
-    return chord * (mesh.conformal_factor[mesh.logical[uv]] * mesh.chart_density[uv]).mean(axis=1)
+    return chord * mesh.chart_density[uv].mean(axis=1)
 
 
 def boundary_length(mesh: SurfaceMesh) -> float:
@@ -273,8 +265,6 @@ def validate_mesh(mesh: SurfaceMesh) -> list[str]:
     bad = degenerate | (areas2 < 0)
     if np.any(bad):
         report.append(f"{int(bad.sum())} chart triangles degenerate or misoriented")
-    if np.any(mesh.conformal_factor <= 0):
-        report.append("conformal factor not strictly positive")
     if not np.all(np.isfinite(mesh.chart_density) & (mesh.chart_density >= 0)):
         report.append("chart density negative or not finite")
 

@@ -287,9 +287,13 @@ def _nothing_built():
                  id="closed-form-count-1e8"),
     pytest.param(["spectrum", "--surface", "disk", "--count", "100000000"],
                  id="disk-count-1e8"),
+    pytest.param(["compare", "--surface", "annulus", "--k", "25001"],
+                 id="compare-k-25001"),
 ])
 def test_oversize_requests_are_refused_before_allocating(argv):
-    with _nothing_built():
+    # a glued limit's disk parts; `spectrum --surface disk` is refused inside it
+    disk_parts = _forbidden if argv[0] == "compare" else steklov.closed_form.disk_spectrum
+    with _nothing_built(), mock.patch.object(steklov.closed_form, "disk_spectrum", disk_parts):
         code, err, written = _run_quietly(argv)
     assert code == 2 and "usage error:" in err
     assert "budget" in err or "count must lie" in err

@@ -42,7 +42,7 @@ class TestStiffness:
     def test_conformal_factor_never_enters(self, coarse_disk_mesh):
         K1 = sk.assemble_stiffness(coarse_disk_mesh)
         scaled = sk.with_conformal_factor(
-            coarse_disk_mesh, 3.7 * coarse_disk_mesh.conformal_factor)
+            coarse_disk_mesh, 3.7 * np.ones(coarse_disk_mesh.n_logical))
         K2 = sk.assemble_stiffness(scaled)
         assert (K1 - K2).nnz == 0
 
@@ -107,7 +107,7 @@ class TestBoundaryMass:
     def test_linearity_in_density(self, coarse_disk_mesh):
         m1 = boundary_mass_vector(coarse_disk_mesh)
         m2 = boundary_mass_vector(sk.with_conformal_factor(
-            coarse_disk_mesh, 2.0 * coarse_disk_mesh.conformal_factor))
+            coarse_disk_mesh, 2.0 * np.ones(coarse_disk_mesh.n_logical)))
         assert np.allclose(m2, 2.0 * m1, rtol=1e-14)
 
 
@@ -171,7 +171,7 @@ class TestSteklovSpectrum:
         op = build_dtn(coarse_disk_mesh)
         base = op.spectrum(6)
         c = 2.5
-        scaled = op.spectrum(6, conformal=c * coarse_disk_mesh.conformal_factor)
+        scaled = op.spectrum(6, conformal=c * np.ones(coarse_disk_mesh.n_logical))
         assert np.allclose(scaled.eigenvalues, base.eigenvalues / c, rtol=1e-12)
         assert scaled.boundary_length == pytest.approx(c * base.boundary_length)
         assert np.allclose(scaled.normalized, base.normalized, rtol=1e-10)
@@ -179,7 +179,7 @@ class TestSteklovSpectrum:
     def test_interior_conformal_change_is_invisible(self, coarse_disk_mesh):
         op = build_dtn(coarse_disk_mesh)
         base = op.spectrum(6)
-        lam = coarse_disk_mesh.conformal_factor.copy()
+        lam = np.ones(coarse_disk_mesh.n_logical)
         boundary = set().union(*coarse_disk_mesh.boundary_loops)
         for i in range(coarse_disk_mesh.n_logical):
             if i not in boundary:

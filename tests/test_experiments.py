@@ -297,7 +297,7 @@ class TestNeckDiagnostic:
         row = two_disk_sweep.rows[-1]
         mesh = sk.build_glued_mesh(sk.chain_family([sk.UnitDisk()] * 2, row.rho), 0.06)
         spec = sk.steklov_spectrum(mesh, 6, want_vectors=True)
-        tag = mesh.tags["neck_boundary"]
+        tag = set(mesh.neck_boundary.tolist())
         uv = mesh.logical[mesh.boundary_edge_chart]
         pos = -np.ones(mesh.n_logical, dtype=np.int64)
         pos[spec.boundary_index] = np.arange(len(spec.boundary_index))

@@ -49,9 +49,17 @@ class TestBoundaryGlue:
 
     def test_neck_tag_present(self):
         mesh = sk.build_glued_mesh(two_disks(0.1), 0.07)
-        tag = mesh.tags["neck_boundary"]
+        neck = mesh.neck_boundary
         boundary = set().union(*mesh.boundary_loops)
-        assert tag and tag <= boundary
+        assert len(neck) and set(neck.tolist()) <= boundary
+        assert np.all(np.diff(neck) > 0)  # ascending logical ids
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: sk.build_disk_mesh(0.07), id="plain"),
+        pytest.param(lambda: sk.build_glued_mesh(two_disks(0.1, "interior-cylinder"), 0.07),
+                     id="interior")])
+    def test_no_neck_boundary_without_a_boundary_neck(self, build):
+        assert build().neck_boundary.shape == (0,)
 
     def test_overlapping_arcs_rejected(self):
         fam = GluedFamily(
@@ -160,6 +168,29 @@ class TestInteriorGlue:
         assert sk.euler_characteristic(mesh) == -2
         assert len(mesh.boundary_loops) == 2
         assert sk.boundary_length(mesh) == pytest.approx(FOUR_PI, rel=1e-2)
+
+    @pytest.mark.parametrize("specs, rho", [
+        pytest.param(("catenoid", "disk"), 1e-2, id="catenoid+disk"),
+        pytest.param(("Moebius", "disk"), 1e-6, id="Moebius+disk"),
+        pytest.param(("disk", "catenoid", "disk"), 1e-100, id="disk+catenoid+disk"),
+        pytest.param(("Moebius", "disk", "disk"), 1e-6, id="Moebius+disk+disk")])
+    def test_chains_with_grid_charts_build_and_solve(self, specs, rho):
+        # a grid chart's neck lands at mid-height, off its seam and boundary rows
+        charts = {"disk": sk.UnitDisk(), "catenoid": sk.critical_catenoid_metric(),
+                  "Moebius": sk.critical_mobius_metric()}
+        components = [charts[name] for name in specs]
+        mesh = sk.build_glued_mesh(chain_family(components, rho, "interior-cylinder"), 0.06)
+        plain = [sk.build_spec_mesh(spec, 0.06).mesh for spec in components]
+        assert sk.validate_mesh(mesh) == []
+        # each neck removes two disks and adds a tube: chi falls by 2, the boundary stays
+        assert sk.euler_characteristic(mesh) == sum(map(sk.euler_characteristic, plain)) - 2 * (
+            len(components) - 1)
+        assert len(mesh.boundary_loops) == sum(len(p.boundary_loops) for p in plain)
+        assert sk.boundary_length(mesh) == pytest.approx(sum(map(sk.boundary_length, plain)),
+                                                         rel=1e-12)
+        # one small eigenvalue per component: the disjoint union's zeros, split by the necks
+        values = sk.steklov_spectrum(mesh, len(components) + 2).eigenvalues
+        assert np.count_nonzero(values < 0.2) == len(components)
 
     def test_equal_components_built_once(self):
         family = two_disks(0.05, "interior-cylinder")
