@@ -45,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spilu, splu
 
-from .errors import FactorizationError, InvalidParameterError, SolverError
+from .errors import FactorizationError, SolverError
 from .meshes import SurfaceMesh, boundary_edge_lengths, with_conformal_factor
 from .spectra import CLUSTER_RTOL_FEM, Spectrum, check_count, make_spectrum, zero_band
 
@@ -87,37 +86,13 @@ def boundary_mass_vector(mesh: SurfaceMesh) -> np.ndarray:
     return np.bincount(ends.ravel(), weights=np.repeat(half, 2), minlength=mesh.n_logical)
 
 
-def _grounding_pins(K: sp.csr_matrix, boundary_index: np.ndarray) -> np.ndarray:
-    """One vertex per connected component that never touches the boundary.
-
-    Such components make the pure-Neumann interior block (and the pencil
-    K - s M_b) singular; grounding their constant mode is exact because they
-    do not couple to the boundary.
-    """
-    n_comp, labels = connected_components(K, directed=False)
-    touches = np.bincount(labels[boundary_index], minlength=n_comp) > 0
-    _, first = np.unique(labels, return_index=True)
-    return first[~touches].astype(np.int64)
-
-
-def _ground(A: sp.spmatrix, pins: np.ndarray) -> sp.csc_matrix:
-    """D A D + (I - D), D the diagonal mask that zeroes the pinned rows and columns."""
-    if len(pins) == 0:
-        return A.tocsc()
-    keep = np.ones(A.shape[0])
-    keep[pins] = 0.0
-    D = sp.diags(keep)
-    grounded = (D @ A @ D + sp.diags(1.0 - keep)).tocsc()
-    grounded.eliminate_zeros()
-    return grounded
-
-
 def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     """Dense DtN_h = K_bb - K_bi K_ii^{-1} K_ib on the boundary degrees of freedom.
 
-    Read off the trailing block of one sparse LU of A = ground(K) + E_b E_b'
-    (SPD) eliminated interior first, in a fill-reducing order, and boundary
-    last: there L_bb U_bb = (K_bb + I) - K_bi K_ii^{-1} K_ib.
+    Read off the trailing block of one sparse LU of A = K + E_b E_b' (SPD:
+    `assemble_mesh` refuses a component without boundary) eliminated interior
+    first, in a fill-reducing order, and boundary last: there
+    L_bb U_bb = (K_bb + I) - K_bi K_ii^{-1} K_ib.
     """
     n = stiffness.shape[0]
     b = np.asarray(boundary_index, dtype=np.int64)
@@ -127,7 +102,6 @@ def schur_dtn(stiffness: sp.spmatrix, boundary_index: np.ndarray) -> np.ndarray:
     if interior.size == 0:
         dtn = K[b][:, b].toarray()
     else:
-        K = _ground(K, _grounding_pins(K, b)).tocsr()
         try:
             # only the fill-reducing interior ordering is wanted: an incomplete
             # LU that drops every entry computes it without the numeric fill
@@ -216,8 +190,6 @@ def build_dtn(mesh: SurfaceMesh) -> DtnOperator:
 
 
 def _boundary_index(mesh: SurfaceMesh) -> np.ndarray:
-    if not mesh.boundary_loops:
-        raise InvalidParameterError("mesh has no boundary")
     return np.unique(np.concatenate([np.asarray(loop) for loop in mesh.boundary_loops]))
 
 
@@ -265,8 +237,7 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
         logger.debug("dense DtN: %d pairs of %d boundary DOFs", count, n_b)
         return build_dtn(mesh).spectrum(count, want_vectors=want_vectors)
     mass = boundary_mass_vector(mesh)  # a massless boundary vertex acts as a free one
-    K = assemble_stiffness(mesh)
-    K = _ground(K, _grounding_pins(K, b))
+    K = assemble_stiffness(mesh).tocsc()
     try:
         lu = splu(K - PENCIL_SHIFT * sp.diags(mass), permc_spec="MMD_AT_PLUS_A",
                   **_SPD_FACTOR)
@@ -298,5 +269,4 @@ def steklov_spectrum(mesh: SurfaceMesh, count: int, want_vectors: bool = False) 
 __all__ = [
     "assemble_stiffness", "boundary_mass_vector",
     "schur_dtn", "DtnOperator", "build_dtn", "steklov_spectrum",
-    "boundary_edge_lengths",
 ]

@@ -12,6 +12,7 @@ measured on that chart.  `assemble_mesh` owns the P1 geometry: each triangle's
 edge vectors give its doubled area, which orients or refuses it, and its
 corner cotangents, summed into each unique edge's weight (`edge_weights`,
 shared by `with_conformal_factor`), and labels the boundary loops in one pass.
+It refuses a mesh with a connected component that has no boundary edge.
 
 Site-free disks put their points on concentric rings, and their Delaunay
 triangulation comes from merging consecutive rings (`_ring_delaunay`), or from
@@ -117,7 +118,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _component_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Component label per vertex under the identified pairs.
+    """Component label per vertex of the graph that the pairs join.
 
     connected_components numbers components in order of their lowest index,
     so logical ids follow the chart order.
@@ -182,7 +183,10 @@ def assemble_mesh(vertices, triangles, identifications, density_chart,
     """Build a SurfaceMesh from chart data, deriving logical structure and loops.
 
     `density_chart` is each chart vertex's boundary density, finite and
-    nonnegative; `neck_chart` lists boundary necks' free-side chart vertices."""
+    nonnegative; `neck_chart` lists boundary necks' free-side chart vertices.
+    Every connected component of the logical edge graph must have a boundary
+    edge: an empty mesh, a closed component, or a chart vertex in no triangle
+    is refused."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64).copy()
     identifications = (np.asarray(identifications, dtype=np.int64).reshape(-1, 2)
@@ -208,6 +212,9 @@ def assemble_mesh(vertices, triangles, identifications, density_chart,
     if np.any(counts > 2):
         raise AssemblyError("edge shared by more than two triangles")
     bmask = counts == 1
+    parts, n_parts = _component_labels(n_logical, edges)
+    if not (n_parts and np.all(np.bincount(parts[edges[bmask, 0]], minlength=n_parts))):
+        raise AssemblyError("mesh is empty or has a connected component without boundary")
 
     return SurfaceMesh(
         vertices=_freeze(vertices),
@@ -216,7 +223,7 @@ def assemble_mesh(vertices, triangles, identifications, density_chart,
         logical=_freeze(labels),
         n_logical=n_logical,
         chart_density=_freeze(density_chart),
-        boundary_loops=_boundary_loops(edges[bmask], n_logical) if bmask.any() else (),
+        boundary_loops=_boundary_loops(edges[bmask], n_logical),
         boundary_edge_chart=_freeze(chart_rep[bmask]),
         edges=_freeze(edges),
         edge_weights=_freeze(weights),

@@ -55,12 +55,6 @@ class Spectrum:
     eigenvectors: np.ndarray | None = None   # boundary traces, shape (n_boundary, count)
     boundary_index: np.ndarray | None = None  # logical vertex ids of the trace rows
 
-    def multiplicity(self, k: int) -> int:
-        for c in self.clusters:
-            if k in c:
-                return len(c)
-        raise InvalidParameterError(f"eigenvalue index {k} out of range")
-
     def sigma_bar(self, k: int) -> float:
         return float(self.normalized[k])
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import steklov as sk
 from steklov.closed_form import cylinder_branches, mobius_branches
+from steklov.spectra import spectrum_rows
 
 
 def bisect(f, a, b, iters=200):
@@ -186,7 +187,7 @@ class TestSpectra:
         assert np.max(np.abs(first3 - 1.0 / t10)) < 1e-12
         assert spec.sigma_bar(1) == pytest.approx(4 * math.pi / t10, abs=1e-9)
         # linear branch meets the mode-1 tangent pair: a genuine triple
-        assert spec.multiplicity(1) == 3
+        assert spectrum_rows(spec)[1]["multiplicity"] == 3
         assert spec.eigenvalues[4] > spec.eigenvalues[3] * (1 + 1e-9)
 
     def test_mobius_critical_height(self):
@@ -194,7 +195,7 @@ class TestSpectra:
         spec = sk.mobius_spectrum(t21, count=5)
         assert spec.sigma_bar(1) == pytest.approx(2 * math.pi * math.sqrt(3.0), abs=1e-9)
         assert spec.sigma_bar(1) == pytest.approx(spec.sigma_bar(2), abs=1e-9)
-        assert spec.multiplicity(1) >= 2
+        assert spectrum_rows(spec)[1]["multiplicity"] >= 2
 
     @pytest.mark.parametrize("spectrum", [sk.cylinder_spectrum, sk.mobius_spectrum])
     def test_positional_and_keyword_calls_agree(self, spectrum):
@@ -236,7 +237,7 @@ class TestSpectra:
     def test_sigma1_above_the_zero_band_kept(self):
         spec = sk.cylinder_spectrum(1e11, count=4)
         assert spec.eigenvalues[1] == pytest.approx(2e-11, rel=1e-12)
-        assert spec.multiplicity(0) == 1
+        assert spectrum_rows(spec)[0]["multiplicity"] == 1
 
     @settings(max_examples=40)
     @given(st.floats(0.05, 20.0), st.floats(0.05, 20.0))

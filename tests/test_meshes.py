@@ -658,6 +658,42 @@ class TestAssemblyOrdering:
             assemble_mesh(pts, [[0, 1, 2], [0, 3, 4]], [], np.ones(5))
 
 
+def _pillow(x0):
+    """A closed surface: two chart triangles glued along all three edges."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]) + [x0, 0.0]
+    return np.vstack([pts, pts + [2.0, 0.0]]), [[0, 1, 2], [3, 4, 5]], [[0, 3], [1, 4], [2, 5]]
+
+
+STRAY_VERTEX = ([[9.0, 9.0]], [], [])  # a chart vertex in no triangle
+
+
+def _side_by_side(pieces):
+    """One chart set of the (vertices, triangles, identifications) pieces."""
+    pts, tris, ids = [np.zeros((0, 2))], [np.zeros((0, 3), int)], [np.zeros((0, 2), int)]
+    start = 0
+    for p, t, i in pieces:
+        pts.append(np.reshape(p, (-1, 2)))
+        tris.append(np.reshape(t, (-1, 3)).astype(np.int64) + start)
+        ids.append(np.reshape(i, (-1, 2)).astype(np.int64) + start)
+        start += len(pts[-1])
+    return np.vstack(pts), np.vstack(tris), np.vstack(ids)
+
+
+# every Steklov problem here lives on components with boundary: a closed one
+# would leave the pencil singular, so assembly refuses it
+@pytest.mark.parametrize("with_disk, pieces", [
+    (True, [_pillow(3.0)]), (False, [_pillow(3.0)]), (True, [STRAY_VERTEX]),
+    (True, [_pillow(3.0), _pillow(7.0)]), (False, [])],
+    ids=["disk_plus_pillow", "pillow", "disk_plus_stray_vertex", "disk_plus_two_pillows",
+         "empty"])
+def test_assembly_refuses_a_component_without_boundary(coarse_disk_mesh, with_disk, pieces):
+    disk = (coarse_disk_mesh.vertices, coarse_disk_mesh.triangles,
+            coarse_disk_mesh.identifications)
+    pts, tris, ids = _side_by_side([disk] * with_disk + pieces)
+    with pytest.raises(sk.AssemblyError, match="component without boundary"):
+        assemble_mesh(pts, tris, ids, np.ones(len(pts)))
+
+
 def _loop_lengths(mesh):
     lengths = []
     from steklov.meshes import boundary_edge_lengths

@@ -83,6 +83,24 @@ def test_neck_charts_are_built_in_gluing_from_graded_rows():
     }
 
 
+# one owner of the mesh's structure: only `meshes` labels connected components
+# (logical vertices, boundary loops, and the refusal of a component without
+# boundary), so no solver re-derives it
+def test_only_meshes_labels_components():
+    users = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            else:
+                continue
+            if "connected_components" in names:
+                users.add(path.name)
+    assert users == {"meshes.py"}
+
+
 # one owner of boundary densities: `meshes` scales the chart densities
 # (`with_conformal_factor`) and turns them into boundary lengths (`boundary_edge_lengths`)
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "meshes.py"],

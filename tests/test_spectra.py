@@ -47,8 +47,8 @@ class TestMakeSpectrum:
 
     def test_clusters(self):
         s = make_spectrum([0.0, 1.0, 1.0 + 1e-12, 2.0], 1.0)
-        assert s.multiplicity(1) == 2
-        assert s.multiplicity(3) == 1
+        assert s.clusters == ((0,), (1, 2), (3,))
+        assert [r["multiplicity"] for r in spectrum_rows(s)] == [1, 2, 2, 1]
         assert cluster_indices(np.array([1.0, 1.5]), 1e-9) == ((0,), (1,))
 
 
@@ -109,5 +109,5 @@ class TestCsv:
         rows = spectrum_rows(spec)
         assert [r["k"] for r in rows] == list(range(30_000))
         for k in (0, 1, 2, 3, 4, 15_001, 29_999):
-            assert rows[k]["multiplicity"] == spec.multiplicity(k)
+            assert rows[k]["multiplicity"] == next(len(c) for c in spec.clusters if k in c)
         assert sum(1.0 / r["multiplicity"] for r in rows) == pytest.approx(len(spec.clusters))
